@@ -10,9 +10,9 @@ from .constants import (ConstantResult, avg_eucl_jump, avg_eucl_jump_closed,
                         avg_lifted_dist, avg_lifted_dist_closed, ball_volume,
                         c1d_const, ca_const, cj_estimate, k_const, m_const,
                         psi_closed, psi_estimate, sphere_area, sphere_quad)
-from .fields import (EnergyReport, GridField, Mollifier,
-                     avg_directional_energy, detect_jumps, directional_tv,
-                     embedded_tv, metric_distance, mollified_energy,
+from .fields import (EnergyReport, GridField, avg_directional_energy,
+                     detect_jumps, directional_tv, embedded_tv,
+                     metric_distance, mollified_energy,
                      mollified_energy_extrapolated, read_field, write_field)
 from .geometry import (canonicalize, dist_proj, dist_sphere, embed_tensor,
                        eucl_jump_cost, haar_rotations, haar_sample,

@@ -11,14 +11,15 @@ import json
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from . import constants as consts
 from . import verify
-from .fields import (GridField, Mollifier, avg_directional_energy,
-                     embedded_tv, mollified_energy,
-                     mollified_energy_extrapolated, read_field, write_field)
+from .fields import (GridField, avg_directional_energy, embedded_tv,
+                     mollified_energy, mollified_energy_extrapolated,
+                     read_field, write_field)
 from .lifting import lift_1d, lift_rotation_search, lift_with_boundary
 
 EXIT_OK = 0
@@ -59,25 +60,13 @@ def _load_config(path, args):
     return cfg
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, write):
+    """Call ``write(tmp)`` on a temp file beside ``path``, then rename it."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".bvlift-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_field_atomic(field, path):
-    d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".bvlift-")
     os.close(fd)
     try:
-        write_field(field, tmp)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -120,7 +109,7 @@ def cmd_make_field(args):
         f = GridField((args.grid, args.grid), h, (0.0, 0.0), "proj", vals)
     else:
         raise ValueError(f"unknown field kind {kind!r}")
-    _write_field_atomic(f, args.output)
+    _atomic_write(args.output, lambda tmp: write_field(f, tmp))
     print(f"wrote {args.output}: dims={f.dims} d={f.d} kind={f.kind}")
     return EXIT_OK
 
@@ -137,8 +126,7 @@ def cmd_energy(args):
         if args.estimator == "mollified":
             mults = cfg["mollifier_eps_over_h"]
             if args.no_extrapolation:
-                rep = mollified_energy(f, Mollifier(mults[0] * f.spacing),
-                                       metric)
+                rep = mollified_energy(f, mults[0] * f.spacing, metric)
             else:
                 rep = mollified_energy_extrapolated(f, metric, mults)
         elif args.estimator == "directional":
@@ -174,16 +162,12 @@ def cmd_lift(args):
             print("error: greedy1d requires a one-dimensional field",
                   file=sys.stderr)
             return EXIT_BAD_INPUT
-        lifted = lift_1d(u.values)
-        n = u.with_values(lifted, kind="unit")
-        from .fields import metric_distance
-        dist_s = metric_distance("geodesic", "unit")(lifted[:-1], lifted[1:])
-        dist_p = metric_distance("geodesic", "proj")(u.values[:-1], u.values[1:])
-        energy = {"total": float(dist_s.sum()), "metric": "geodesic",
-                  "estimator": "embedded_tv", "ac_part": None,
-                  "jump_part": None,
-                  "params": {"projective_tv": float(dist_p.sum())}}
-        side = {"mode": "greedy1d", "energy": energy, "rotation": None,
+        n = u.with_values(lift_1d(u.values), kind="unit")
+        # the direction average is exact on an interval and skips the mask
+        rep = avg_directional_energy(n, metric="geodesic")
+        rep.params["projective_tv"] = avg_directional_energy(
+            u, metric="geodesic").total
+        side = {"mode": "greedy1d", "energy": rep.to_dict(), "rotation": None,
                 "projection_check": 0.0}
     elif args.mode == "rotation":
         res = lift_rotation_search(u, trials=cfg["trials"], seed=cfg["seed"],
@@ -219,8 +203,8 @@ def cmd_lift(args):
         print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    _write_field_atomic(n, out)
-    _atomic_write(sidecar, _json_dumps(side))
+    _atomic_write(out, lambda tmp: write_field(n, tmp))
+    _atomic_write(sidecar, lambda tmp: Path(tmp).write_text(_json_dumps(side)))
     print(f"wrote {out} and {sidecar}")
     return EXIT_OK
 
@@ -294,7 +278,7 @@ def cmd_verify(args):
         reports += suites[name]()
     out = args.report or os.path.join(cfg["output_dir"], "report.json")
     payload = [r.to_dict() for r in reports]
-    _atomic_write(out, _json_dumps(payload))
+    _atomic_write(out, lambda tmp: Path(tmp).write_text(_json_dumps(payload)))
     n_fail = sum(1 for r in reports if not r.passed)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"

@@ -112,8 +112,8 @@ def _mc_over_rotations(fn, d, samples, seed):
     """Mean and standard error of fn(R_batch) over Haar-sampled rotations.
 
     ``fn`` maps a (b, d, d) batch to b scalars.  Chunked so that memory stays
-    bounded; chunk seeds are spawned deterministically from ``seed`` and
-    reduced in a fixed order.
+    bounded; every chunk draws from one generator seeded by ``seed``, so the
+    result is deterministic given the seed, and chunks are reduced in order.
     """
     rng = np.random.default_rng(seed)
     tot = 0.0

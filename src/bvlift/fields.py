@@ -23,11 +23,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .geometry import canonicalize, embed_tensor
+from .geometry import canonicalize, chord, chord_distance
 
 __all__ = [
     "GridField",
-    "Mollifier",
     "EnergyReport",
     "METRICS",
     "metric_distance",
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 METRICS = ("geodesic", "euclidean_sphere", "euclidean_tensor")
+_PAIRS_PER_BLOCK = 1 << 16  # line-bundle pairs evaluated at once
 
 
 @dataclass
@@ -66,6 +66,8 @@ class GridField:
         self.dims = tuple(int(x) for x in self.dims)
         self.origin = tuple(float(x) for x in self.origin)
         self.values = np.asarray(self.values, dtype=float)
+        if not np.isfinite(self.values).all():
+            raise ValueError("field values must be finite")
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
         if self.kind not in ("proj", "unit", "vector"):
@@ -113,20 +115,6 @@ class GridField:
 
 
 @dataclass
-class Mollifier:
-    """Radial averaging kernel; only the normalized ball indicator is used."""
-
-    eps: float
-    kind: str = "ball_indicator"
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.kind != "ball_indicator":
-            raise ValueError(f"unsupported mollifier kind {self.kind!r}")
-
-
-@dataclass
 class EnergyReport:
     """Decomposed energy estimate.  ``ac_part``/``jump_part`` are None when
     the estimator returns a total only."""
@@ -152,41 +140,26 @@ class EnergyReport:
 # ---------------------------------------------------------------------------
 # metric dispatch
 
-def metric_distance(metric, kind):
-    """Distance function (A, B) -> array for value arrays of a given kind."""
+def _projective_chord(metric, kind):
+    """Whether pairs of ``kind`` values are compared by the projective chord.
+
+    Line fields always are; the tensor metric sees only the lines of unit
+    values.  Raises ValueError for a metric the kind does not support.
+    """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    if metric == "geodesic":
-        # bit-identical representatives are at distance 0 by definition;
-        # arccos of their stored dot product would yield ~1e-8 of roundoff
-        if kind == "proj":
-            def _geo_proj(a, b):
-                d = np.arccos(np.minimum(
-                    np.abs(np.einsum("...k,...k->...", a, b)), 1.0))
-                return np.where(np.all(a == b, axis=-1), 0.0, d)
-            return _geo_proj
-        if kind == "unit":
-            def _geo_unit(a, b):
-                d = np.arccos(np.clip(
-                    np.einsum("...k,...k->...", a, b), -1.0, 1.0))
-                return np.where(np.all(a == b, axis=-1), 0.0, d)
-            return _geo_unit
-        raise ValueError("geodesic metric needs unit or proj values")
-    if metric == "euclidean_sphere":
-        if kind == "proj":
-            # smallest chord over sign choices: 2 sin(dist_proj / 2)
-            return lambda a, b: np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.minimum(
-                np.abs(np.einsum("...k,...k->...", a, b)), 1.0)))
-        return lambda a, b: np.linalg.norm(a - b, axis=-1)
-    # euclidean_tensor: Frobenius distance of the embeddings, sin(theta)
-    if kind == "vector":
-        raise ValueError("euclidean_tensor metric needs unit or proj values")
+    if kind == "vector" and metric != "euclidean_sphere":
+        raise ValueError(f"{metric} metric needs unit or proj values")
+    return kind == "proj" or metric == "euclidean_tensor"
 
-    def _tensor_dist(a, b):
-        dot = np.minimum(np.abs(np.einsum("...k,...k->...", a, b)), 1.0)
-        return np.sqrt(np.maximum(0.0, 1.0 - dot * dot))
 
-    return _tensor_dist
+def metric_distance(metric, kind):
+    """Distance function (A, B) -> array for value arrays of a given kind.
+
+    A closed form of the pair's chord, see :func:`bvlift.geometry.chord`.
+    """
+    proj = _projective_chord(metric, kind)
+    return lambda a, b: chord_distance(chord(a, b, proj), metric)
 
 
 def _angle_from_distance(metric, dist):
@@ -293,7 +266,12 @@ def _half_offsets(N, rmax):
 
 
 def _pair_sums(f, metric, rmax):
-    """Sum of pair distances for every half-lattice offset up to rmax cells."""
+    """Sum of pair distances for every half-lattice offset up to rmax cells.
+
+    Every pair of the overlapping slices is evaluated and the pairs leaving
+    the mask are multiplied by 0, which is faster than gathering the in-mask
+    pairs; field values are finite, so those pairs add exactly 0.
+    """
     dist = metric_distance(metric, f.kind)
     inside = f.inside()
     vals = f.values
@@ -305,10 +283,7 @@ def _pair_sums(f, metric, rmax):
         dst = tuple(slice(max(0, o), min(n, n + o))
                     for o, n in zip(off, dims))
         ok = inside[src] & inside[dst]
-        if not ok.any():
-            sums[off] = 0.0
-            continue
-        sums[off] = float(dist(vals[src][ok], vals[dst][ok]).sum())
+        sums[off] = float((dist(vals[src], vals[dst]) * ok).sum())
     return sums
 
 
@@ -328,24 +303,25 @@ def _energy_from_pair_sums(sums, eps, h, N):
     return tot * rho * h ** (2 * N)
 
 
-def mollified_energy(f, moll, metric="geodesic"):
+def mollified_energy(f, eps, metric="geodesic"):
     """Riemann sum of the mollified double integral over masked cell pairs.
 
     Pairs up to |x - y| <= eps contribute dist(u(x), u(y)) / |x - y| with the
     ball-indicator kernel, whose mass is normalized exactly on the discrete
-    offset set.  Returns the total only (no decomposition).
+    offset set.  Returns the total only (no decomposition).  A radius below
+    two cells (which includes eps <= 0) is rejected as under-resolved.
     """
     h = f.spacing
-    if moll.eps < 2.0 * h:
+    if eps < 2.0 * h:
         raise ValueError(
-            f"mollifier eps {moll.eps} under-resolved by grid spacing {h}")
+            f"mollifier eps {eps} under-resolved by grid spacing {h}")
     if not f.inside().any():
         raise ValueError("empty mask")
-    rmax = int(moll.eps / h + 1e-9)  # guard an exact-multiple eps/h ratio
+    rmax = int(eps / h + 1e-9)  # guard an exact-multiple eps/h ratio
     sums = _pair_sums(f, metric, rmax)
-    total = _energy_from_pair_sums(sums, moll.eps, h, f.N)
+    total = _energy_from_pair_sums(sums, eps, h, f.N)
     return EnergyReport(total, metric, "mollified",
-                        params={"eps": moll.eps, "eps_over_h": moll.eps / h})
+                        params={"eps": eps, "eps_over_h": eps / h})
 
 
 def mollified_energy_extrapolated(f, metric="geodesic", multipliers=(8, 16, 32)):
@@ -394,11 +370,7 @@ def directional_tv(f, omega, metric="geodesic"):
         raise ValueError("empty mask")
     h = f.spacing
     if f.N == 1:
-        v = f.values
-        ok = inside[:-1] & inside[1:]
-        if not ok.any():
-            return 0.0
-        return float(dist(v[:-1][ok], v[1:][ok]).sum())
+        return float(_face_data(f, metric)[1].sum())
 
     a = int(np.argmax(np.abs(omega)))
     others = [t for t in range(f.N) if t != a]
@@ -414,22 +386,24 @@ def directional_tv(f, omega, metric="geodesic"):
         axes_b.append(np.arange(lo, hi + 1))
     B = np.meshgrid(*axes_b, indexing="ij")
     B = np.stack([b.ravel() for b in B], axis=-1)  # (L, N-1)
-    # transverse index of every line at every step
-    T = np.rint(B[:, None, :] + ks[None, :, None] * slopes[None, None, :]).astype(int)
-    ok = np.ones(T.shape[:2], dtype=bool)
-    idx = [None] * f.N
-    idx[a] = np.broadcast_to(ks[None, :], T.shape[:2])
-    for j, t in enumerate(others):
-        tj = T[:, :, j]
-        ok &= (tj >= 0) & (tj < f.dims[t])
-        idx[t] = np.clip(tj, 0, f.dims[t] - 1)
-    ok &= inside[tuple(idx)]
-    v = f.values[tuple(idx)]  # (L, K, d)
-    pair_ok = ok[:, :-1] & ok[:, 1:]
-    if not pair_ok.any():
-        return 0.0
-    dd = dist(v[:, :-1], v[:, 1:])
-    tv = float((dd * pair_ok).sum())
+    tv = 0.0
+    # blocks of lines keep the (lines x K x d) arrays bounded on 3D grids
+    rows = max(1, _PAIRS_PER_BLOCK // K)
+    for start in range(0, len(B), rows):
+        # transverse index of every line at every step
+        T = np.rint(B[start:start + rows, None, :]
+                    + ks[None, :, None] * slopes[None, None, :]).astype(int)
+        ok = np.ones(T.shape[:2], dtype=bool)
+        idx = [None] * f.N
+        idx[a] = np.broadcast_to(ks[None, :], T.shape[:2])
+        for j, t in enumerate(others):
+            tj = T[:, :, j]
+            ok &= (tj >= 0) & (tj < f.dims[t])
+            idx[t] = np.clip(tj, 0, f.dims[t] - 1)
+        ok &= inside[tuple(idx)]
+        v = f.values[tuple(idx)]  # (lines, K, d)
+        pair_ok = ok[:, :-1] & ok[:, 1:]
+        tv += float((dist(v[:, :-1], v[:, 1:]) * pair_ok).sum())
     return abs(omega[a]) * h ** (f.N - 1) * tv
 
 
@@ -468,56 +442,56 @@ def avg_directional_energy(f, directions=64, seed=0, metric="geodesic",
 # ---------------------------------------------------------------------------
 # embedded finite-difference total variation
 
-def _embedded_values(f, metric):
-    """Per-metric isometric coordinates used for the difference matrices."""
-    if metric == "euclidean_tensor":
-        emb = embed_tensor(f.values)
-        return emb.reshape(f.dims + (f.d * f.d,))
-    if metric == "euclidean_sphere":
-        if f.kind == "proj":
-            raise ValueError(
-                "euclidean_sphere embedding is sign-discontinuous on proj "
-                "fields; use euclidean_tensor or geodesic")
-        return f.values
-    # geodesic: the natural isometric coordinates of each kind
-    if f.kind == "proj":
-        emb = embed_tensor(f.values)
-        return emb.reshape(f.dims + (f.d * f.d,))
-    return f.values
+def _forward_faces(N):
+    """(axis, lower cells, upper cells) index tuples of the forward faces."""
+    for a in range(N):
+        src = [slice(None)] * N
+        dst = [slice(None)] * N
+        src[a] = slice(0, -1)
+        dst[a] = slice(1, None)
+        yield a, tuple(src), tuple(dst)
 
 
 def _face_data(f, metric):
-    """Forward-face validity, metric distances and equivalent angles."""
+    """Forward-face validity, metric distances and embedded steps.
+
+    One chord pass per axis gives both numbers of every face.  The step is
+    the length of the face difference in the coordinates of
+    :func:`embedded_tv`: the values themselves, or their tensor embedding
+    (1/sqrt 2) n (x) n when the chord is projective, whose step is sin(theta).
+    Faces leaving the mask have distance and step exactly 0.
+    """
+    proj = _projective_chord(metric, f.kind)
     inside = f.inside()
-    dist = metric_distance(metric, f.kind)
     valid = np.zeros(f.dims + (f.N,), dtype=bool)
     dists = np.zeros(f.dims + (f.N,))
-    for a in range(f.N):
-        src = [slice(None)] * f.N
-        dst = [slice(None)] * f.N
-        src[a] = slice(0, -1)
-        dst[a] = slice(1, None)
-        src, dst = tuple(src), tuple(dst)
+    steps = np.zeros(f.dims + (f.N,))
+    for a, src, dst in _forward_faces(f.N):
         ok = inside[src] & inside[dst]
+        q = chord(f.values[src], f.values[dst], proj) * ok
         valid[src + (a,)] = ok
-        dd = dist(f.values[src], f.values[dst])
-        dists[src + (a,)] = np.where(ok, dd, 0.0)
-    return valid, dists
+        dists[src + (a,)] = chord_distance(q, metric)
+        steps[src + (a,)] = chord_distance(q, "euclidean_tensor") if proj else q
+    return valid, dists, steps
 
 
 def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
     """Anisotropy-corrected finite-difference TV with a jump/smooth split.
 
     Per cell the forward differences of the embedded values form a D x N
-    matrix whose Frobenius norm, summed with weight h^{N-1}, estimates the
-    absolutely continuous part; faces whose metric step exceeds the jump
-    threshold are counted separately as jump faces with cost = metric
-    distance x face area, and the cells touching them are left out of the
-    smooth sum.  The threshold is ``max(pi/4, 8 x median step)`` expressed as
+    matrix whose Frobenius norm sqrt(sum over axes of step^2), summed with
+    weight h^{N-1}, estimates the absolutely continuous part; faces whose
+    metric step exceeds the jump threshold are counted separately as jump
+    faces with cost = metric distance x face area, and the cells touching
+    them are left out of the smooth sum.  The threshold is ``max(pi/4, 8 x median step)`` expressed as
     an equivalent angle, unless given explicitly as a metric distance.
     """
+    if metric == "euclidean_sphere" and f.kind == "proj":
+        raise ValueError(
+            "euclidean_sphere embedding is sign-discontinuous on proj "
+            "fields; use euclidean_tensor or geodesic")
     h = f.spacing
-    valid, dists = _face_data(f, metric)
+    valid, dists, steps = _face_data(f, metric)
     inside = f.inside()
     if jump_threshold is None:
         angles = _angle_from_distance(metric, dists[valid]) if valid.any() else None
@@ -526,30 +500,14 @@ def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
         jump_threshold = default_jump_threshold(metric, min(thr_angle, np.pi))
     isjump = valid & (dists > jump_threshold)
 
-    emb = _embedded_values(f, metric)
-    D = np.zeros(f.dims + (emb.shape[-1], f.N))
-    for a in range(f.N):
-        src = [slice(None)] * f.N
-        dst = [slice(None)] * f.N
-        src[a] = slice(0, -1)
-        dst[a] = slice(1, None)
-        src, dst = tuple(src), tuple(dst)
-        diff = emb[dst] - emb[src]
-        D[src + (slice(None), a)] = np.where(
-            valid[src + (a,)][..., None], diff, 0.0)
-
     # a cell is excluded from the smooth sum if any face it touches jumps
     near_jump = np.zeros(f.dims, dtype=bool)
-    for a in range(f.N):
-        src = [slice(None)] * f.N
-        dst = [slice(None)] * f.N
-        src[a] = slice(0, -1)
-        dst[a] = slice(1, None)
-        ja = isjump[tuple(src) + (a,)]
-        near_jump[tuple(src)] |= ja
-        near_jump[tuple(dst)] |= ja
+    for a, src, dst in _forward_faces(f.N):
+        ja = isjump[src + (a,)]
+        near_jump[src] |= ja
+        near_jump[dst] |= ja
 
-    frob = np.sqrt(np.einsum("...da,...da->...", D, D))
+    frob = np.sqrt(np.einsum("...a,...a->...", steps, steps))
     owner = inside & valid.any(axis=-1)
     ac = float((h ** (f.N - 1) * frob)[owner & ~near_jump].sum())
     jump = float((dists[isjump]).sum() * h ** (f.N - 1))
@@ -571,7 +529,7 @@ def detect_jumps(f, metric="geodesic", threshold=None):
         threshold = default_jump_threshold(metric)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    valid, dists = _face_data(f, metric)
+    valid, dists, _ = _face_data(f, metric)
     isjump = valid & (dists > threshold)
     out = []
     for flat in np.flatnonzero(isjump):

@@ -39,13 +39,7 @@ def _projection_check(n_field, u_field):
     inside = u_field.inside()
     if not inside.any():
         return 0.0
-    # identical canonical representatives are at distance 0 by definition;
-    # evaluating arccos on stored norms would manufacture ~1e-8 of roundoff
-    same = np.all(canonicalize(n_field.values) == u_field.values, axis=-1)
-    if same[inside].all():
-        return 0.0
-    dist = np.where(same, 0.0, dist_proj(n_field.values, u_field.values))
-    return float(dist[inside].max())
+    return float(dist_proj(n_field.values, u_field.values)[inside].max())
 
 
 def _ranking_metric(metric):

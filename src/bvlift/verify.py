@@ -20,8 +20,8 @@ import numpy as np
 from .constants import (avg_eucl_jump, avg_eucl_jump_closed, avg_lifted_dist,
                         avg_lifted_dist_closed, k_const, psi_closed,
                         psi_estimate)
-from .fields import (GridField, embedded_tv, avg_directional_energy,
-                     mollified_energy_extrapolated)
+from .fields import (GridField, _face_data, avg_directional_energy,
+                     embedded_tv, mollified_energy_extrapolated)
 from .lifting import lift_rotation_search
 
 __all__ = [
@@ -459,10 +459,9 @@ def run_diffuse_invariance_suite(seed=0, csv_dir=None, grids=(128, 256),
     u = make_half_vortex(grid)
     n = make_half_vortex_lifting(grid)
     h = u.spacing
-    gn = _gradient_norms(n.values, h)
-    gu = _gradient_norms(
-        (n.values[..., :, None] * n.values[..., None, :] / np.sqrt(2.0)
-         ).reshape(grid, grid, 4), h)
+    # per-cell length of the forward-difference gradient of n and of [n]
+    gn = np.linalg.norm(_face_data(n, "euclidean_sphere")[2], axis=-1) / h
+    gu = np.linalg.norm(_face_data(u, "euclidean_tensor")[2], axis=-1) / h
     c = (np.arange(grid) + 0.5) * h - 1.0
     X, Y = np.meshgrid(c, c, indexing="ij")
     r = np.hypot(X, Y)
@@ -479,15 +478,6 @@ def run_diffuse_invariance_suite(seed=0, csv_dir=None, grids=(128, 256),
     _write_csv(csv_dir, "diffuse.csv",
                ["field", "d", "disc_coarse", "disc_fine", "ratio"], rows)
     return reports
-
-
-def _gradient_norms(emb, h):
-    """Per-cell Frobenius norm of the forward-difference gradient."""
-    grid = emb.shape[0]
-    D = np.zeros(emb.shape[:-1] + (emb.shape[-1], 2))
-    D[:-1, :, :, 0] = emb[1:, :] - emb[:-1, :]
-    D[:, :-1, :, 1] = emb[:, 1:] - emb[:, :-1]
-    return np.sqrt(np.einsum("...da,...da->...", D, D)) / h
 
 
 # ---------------------------------------------------------------------------

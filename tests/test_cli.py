@@ -90,6 +90,9 @@ class TestEnergy:
         p = tmp_path / "bad.fld"
         p.write_text("garbage\n")
         assert run("energy", p) == 2
+        p.write_text('{"d":2,"dims":[2],"kind":"proj","mask":"none",'
+                     '"origin":[0],"spacing":0.5,"version":1}\n1,0\nnan,nan\n')
+        assert run("energy", p) == 2
 
     def test_under_resolved_eps_exit_4(self, hv_path):
         assert run("energy", hv_path, "--estimator", "mollified",
@@ -108,17 +111,20 @@ class TestLift:
         assert len(side["rotation"]) == 2
 
     def test_greedy1d_sequence(self, tmp_path, capsys):
-        angles = np.deg2rad([0, 60, 120, 180])
-        vals = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        seq = GridField((4,), 0.25, (0.0,), "proj", vals)
-        p = tmp_path / "seq.fld"
-        write_field(seq, p)
-        out = tmp_path / "seq_lift.fld"
-        assert run("lift", p, "--mode", "greedy1d", "-o", out) == 0
-        side = json.loads((tmp_path / "seq_lift.json").read_text())
-        assert side["energy"]["total"] == pytest.approx(np.pi, abs=1e-12)
-        assert side["energy"]["params"]["projective_tv"] == pytest.approx(
-            np.pi, abs=1e-12)
+        # a rotating line field turns by pi; the energy skips masked cells
+        for degrees, mask, total in (([0, 60, 120, 180], None, np.pi),
+                                     ([0, 90, 0, 0], [1, 0, 1, 1], 0.0)):
+            angles = np.deg2rad(degrees)
+            vals = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+            seq = GridField((4,), 0.25, (0.0,), "proj", vals, mask)
+            p = tmp_path / "seq.fld"
+            write_field(seq, p)
+            out = tmp_path / "seq_lift.fld"
+            assert run("lift", p, "--mode", "greedy1d", "-o", out) == 0
+            side = json.loads((tmp_path / "seq_lift.json").read_text())
+            assert side["energy"]["total"] == pytest.approx(total, abs=1e-12)
+            assert side["energy"]["params"]["projective_tv"] == pytest.approx(
+                total, abs=1e-12)
 
     def test_greedy1d_rejects_2d(self, hv_path):
         assert run("lift", hv_path, "--mode", "greedy1d") == 2

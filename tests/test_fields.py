@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from bvlift.constants import k_const
-from bvlift.fields import (GridField, Mollifier, avg_directional_energy,
+from bvlift.fields import (GridField, avg_directional_energy,
                            default_jump_threshold, detect_jumps,
                            directional_tv, embedded_tv, metric_distance,
                            mollified_energy, mollified_energy_extrapolated,
                            read_field, write_field)
+from bvlift.geometry import chord_distance
 from bvlift.verify import make_half_vortex, make_half_vortex_lifting
 
 K2 = k_const(2).value
@@ -49,6 +50,12 @@ class TestGridField:
             GridField((4, 4), 0.1, (0, 0), "unit", np.zeros((4, 4, 2)))
         with pytest.raises(ValueError):
             GridField((4, 4), 0.1, (0, 0), "proj", np.ones((3, 4, 2)))
+        nan = np.zeros((4, 4, 2))
+        nan[..., 0] = 1.0
+        nan[1, 2] = np.nan
+        for kind in ("proj", "unit", "vector"):
+            with pytest.raises(ValueError, match="finite"):
+                GridField((4, 4), 0.1, (0, 0), kind, nan)
 
     def test_proj_values_are_canonicalized(self):
         vals = np.zeros((2, 2, 2))
@@ -99,20 +106,20 @@ class TestFieldFiles:
 class TestMollified:
     def test_constant_field_is_zero(self):
         f = constant_field(32)
-        rep = mollified_energy(f, Mollifier(8 * f.spacing), "geodesic")
+        rep = mollified_energy(f, 8 * f.spacing, "geodesic")
         assert rep.total == 0.0
 
     def test_under_resolved_eps_raises(self):
         f = constant_field(32)
         with pytest.raises(ValueError, match="under-resolved"):
-            mollified_energy(f, Mollifier(f.spacing), "geodesic")
+            mollified_energy(f, f.spacing, "geodesic")
 
     def test_empty_mask_raises(self):
         f = constant_field(8)
         g = GridField(f.dims, f.spacing, f.origin, "proj", f.values,
                       np.zeros(f.dims, bool))
         with pytest.raises(ValueError, match="mask"):
-            mollified_energy(g, Mollifier(2 * f.spacing), "geodesic")
+            mollified_energy(g, 2 * f.spacing, "geodesic")
 
     def test_one_dimensional_jump(self):
         # exact 1D TV oracle: a single projective jump of angle pi/2 has
@@ -139,7 +146,7 @@ class TestMollified:
         g = np.where(x < 0.5, 0.0, np.pi / 4)
         vals = np.stack([np.cos(g), np.sin(g)], axis=-1)
         f = GridField((m,), h, (0.0,), "proj", vals)
-        rep = mollified_energy(f, Mollifier(8 * h), "geodesic")
+        rep = mollified_energy(f, 8 * h, "geodesic")
         assert rep.total == pytest.approx(np.pi / 4, rel=1e-12)
 
 
@@ -314,8 +321,8 @@ class TestScaling:
         lam = 2.0
         f2 = GridField(f1.dims, lam * f1.spacing,
                        tuple(lam * o for o in f1.origin), "proj", f1.values)
-        e1 = mollified_energy(f1, Mollifier(8 * f1.spacing), "geodesic").total
-        e2 = mollified_energy(f2, Mollifier(8 * f2.spacing), "geodesic").total
+        e1 = mollified_energy(f1, 8 * f1.spacing, "geodesic").total
+        e2 = mollified_energy(f2, 8 * f2.spacing, "geodesic").total
         assert e2 == pytest.approx(lam * e1, rel=1e-12)
 
 
@@ -323,6 +330,8 @@ class TestMetricDispatch:
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             metric_distance("l1", "unit")
+        with pytest.raises(ValueError):
+            chord_distance(1.0, "l1")
 
     def test_proj_chord_is_min_over_signs(self):
         rng = np.random.default_rng(11)

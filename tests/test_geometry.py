@@ -51,6 +51,14 @@ class TestDistances:
         assert np.all(dp <= np.pi / 2 + 1e-14)
         assert np.all(dp >= 0) and np.all(ds <= np.pi)
 
+    def test_nearly_parallel_pairs_keep_relative_accuracy(self):
+        t = np.array([1e-9, 1e-6, 1e-3])
+        a = np.stack([np.ones_like(t), np.zeros_like(t)], axis=-1)
+        b = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        assert np.allclose(dist_sphere(a, b), t, rtol=1e-9, atol=0)
+        assert np.allclose(dist_proj(a, -b), t, rtol=1e-9, atol=0)
+        assert np.allclose(eucl_jump_cost(a, b), np.sin(t), rtol=1e-9, atol=0)
+
     def test_proj_sign_invariance(self):
         rng = np.random.default_rng(1)
         a = random_unit_vectors(3, 500, rng)

@@ -1,0 +1,144 @@
+"""Property tests of the exact invariants of the distances and estimators.
+
+Each property holds exactly in floating point, so every comparison is
+bit for bit or an exact inequality, never a tolerance.
+"""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from bvlift.fields import (METRICS, GridField, _face_data, _pair_sums,
+                           avg_directional_energy, embedded_tv,
+                           metric_distance, mollified_energy, read_field,
+                           write_field)
+from bvlift.geometry import (canonicalize, dist_proj, dist_sphere,
+                             eucl_jump_cost)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _normalize(v):
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / norms
+
+
+@st.composite
+def unit_vectors(draw, n=None, d=None):
+    """(n, d) array of unit vectors; coordinates include 0 and +-1 exactly."""
+    n = draw(st.integers(1, 8)) if n is None else n
+    d = draw(st.integers(2, 4)) if d is None else d
+    raw = draw(hnp.arrays(float, (n, d), elements=st.floats(
+        -1.0, 1.0, allow_subnormal=False)))
+    # rows too short to normalize are replaced by a basis vector
+    short = np.linalg.norm(raw, axis=-1) < 1e-3
+    raw[short] = 0.0
+    raw[short, 0] = 1.0
+    return _normalize(raw)
+
+
+@st.composite
+def grid_fields(draw, kind, dims_max=5, N_choices=(1, 2)):
+    N = draw(st.sampled_from(N_choices))
+    dims = tuple(draw(st.integers(2, dims_max)) for _ in range(N))
+    d = draw(st.sampled_from((2, 3)))
+    cells = int(np.prod(dims))
+    vals = draw(unit_vectors(cells, d)).reshape(dims + (d,))
+    if kind == "vector":
+        scale = draw(hnp.arrays(float, dims, elements=st.floats(0.0, 1.0)))
+        vals = vals * scale[..., None]
+    mask = None
+    if draw(st.booleans()):
+        mask = draw(hnp.arrays(bool, dims))
+        mask.flat[draw(st.integers(0, cells - 1))] = True  # never empty
+    spacing = draw(st.floats(1e-3, 10.0))
+    origin = tuple(draw(st.floats(-100.0, 100.0)) for _ in range(N))
+    return GridField(dims, spacing, origin, kind, vals, mask)
+
+
+def _signs(draw, n):
+    return np.where(draw(hnp.arrays(bool, (n,))), -1.0, 1.0)[:, None]
+
+
+@SETTINGS
+@given(st.data())
+def test_sign_flip_of_proj_representatives_is_bit_identical(data):
+    a = data.draw(unit_vectors())
+    n, d = a.shape
+    b = data.draw(st.one_of(unit_vectors(n, d), st.just(a.copy())))
+    sa, sb = _signs(data.draw, n), _signs(data.draw, n)
+    for metric in METRICS:
+        dist = metric_distance(metric, "proj")
+        assert np.array_equal(dist(sa * a, sb * b), dist(a, b)), metric
+    assert np.array_equal(dist_proj(sa * a, sb * b), dist_proj(a, b))
+    assert np.array_equal(eucl_jump_cost(sa * a, sb * b), eucl_jump_cost(a, b))
+
+
+@SETTINGS
+@given(unit_vectors())
+def test_identical_representatives_are_at_distance_zero(a):
+    for metric in METRICS:
+        for kind in ("unit", "proj"):
+            got = metric_distance(metric, kind)(a, a.copy())
+            assert np.all(got == 0.0), (metric, kind, got.max())
+    assert np.all(metric_distance("euclidean_sphere", "vector")(a, a) == 0.0)
+    assert np.all(dist_sphere(a, a) == 0.0)
+    assert np.all(dist_proj(a, a) == 0.0)
+    assert np.all(dist_proj(a, -a) == 0.0)
+    assert np.all(eucl_jump_cost(a, a) == 0.0)
+
+
+@SETTINGS
+@given(st.data())
+def test_lifting_distances_never_below_its_projection(data):
+    n = data.draw(grid_fields("unit"))
+    u = n.with_values(canonicalize(n.values), kind="proj")
+    a, b = n.values.reshape(-1, n.d)[:-1], n.values.reshape(-1, n.d)[1:]
+    ca, cb = u.values.reshape(-1, n.d)[:-1], u.values.reshape(-1, n.d)[1:]
+    rmax = data.draw(st.integers(2, 3))
+    eps = rmax * n.spacing
+    for metric in METRICS:
+        assert np.all(metric_distance(metric, "unit")(a, b)
+                      >= metric_distance(metric, "proj")(ca, cb)), metric
+        assert np.all(_face_data(n, metric)[1] >= _face_data(u, metric)[1])
+        sn, su = _pair_sums(n, metric, rmax), _pair_sums(u, metric, rmax)
+        assert all(sn[k] >= su[k] for k in sn), metric
+        assert (mollified_energy(n, eps, metric).total
+                >= mollified_energy(u, eps, metric).total), metric
+
+
+@SETTINGS
+@given(st.data())
+def test_field_files_round_trip_bit_for_bit(data):
+    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    f = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.fld")
+        write_field(f, path)
+        g = read_field(path)
+    assert (g.dims, g.spacing, g.origin, g.kind) == (
+        f.dims, f.spacing, f.origin, f.kind)
+    assert np.array_equal(g.values, f.values)
+    assert g.values.tobytes() == f.values.tobytes()  # also the sign of -0.0
+    if f.mask is None:
+        assert g.mask is None
+    else:
+        assert np.array_equal(g.mask, f.mask)
+
+
+@SETTINGS
+@given(unit_vectors(n=1), st.sampled_from(("proj", "unit")),
+       st.integers(4, 12), st.integers(1, 2))
+def test_constant_field_has_exactly_zero_energy(v, kind, grid, N):
+    dims = (grid,) * N
+    vals = np.broadcast_to(v[0], dims + v.shape[-1:])
+    f = GridField(dims, 1.0 / grid, (0.0,) * N, kind, vals)
+    for metric in METRICS:
+        assert mollified_energy(f, 2 * f.spacing, metric).total == 0.0
+        assert avg_directional_energy(f, directions=4, metric=metric).total \
+            == 0.0
+        if kind == "unit" or metric != "euclidean_sphere":
+            assert embedded_tv(f, metric).total == 0.0
