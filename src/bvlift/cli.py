@@ -54,9 +54,6 @@ def _load_config(path, args):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if cfg["threads"] is None:
-        cfg["threads"] = int(os.environ.get("BVLIFT_THREADS",
-                                            os.cpu_count() or 1))
     return cfg
 
 
@@ -226,19 +223,14 @@ def cmd_constants(args):
         Nv, dv = args.ca
         put(f"C_a_{Nv}_{dv}", consts.ca_const(Nv, dv, seed=cfg["seed"]))
     if args.cj is not None:
-        emb = "tensor" if args.cj == "tensor" else args.cj
-        put(f"C_j_{args.cj}", consts.cj_estimate(emb))
+        put(f"C_j_{args.cj}", consts.cj_estimate(args.cj))
     if args.c1d:
         put("C_1d_tensor", consts.c1d_const())
     if args.psi is not None:
         put(f"psi_{args.psi:.6f}",
             consts.psi_estimate(args.psi, args.d, args.samples, cfg["seed"]))
     if args.avg_dist is not None:
-        n = np.zeros(args.d)
-        n[-1] = 1.0
-        m = np.zeros(args.d)
-        m[-1] = np.cos(args.avg_dist)
-        m[-2] = np.sin(args.avg_dist)
+        n, m = consts._pair_at_angle(args.d, args.avg_dist)
         put(f"avg_lifted_dist_{args.avg_dist:.6f}",
             consts.avg_lifted_dist(n, m, args.samples, cfg["seed"]))
     if args.avg_jump is not None:
@@ -266,19 +258,12 @@ def cmd_verify(args):
         "diffuse": lambda: verify.run_diffuse_invariance_suite(
             seed=cfg["seed"], csv_dir=args.csv_dir),
     }
-    if args.suite == "all":
-        selected = list(suites)
-    elif args.suite in suites:
-        selected = [args.suite]
-    else:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    selected = list(suites) if args.suite == "all" else [args.suite]
     reports = []
     for name in selected:
         reports += suites[name]()
     out = args.report or os.path.join(cfg["output_dir"], "report.json")
-    payload = [r.to_dict() for r in reports]
-    _atomic_write(out, lambda tmp: Path(tmp).write_text(_json_dumps(payload)))
+    _atomic_write(out, lambda tmp: verify.write_report(reports, tmp))
     n_fail = sum(1 for r in reports if not r.passed)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -339,7 +324,8 @@ def build_parser():
     co.add_argument("--k", type=int, help="spherical average of |omega.e|")
     co.add_argument("--m", type=int, help="averaged-distance constant M(d)")
     co.add_argument("--ca", type=int, nargs=2, metavar=("N", "D"))
-    co.add_argument("--cj", help="'tensor' for the tensor embedding")
+    co.add_argument("--cj", choices=["tensor"],
+                    help="'tensor' for the tensor embedding")
     co.add_argument("--c1d", action="store_true")
     co.add_argument("--psi", type=float, metavar="THETA")
     co.add_argument("--avg-dist", dest="avg_dist", type=float, metavar="THETA")

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma
 
-from .geometry import dist_sphere, haar_rotations, lift_map_F, random_unit_vectors
+from .geometry import chord, dist_sphere, random_unit_vectors
 
 __all__ = [
     "ConstantResult",
@@ -33,7 +33,7 @@ __all__ = [
     "c1d_const",
 ]
 
-_MC_CHUNK = 200_000  # rotations held in memory at once
+_MC_CHUNK = 200_000  # sphere points held in memory at once
 
 
 @dataclass
@@ -108,31 +108,45 @@ def k_const(N):
                           samples_or_nodes=0)
 
 
-def _mc_over_rotations(fn, d, samples, seed):
-    """Mean and standard error of fn(R_batch) over Haar-sampled rotations.
+def _mc_over_sphere(fn, n, m, theta, samples, seed):
+    """Monte Carlo mean of fn(r.n, r.m), r uniform on S^{d-1}, with its stderr.
 
-    ``fn`` maps a (b, d, d) batch to b scalars.  Chunked so that memory stays
-    bounded; every chunk draws from one generator seeded by ``seed``, so the
-    result is deterministic given the seed, and chunks are reduced in order.
+    The rotation averages of this module depend on a Haar rotation R only
+    through its last row r = R^T e_d, which is uniform on S^{d-1}: the folded
+    lifting F sees (Rn).e_d = r.n, and since R is orthogonal
+    |F(Rn) - F(Rm)| = |s_n n - s_m m| with s = sgn(r.n).  So r is sampled
+    directly and ``fn`` maps the projections a = r.n, b = r.m of a chunk to
+    as many scalars.  At most ``_MC_CHUNK`` points are held at once; every
+    chunk draws from one generator seeded by ``seed`` and chunks are reduced
+    in order, so the result is deterministic given the seed.  ``theta`` is
+    the angle of (n, m), recorded in the result's params.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    nm = np.stack([n, m], axis=1)
     rng = np.random.default_rng(seed)
     tot = 0.0
     tot2 = 0.0
     left = samples
     while left > 0:
-        b = min(left, _MC_CHUNK)
-        vals = fn(haar_rotations(d, b, rng))
+        k = min(left, _MC_CHUNK)
+        a, b = (random_unit_vectors(len(n), k, rng) @ nm).T
+        vals = fn(a, b)
         tot += vals.sum()
         tot2 += (vals * vals).sum()
-        left -= b
+        left -= k
     mean = tot / samples
     var = max(0.0, tot2 / samples - mean * mean)
-    stderr = np.sqrt(var / samples)
-    return mean, stderr
+    return ConstantResult(mean, "monte_carlo",
+                          error_estimate=np.sqrt(var / samples),
+                          samples_or_nodes=samples,
+                          params={"theta": float(theta), "d": len(n)})
 
 
 def _pair_at_angle(d, theta):
     """Unit vectors (n, m) in R^d at geodesic angle theta (canonical frame)."""
+    if not (0.0 <= theta <= np.pi):
+        raise ValueError("theta must be in [0, pi]")
     n = np.zeros(d)
     n[-1] = 1.0
     m = np.zeros(d)
@@ -143,25 +157,14 @@ def _pair_at_angle(d, theta):
 
 def avg_lifted_dist(n, m, samples, seed=0):
     """Monte Carlo average of dist(F(Rn), F(Rm)) over Haar rotations."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     n = np.asarray(n, dtype=float)
     m = np.asarray(m, dtype=float)
-    d = n.shape[-1]
     theta = np.arccos(np.clip(n @ m, -1.0, 1.0))
-
-    def fn(R):
-        wn = R @ n
-        wm = R @ m
-        # F flips the sign of the vector; dist(F(wn), F(wm)) is theta when
-        # the hemisphere signs agree and pi - theta when they differ.
-        same = np.sign(wn[:, -1]) * np.sign(wm[:, -1])
-        return np.where(same >= 0, theta, np.pi - theta)
-
-    mean, stderr = _mc_over_rotations(fn, d, samples, seed)
-    return ConstantResult(mean, "monte_carlo", error_estimate=stderr,
-                          samples_or_nodes=samples,
-                          params={"theta": float(theta), "d": d})
+    # F flips the sign of the vector; dist(F(Rn), F(Rm)) is theta when the
+    # hemisphere signs agree and pi - theta when they differ.
+    return _mc_over_sphere(
+        lambda a, b: np.where((a > 0) == (b > 0), theta, np.pi - theta),
+        n, m, theta, samples, seed)
 
 
 def avg_lifted_dist_closed(theta):
@@ -171,19 +174,9 @@ def avg_lifted_dist_closed(theta):
 
 def psi_estimate(theta, d, samples, seed=0):
     """Monte Carlo estimate of mu({R : Rn.e_d > 0 and Rm.e_d < 0}) at angle theta."""
-    if not (0.0 <= theta <= np.pi):
-        raise ValueError("theta must be in [0, pi]")
     n, m = _pair_at_angle(d, theta)
-
-    def fn(R):
-        wn = R @ n
-        wm = R @ m
-        return ((wn[:, -1] > 0) & (wm[:, -1] < 0)).astype(float)
-
-    mean, stderr = _mc_over_rotations(fn, d, samples, seed)
-    return ConstantResult(mean, "monte_carlo", error_estimate=stderr,
-                          samples_or_nodes=samples,
-                          params={"theta": float(theta), "d": d})
+    return _mc_over_sphere(lambda a, b: ((a > 0) & (b < 0)).astype(float),
+                           n, m, theta, samples, seed)
 
 
 def psi_closed(theta):
@@ -193,19 +186,12 @@ def psi_closed(theta):
 
 def avg_eucl_jump(theta, samples, seed=0, d=3):
     """Monte Carlo average of |F(Rn) - F(Rm)| over Haar rotations."""
-    if not (0.0 <= theta <= np.pi):
-        raise ValueError("theta must be in [0, pi]")
     n, m = _pair_at_angle(d, theta)
-
-    def fn(R):
-        a = lift_map_F(R @ n)
-        b = lift_map_F(R @ m)
-        return np.linalg.norm(a - b, axis=-1)
-
-    mean, stderr = _mc_over_rotations(fn, d, samples, seed)
-    return ConstantResult(mean, "monte_carlo", error_estimate=stderr,
-                          samples_or_nodes=samples,
-                          params={"theta": float(theta), "d": d})
+    # |F(Rn) - F(Rm)| is |n - m| when the hemisphere signs agree, else |n + m|
+    same, flip = float(chord(n, m)), float(chord(n, -m))
+    return _mc_over_sphere(
+        lambda a, b: np.where((a > 0) == (b > 0), same, flip),
+        n, m, theta, samples, seed)
 
 
 def avg_eucl_jump_closed(theta):

@@ -309,9 +309,12 @@ def mollified_energy(f, eps, metric="geodesic"):
     Pairs up to |x - y| <= eps contribute dist(u(x), u(y)) / |x - y| with the
     ball-indicator kernel, whose mass is normalized exactly on the discrete
     offset set.  Returns the total only (no decomposition).  A radius below
-    two cells (which includes eps <= 0) is rejected as under-resolved.
+    two cells (which includes eps <= 0) is rejected as under-resolved, a
+    non-finite radius as malformed.
     """
     h = f.spacing
+    if not np.isfinite(eps):
+        raise ValueError(f"mollifier eps must be finite, got {eps}")
     if eps < 2.0 * h:
         raise ValueError(
             f"mollifier eps {eps} under-resolved by grid spacing {h}")
@@ -328,10 +331,17 @@ def mollified_energy_extrapolated(f, metric="geodesic", multipliers=(8, 16, 32))
     """Mollified energies at eps = m*h, linearly extrapolated to eps -> 0.
 
     The leading estimator error is O(eps), so an affine least-squares fit in
-    eps is evaluated at zero.  Pair sums are shared across the eps sequence.
+    eps is evaluated at zero; the fit needs two distinct finite multipliers.
+    Pair sums are shared across the eps sequence.
     """
     h = f.spacing
+    if not np.all(np.isfinite(multipliers)):
+        raise ValueError("mollifier multipliers must be finite, got "
+                         f"{list(multipliers)}")
     multipliers = sorted(multipliers)
+    if len(set(multipliers)) < 2:
+        raise ValueError("extrapolation needs two distinct mollifier "
+                         f"multipliers, got {multipliers}")
     if multipliers[0] < 2:
         raise ValueError(
             f"mollifier eps {multipliers[0] * h} under-resolved by grid "

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .constants import (avg_eucl_jump, avg_eucl_jump_closed, avg_lifted_dist,
-                        avg_lifted_dist_closed, k_const, psi_closed,
-                        psi_estimate)
+from .constants import (_pair_at_angle, avg_eucl_jump, avg_eucl_jump_closed,
+                        avg_lifted_dist, avg_lifted_dist_closed, k_const,
+                        psi_closed, psi_estimate)
 from .fields import (GridField, _face_data, avg_directional_energy,
                      embedded_tv, mollified_energy_extrapolated)
 from .lifting import lift_rotation_search
@@ -253,8 +253,7 @@ def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
     def job_dist(i):
         theta, d = combos[i]
         t0 = time.perf_counter()
-        n = np.zeros(d); n[-1] = 1.0
-        m = np.zeros(d); m[-1] = np.cos(theta); m[-2] = np.sin(theta)
+        n, m = _pair_at_angle(d, theta)
         res = avg_lifted_dist(n, m, samples, seeds[i])
         return _check(
             f"avg_lifted_dist_theta={theta:.4f}_d={d}",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bvlift.cli import main
+from bvlift.constants import avg_eucl_jump_closed, avg_lifted_dist_closed
 from bvlift.fields import GridField, read_field, write_field
 from bvlift.verify import make_half_vortex
 
@@ -98,6 +99,17 @@ class TestEnergy:
         assert run("energy", hv_path, "--estimator", "mollified",
                    "--eps-over-h", "1,2,3") == 4
 
+    @pytest.mark.parametrize("flags", [
+        ["--eps-over-h", "inf,8"], ["--eps-over-h", "nan,8,16"],
+        ["--eps-over-h", "8"], ["--eps-over-h", "8,8"],
+        ["--no-extrapolation", "--eps-over-h", "inf"]])
+    def test_bad_eps_multipliers_exit_2(self, hv_path, capfd, flags):
+        # fd-level capture also sees LAPACK's own error printing
+        assert run("energy", hv_path, "--estimator", "mollified", *flags) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestLift:
     def test_rotation_mode(self, hv_path, tmp_path, capsys):
@@ -170,15 +182,25 @@ class TestConstants:
         assert table["C_a_2_3"]["value"] >= 1 + 1 / np.sqrt(2) - 1e-6
 
     def test_monte_carlo_entries_carry_error(self, capsys):
-        assert run("constants", "--psi", str(np.pi / 2), "--samples",
-                   "50000", "--seed", "1") == 0
+        assert run("constants", "--psi", str(np.pi / 2), "--avg-dist", "1.0",
+                   "--avg-jump", "1.0", "--samples", "50000",
+                   "--seed", "1") == 0
         table = json.loads(capsys.readouterr().out)
-        (entry,) = table.values()
-        assert entry["method"] == "monte_carlo"
-        assert entry["error_estimate"] > 0
+        closed = {"psi_1.570796": 0.25,
+                  "avg_lifted_dist_1.000000": avg_lifted_dist_closed(1.0),
+                  "avg_eucl_jump_1.000000": avg_eucl_jump_closed(1.0)}
+        assert set(table) == set(closed)
+        for name, entry in table.items():
+            assert entry["method"] == "monte_carlo"
+            assert entry["error_estimate"] > 0
+            assert abs(entry["value"] - closed[name]) \
+                <= 4 * entry["error_estimate"]
 
     def test_no_request_exit_2(self):
         assert run("constants") == 2
+        assert run("constants", "--psi", "1.0", "--samples", "0") == 2
+        assert run("constants", "--avg-dist", "4.0") == 2
+        assert run("constants", "--cj", "foo") == 2
 
 
 class TestVerifyCommand:

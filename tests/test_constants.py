@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from bvlift import constants
 from bvlift.constants import (avg_eucl_jump, avg_eucl_jump_closed,
                               avg_lifted_dist, avg_lifted_dist_closed,
                               ball_volume, c1d_const, ca_const, cj_estimate,
                               k_const, m_const, psi_closed, psi_estimate,
                               sphere_area, sphere_quad)
-from bvlift.geometry import embed_tensor, random_unit_vectors
+from bvlift.geometry import (dist_sphere, embed_tensor, haar_rotations,
+                             lift_map_F, random_unit_vectors)
 
 SAMPLES = 200_000
 
@@ -166,6 +168,70 @@ class TestAvgEuclJump:
             res = avg_eucl_jump(theta, 50_000, seed=20 + k, d=3)
             bound = (1 + 2 / np.pi) * np.sin(theta)
             assert res.value <= bound + 4 * res.error_estimate
+
+
+class TestSphereSampler:
+    """The estimators sample r = R^T e_d on the sphere, not rotations R."""
+
+    def _integrand(self, monkeypatch, estimate):
+        """Run ``estimate`` and return the integrand it hands the sampler."""
+        seen = []
+        sampler = constants._mc_over_sphere
+
+        def spy(fn, *args):
+            seen.append(fn)
+            return sampler(fn, *args)
+
+        monkeypatch.setattr(constants, "_mc_over_sphere", spy)
+        estimate()
+        return seen[0]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_integrands_match_rotation_definitions(self, monkeypatch, d):
+        theta = 1.1
+        n, m = pair_at_angle(d, theta)
+        R = haar_rotations(d, 20_000, np.random.default_rng(d))
+        wn, wm = R @ n, R @ m
+        Fn, Fm = lift_map_F(wn), lift_map_F(wm)
+        a, b = R[:, -1, :] @ n, R[:, -1, :] @ m  # the last row r = R^T e_d
+        assert np.allclose(a, wn[:, -1], rtol=0, atol=1e-15)
+        off = (np.abs(a) > 1e-9) & (np.abs(b) > 1e-9)
+        assert off.mean() > 0.99
+        definitions = [
+            (lambda: avg_lifted_dist(n, m, 10, seed=0), dist_sphere(Fn, Fm)),
+            (lambda: psi_estimate(theta, d, 10, seed=0),
+             (np.all(Fn == wn, axis=-1)
+              & np.all(Fm == -wm, axis=-1)).astype(float)),
+            (lambda: avg_eucl_jump(theta, 10, seed=0, d=d),
+             np.linalg.norm(Fn - Fm, axis=-1)),
+        ]
+        for estimate, reference in definitions:
+            fn = self._integrand(monkeypatch, estimate)
+            monkeypatch.undo()
+            got = fn(a, b)
+            assert np.max(np.abs(got[off] - reference[off])) <= 1e-12
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_rejected(self, samples):
+        for estimate in (
+                lambda: avg_lifted_dist(*pair_at_angle(3, 1.0), samples),
+                lambda: psi_estimate(1.0, 3, samples),
+                lambda: avg_eucl_jump(1.0, samples)):
+            with pytest.raises(ValueError, match="samples"):
+                estimate()
+
+    def test_chunked_mean_equals_one_chunk_mean(self, monkeypatch):
+        def estimates():
+            return [avg_lifted_dist(*pair_at_angle(3, 0.9), 2500, seed=4),
+                    psi_estimate(0.9, 3, 2500, seed=5),
+                    avg_eucl_jump(0.9, 2500, seed=6, d=3)]
+
+        one = estimates()
+        monkeypatch.setattr(constants, "_MC_CHUNK", 1000)
+        for x, y in zip(one, estimates()):
+            assert x.error_estimate > 0
+            assert abs(x.value - y.value) <= 1e-12
+            assert abs(x.error_estimate - y.error_estimate) <= 1e-12
 
 
 class TestCa:
