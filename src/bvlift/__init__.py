@@ -15,8 +15,7 @@ from .fields import (EnergyReport, GridField, avg_directional_energy,
                      metric_distance, mollified_energy,
                      mollified_energy_extrapolated, read_field, write_field)
 from .geometry import (canonicalize, dist_proj, dist_sphere, embed_tensor,
-                       eucl_jump_cost, haar_rotations, haar_sample,
-                       lift_map_F, lift_map_F_eps, lift_map_LR, lift_sign,
+                       eucl_jump_cost, haar_rotations, lift_map_F, lift_sign,
                        random_unit_vectors, uniaxial_q)
 from .lifting import (LiftResult, boundary_cells, lift_1d,
                       lift_eps_regularized, lift_rotation_search,

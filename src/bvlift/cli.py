@@ -17,9 +17,8 @@ import numpy as np
 
 from . import constants as consts
 from . import verify
-from .fields import (GridField, avg_directional_energy, embedded_tv,
-                     mollified_energy, mollified_energy_extrapolated,
-                     read_field, write_field)
+from .fields import (avg_directional_energy, embedded_tv, mollified_energy,
+                     mollified_energy_extrapolated, read_field, write_field)
 from .lifting import lift_1d, lift_rotation_search, lift_with_boundary
 
 EXIT_OK = 0
@@ -76,36 +75,21 @@ def _json_dumps(obj):
 
 
 def cmd_make_field(args):
-    kind = args.kind
-    if kind == "halfvortex":
-        f = verify.make_half_vortex(args.grid, d=args.d, N=args.N)
-    elif kind == "halfvortex-lift":
-        f = verify.make_half_vortex_lifting(args.grid, d=args.d, N=args.N)
-    elif kind == "constant":
-        vals = np.zeros((args.grid, args.grid, args.d))
-        vals[..., 0] = 1.0
-        f = GridField((args.grid, args.grid), 1.0 / args.grid, (0.0, 0.0),
-                      "proj", vals)
-    elif kind == "jump":
-        h = 1.0 / args.grid
-        c = (np.arange(args.grid) + 0.5) * h - 0.5
-        X, _ = np.meshgrid(c, c, indexing="ij")
-        g = np.where(X < 0, 0.0, np.pi / 2)
-        vals = np.zeros((args.grid, args.grid, args.d))
-        vals[..., 0] = np.cos(g)
-        vals[..., 1] = np.sin(g)
-        f = GridField((args.grid, args.grid), h, (-0.5, -0.5), "proj", vals)
-    elif kind == "smooth":
-        h = 1.0 / args.grid
-        c = (np.arange(args.grid) + 0.5) * h
-        X, _ = np.meshgrid(c, c, indexing="ij")
-        g = args.slope * X
-        vals = np.zeros((args.grid, args.grid, args.d))
-        vals[..., 0] = np.cos(g)
-        vals[..., 1] = np.sin(g)
-        f = GridField((args.grid, args.grid), h, (0.0, 0.0), "proj", vals)
+    grid, d = args.grid, args.d
+    if args.kind == "halfvortex":
+        f = verify.make_half_vortex(grid, d=d, N=args.N)
+    elif args.kind == "halfvortex-lift":
+        f = verify.make_half_vortex_lifting(grid, d=d, N=args.N)
+    elif args.kind == "constant":
+        f = verify._angle_field(grid, ((0.0, 1.0), (0.0, 1.0)),
+                                lambda X, Y: 0.0 * X, d=d)
+    elif args.kind == "jump":
+        f = verify._angle_field(grid, ((-0.5, 0.5), (-0.5, 0.5)),
+                                lambda X, Y: np.where(X < 0, 0.0, np.pi / 2),
+                                d=d)
     else:
-        raise ValueError(f"unknown field kind {kind!r}")
+        f = verify._angle_field(grid, ((0.0, 1.0), (0.0, 1.0)),
+                                lambda X, Y: args.slope * X, d=d)
     _atomic_write(args.output, lambda tmp: write_field(f, tmp))
     print(f"wrote {args.output}: dims={f.dims} d={f.d} kind={f.kind}")
     return EXIT_OK
@@ -246,22 +230,13 @@ def cmd_constants(args):
 
 def cmd_verify(args):
     cfg = _load_config(args.config, args)
-    suites = {
-        "halfvortex": lambda: verify.run_half_vortex_suite(
-            grid=args.grid, trials=cfg["trials"], seed=cfg["seed"],
-            csv_dir=args.csv_dir),
-        "identities": lambda: verify.run_identity_suite(
-            samples=args.samples, seed=cfg["seed"], csv_dir=args.csv_dir,
-            threads=cfg["threads"]),
-        "repr": lambda: verify.run_repr_formula_suite(
-            seed=cfg["seed"], csv_dir=args.csv_dir),
-        "diffuse": lambda: verify.run_diffuse_invariance_suite(
-            seed=cfg["seed"], csv_dir=args.csv_dir),
-    }
-    selected = list(suites) if args.suite == "all" else [args.suite]
-    reports = []
-    for name in selected:
-        reports += suites[name]()
+    settings = dict(grid=args.grid, trials=cfg["trials"], samples=args.samples,
+                    seed=cfg["seed"], csv_dir=args.csv_dir,
+                    threads=cfg["threads"])
+    if args.suite == "all":
+        reports = verify.run_all_suites(**settings)
+    else:
+        reports = verify.SUITES[args.suite](**settings)
     out = args.report or os.path.join(cfg["output_dir"], "report.json")
     _atomic_write(out, lambda tmp: verify.write_report(reports, tmp))
     n_fail = sum(1 for r in reports if not r.passed)
@@ -336,9 +311,7 @@ def build_parser():
     co.set_defaults(fn=cmd_constants)
 
     ve = sub.add_parser("verify", help="run the verification suites")
-    ve.add_argument("--suite", default="all",
-                    choices=["halfvortex", "identities", "repr", "diffuse",
-                             "all"])
+    ve.add_argument("--suite", default="all", choices=[*verify.SUITES, "all"])
     ve.add_argument("--grid", type=int, default=256)
     ve.add_argument("--trials", type=int)
     ve.add_argument("--samples", type=int, default=1_000_000)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma
 
-from .geometry import chord, dist_sphere, random_unit_vectors
+from .geometry import chord, random_unit_vectors
 
 __all__ = [
     "ConstantResult",
@@ -292,68 +292,32 @@ def _jump_numerator(theta):
     return theta * np.cos(theta / 2.0) + (np.pi - theta) * np.sin(theta / 2.0)
 
 
-def cj_estimate(embedding="tensor", grid_points=100_000, d=3, seed=0):
+def cj_estimate(embedding="tensor", grid_points=100_000):
     """Jump constant (2/pi) sup over angles of the averaged-jump/embedded-jump ratio.
 
-    For the tensor embedding the embedded jump cost is sin(theta), the ratio
-    is bounded by 1 + pi/2 on all of [0, pi] (checked on a dense grid) and
-    attains it in the limit theta -> 0, so the constant 1 + 2/pi is returned
-    in closed form.
-
-    For a user embedding (a callable mapping unit representatives with shape
-    ``(..., d)`` to points of R^D) the supremum is taken over sampled pairs,
-    including a near-zero-angle ladder, and has lower-bound semantics.
-    Asymmetric callables (Phi(n) != Phi(-n)) are rejected.
+    For the tensor embedding, the only one supported, the embedded jump cost
+    is sin(theta), the ratio is bounded by 1 + pi/2 on all of [0, pi]
+    (checked on a dense grid) and attains it in the limit theta -> 0, so the
+    constant 1 + 2/pi is returned in closed form.
     """
+    if embedding != "tensor":
+        raise ValueError(f"only the 'tensor' embedding is supported, got "
+                         f"{embedding!r}")
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")
-    if embedding == "tensor" or embedding is None:
-        thetas = np.linspace(0.0, np.pi, grid_points)[1:-1]
-        bound = 1.0 + np.pi / 2.0
-        # numerator <= (1 + pi/2) sin(theta) on the whole grid, with the
-        # bound attained in the limit theta -> 0: the sup of the ratio is bound
-        excess = float(np.max(_jump_numerator(thetas) - bound * np.sin(thetas)))
-        if excess > 1e-12:
-            raise AssertionError(
-                "grid point violates the (1 + pi/2) sin(theta) bound")
-        ratio = _jump_numerator(thetas) / np.sin(thetas)
-        return ConstantResult(1.0 + 2.0 / np.pi, "closed_form",
-                              samples_or_nodes=grid_points,
-                              params={"sup_ratio_on_grid": float(np.max(ratio)),
-                                      "max_bound_excess": excess})
-    rng = np.random.default_rng(seed)
-
-    # symmetry check on a small sample
-    probe = random_unit_vectors(d, 32, rng)
-    asym = np.linalg.norm(np.asarray(embedding(probe))
-                          - np.asarray(embedding(-probe)), axis=-1)
-    if np.max(asym) > 1e-10:
-        raise ValueError("embedding is not symmetric: Phi(n) != Phi(-n)")
-
-    n_pairs = grid_points
-    n1 = random_unit_vectors(d, n_pairs, rng)
-    n2 = random_unit_vectors(d, n_pairs, rng)
-    # ladder of tiny angles around random base points probes the isometry limit
-    base = random_unit_vectors(d, 64, rng)
-    tang = random_unit_vectors(d, 64, rng)
-    tang -= np.einsum("ij,ij->i", tang, base)[:, None] * base
-    tang /= np.linalg.norm(tang, axis=-1, keepdims=True)
-    smalls = []
-    for t in (1e-6, 1e-7, 1e-8):
-        smalls.append((base, base * np.cos(t) + tang * np.sin(t)))
-    pairs = [(n1, n2)] + smalls
-    sup = 0.0
-    for a, b in pairs:
-        th = dist_sphere(a, b)
-        num = _jump_numerator(th)
-        den = np.linalg.norm(np.asarray(embedding(a))
-                             - np.asarray(embedding(b)), axis=-1)
-        ok = den > 0
-        if np.any(ok):
-            sup = max(sup, float(np.max(num[ok] / den[ok])))
-    return ConstantResult(2.0 / np.pi * sup, "optimization",
-                          samples_or_nodes=n_pairs,
-                          params={"semantics": "lower_bound", "d": d})
+    thetas = np.linspace(0.0, np.pi, grid_points)[1:-1]
+    bound = 1.0 + np.pi / 2.0
+    # numerator <= (1 + pi/2) sin(theta) on the whole grid, with the
+    # bound attained in the limit theta -> 0: the sup of the ratio is bound
+    excess = float(np.max(_jump_numerator(thetas) - bound * np.sin(thetas)))
+    if excess > 1e-12:
+        raise AssertionError(
+            "grid point violates the (1 + pi/2) sin(theta) bound")
+    ratio = _jump_numerator(thetas) / np.sin(thetas)
+    return ConstantResult(1.0 + 2.0 / np.pi, "closed_form",
+                          samples_or_nodes=grid_points,
+                          params={"sup_ratio_on_grid": float(np.max(ratio)),
+                                  "max_bound_excess": excess})
 
 
 def c1d_const():

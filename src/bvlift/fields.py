@@ -16,7 +16,6 @@ the same continuum quantity; the third estimates the plain embedded
 seminorm, whose absolutely continuous part they share.
 """
 
-import io
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -105,9 +104,6 @@ class GridField:
             return np.ones(self.dims, dtype=bool)
         return self.mask
 
-    def cell_centers(self, axis):
-        return self.origin[axis] + (np.arange(self.dims[axis]) + 0.5) * self.spacing
-
     def with_values(self, values, kind=None):
         """Copy of the grid geometry carrying new values."""
         return GridField(self.dims, self.spacing, self.origin,
@@ -162,22 +158,9 @@ def metric_distance(metric, kind):
     return lambda a, b: chord_distance(chord(a, b, proj), metric)
 
 
-def _angle_from_distance(metric, dist):
-    """Equivalent step angle of a metric distance (monotone per metric)."""
-    if metric == "geodesic":
-        return dist
-    if metric == "euclidean_sphere":
-        return 2.0 * np.arcsin(np.minimum(dist, 2.0) / 2.0)
-    return np.arcsin(np.minimum(dist, 1.0))
-
-
 def default_jump_threshold(metric, angle=np.pi / 4):
-    """Metric distance equivalent to a step of the given angle."""
-    if metric == "geodesic":
-        return angle
-    if metric == "euclidean_sphere":
-        return 2.0 * np.sin(angle / 2.0)
-    return np.sin(angle)
+    """Metric distance of a step of the given angle, at chord 2 sin(angle/2)."""
+    return chord_distance(2.0 * np.sin(angle / 2.0), metric)
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +182,12 @@ def write_field(f, path):
         "kind": f.kind,
         "mask": "inline" if f.mask is not None else "none",
     }
-    buf = io.StringIO()
-    buf.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
-    buf.write("\n")
-    flat = f.values.reshape(-1, f.d)
-    mask = f.mask.reshape(-1) if f.mask is not None else None
-    for i, row in enumerate(flat):
-        cols = [format(x, ".17g") for x in row]
-        if mask is not None:
-            cols.append("1" if mask[i] else "0")
-        buf.write(",".join(cols))
-        buf.write("\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    rows = f.values.reshape(-1, f.d)
+    if f.mask is not None:
+        rows = np.column_stack([rows, f.mask.reshape(-1)])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",",
+               header=json.dumps(header, sort_keys=True, separators=(",", ":")),
+               comments="")
 
 
 def read_field(path):
@@ -463,26 +439,24 @@ def _forward_faces(N):
 
 
 def _face_data(f, metric):
-    """Forward-face validity, metric distances and embedded steps.
+    """Forward-face validity, metric distances and chords.
 
-    One chord pass per axis gives both numbers of every face.  The step is
-    the length of the face difference in the coordinates of
-    :func:`embedded_tv`: the values themselves, or their tensor embedding
-    (1/sqrt 2) n (x) n when the chord is projective, whose step is sin(theta).
-    Faces leaving the mask have distance and step exactly 0.
+    One chord pass per axis gives both numbers of every face, see
+    :func:`bvlift.geometry.chord`.  Faces leaving the mask have distance and
+    chord exactly 0.
     """
     proj = _projective_chord(metric, f.kind)
     inside = f.inside()
     valid = np.zeros(f.dims + (f.N,), dtype=bool)
     dists = np.zeros(f.dims + (f.N,))
-    steps = np.zeros(f.dims + (f.N,))
+    chords = np.zeros(f.dims + (f.N,))
     for a, src, dst in _forward_faces(f.N):
         ok = inside[src] & inside[dst]
         q = chord(f.values[src], f.values[dst], proj) * ok
         valid[src + (a,)] = ok
+        chords[src + (a,)] = q
         dists[src + (a,)] = chord_distance(q, metric)
-        steps[src + (a,)] = chord_distance(q, "euclidean_tensor") if proj else q
-    return valid, dists, steps
+    return valid, dists, chords
 
 
 def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
@@ -493,21 +467,30 @@ def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
     weight h^{N-1}, estimates the absolutely continuous part; faces whose
     metric step exceeds the jump threshold are counted separately as jump
     faces with cost = metric distance x face area, and the cells touching
-    them are left out of the smooth sum.  The threshold is ``max(pi/4, 8 x median step)`` expressed as
-    an equivalent angle, unless given explicitly as a metric distance.
+    them are left out of the smooth sum.  Unless given explicitly as a metric
+    distance, the threshold is the distance of a step of angle
+    ``max(pi/4, 8 x median step angle)``, capped at the top of the metric's
+    range: pi, or pi/2 when the chord is projective (beyond pi/2 the tensor
+    distance sin(theta) falls again).
     """
     if metric == "euclidean_sphere" and f.kind == "proj":
         raise ValueError(
             "euclidean_sphere embedding is sign-discontinuous on proj "
             "fields; use euclidean_tensor or geodesic")
     h = f.spacing
-    valid, dists, steps = _face_data(f, metric)
+    valid, dists, chords = _face_data(f, metric)
+    proj = _projective_chord(metric, f.kind)
+    # step of the embedded values: the chord itself, or the step sin(theta)
+    # of the tensor embedding (1/sqrt 2) n (x) n when the chord is projective
+    steps = chord_distance(chords, "euclidean_tensor") if proj else chords
     inside = f.inside()
     if jump_threshold is None:
-        angles = _angle_from_distance(metric, dists[valid]) if valid.any() else None
-        med = float(np.median(angles)) if angles is not None and angles.size else 0.0
-        thr_angle = max(np.pi / 4.0, 8.0 * med)
-        jump_threshold = default_jump_threshold(metric, min(thr_angle, np.pi))
+        q = chords[valid]
+        # the step angle 2 arcsin(q/2) is monotone in the chord
+        med = float(chord_distance(np.median(q), "geodesic")) if q.size else 0.0
+        cap = np.pi / 2 if proj else np.pi
+        jump_threshold = default_jump_threshold(
+            metric, min(max(np.pi / 4.0, 8.0 * med), cap))
     isjump = valid & (dists > jump_threshold)
 
     # a cell is excluded from the smooth sum if any face it touches jumps

@@ -23,10 +23,7 @@ __all__ = [
     "uniaxial_q",
     "eucl_jump_cost",
     "lift_map_F",
-    "lift_map_F_eps",
-    "lift_map_LR",
     "lift_sign",
-    "haar_sample",
     "haar_rotations",
     "random_unit_vectors",
 ]
@@ -154,26 +151,13 @@ def lift_map_F(n):
     return out
 
 
-def lift_map_F_eps(eps, n):
-    """Lipschitz regularization of :func:`lift_map_F`.
-
-    Equals n where n.e_d >= eps, -n where n.e_d <= -eps, and
-    ((n.e_d)/eps) n in the equatorial band.  Values have norm <= 1 and
-    converge pointwise to F off the equator as eps -> 0.
-    """
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    n = np.asarray(n, dtype=float)
-    last = n[..., -1]
-    scale = np.clip(last / eps, -1.0, 1.0)
-    return n * scale[..., None]
-
-
 def lift_sign(R, u):
-    """Sign s in {-1, +1} such that lift_map_LR(R, u) == s * u.
+    """Sign s in {-1, +1} of the rotated lifting R^{-1} F(R u) = s u.
 
-    The sign is +1 where (R u).e_d > 0, -1 where it is < 0, and on the
-    equator the one that yields the canonical representative.
+    F(Ru) is an exact sign flip of Ru, so the rotated lifting of a
+    projective point u is ``s[..., None] * u``, which reproduces the input
+    class bit for bit.  The sign is +1 where (R u).e_d > 0, -1 where it is
+    < 0, and on the equator the one that yields the canonical representative.
     """
     R = np.asarray(R, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -186,22 +170,6 @@ def lift_sign(R, u):
         lead = np.take_along_axis(u, idx[..., None], axis=-1)[..., 0]
         s = np.where(eq, np.where(lead < 0, -1.0, 1.0), s)
     return s
-
-
-def lift_map_LR(R, u):
-    """Rotated lifting map R^{-1} F(R n) applied to a projective point.
-
-    Since F(Rn) is an exact sign flip of Rn, the composition equals
-    ``lift_sign(R, u) * u`` exactly; it is evaluated that way so the result
-    reproduces the input class bit for bit.
-    """
-    R = np.asarray(R, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if R.shape[-1] != u.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: rotation is {R.shape[-1]}x{R.shape[-1]}, "
-            f"point has d={u.shape[-1]}")
-    return u * lift_sign(R, u)[..., None]
 
 
 def haar_rotations(d, size, rng):
@@ -228,11 +196,6 @@ def haar_rotations(d, size, rng):
     det = np.linalg.det(Q)
     Q[det < 0, :, -1] *= -1.0
     return Q
-
-
-def haar_sample(d, seed=None):
-    """One Haar-distributed rotation of SO(d); deterministic given ``seed``."""
-    return haar_rotations(d, 1, seed)[0]
 
 
 def random_unit_vectors(d, size, rng):

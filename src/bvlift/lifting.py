@@ -197,9 +197,10 @@ def lift_eps_regularized(u, R, eps):
     """Cellwise regularized lifting: values scaled through the equator band.
 
     Applies the Lipschitz map n -> clip((Rn).e_d / eps, -1, 1) n, which equals
-    the rotated regularized folding map exactly and converges cellwise to the
-    sharp rotation lifting off the equator set as eps -> 0.  The result is
-    vector valued with norms <= 1.
+    the rotated regularized folding map R^{-1} F_eps(R n) exactly; F_eps(w) is
+    w where w.e_d >= eps, -w where w.e_d <= -eps and (w.e_d / eps) w in the
+    band.  It converges cellwise to the sharp rotation lifting off the
+    equator set as eps -> 0.  The result is vector valued with norms <= 1.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must be in (0, 1]")

@@ -38,6 +38,16 @@ class TestMakeField:
                        "-o", out) == 0
             read_field(out)
 
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "jump", "--d", "1"], ["--kind", "smooth", "--d", "1"],
+        ["--kind", "smooth", "--grid", "0"], ["--kind", "halfvortex",
+                                              "--grid", "16"]])
+    def test_bad_size_exit_2(self, tmp_path, capfd, flags):
+        assert run("make-field", *flags, "-o", tmp_path / "f.fld") == 2
+        out, err = capfd.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "f.fld").exists()
+
 
 class TestEnergy:
     def test_embedded_json(self, hv_path, capsys):

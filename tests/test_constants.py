@@ -265,19 +265,10 @@ class TestCj:
         lhs = th * np.cos(th / 2) + (np.pi - th) * np.sin(th / 2)
         assert np.all(lhs <= (1 + np.pi / 2) * np.sin(th) + 1e-12)
 
-    def test_user_isometric_embedding_lower_bound(self):
-        # the tensor embedding supplied as a plain callable
-        def emb(n):
-            q = embed_tensor(n)
-            return q.reshape(q.shape[:-2] + (-1,))
-
-        res = cj_estimate(emb, grid_points=20_000, d=3, seed=0)
-        assert res.value >= 1 + 2 / np.pi - 1e-6
-        assert res.params["semantics"] == "lower_bound"
-
-    def test_asymmetric_embedding_rejected(self):
-        with pytest.raises(ValueError):
-            cj_estimate(lambda n: n, grid_points=1000, d=3)
+    def test_non_tensor_embedding_rejected(self):
+        for embedding in ("identity", None, embed_tensor):
+            with pytest.raises(ValueError, match="tensor"):
+                cj_estimate(embedding)
 
     def test_grid_points_precondition(self):
         with pytest.raises(ValueError):

@@ -63,10 +63,6 @@ class TestGridField:
         f = GridField((2, 2), 0.5, (0, 0), "proj", vals)
         assert np.all(f.values[..., 0] == 1.0)
 
-    def test_cell_centers(self):
-        f = constant_field(4)
-        assert np.allclose(f.cell_centers(0), [0.125, 0.375, 0.625, 0.875])
-
 
 class TestFieldFiles:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -88,6 +84,18 @@ class TestFieldFiles:
         g = read_field(p)
         assert g.mask is None
         assert np.array_equal(f.values, g.values)
+
+    def test_exact_bytes(self, tmp_path):
+        vals = np.array([[1.0, -0.0], [0.6, 0.8], [0.0, 1.0]])
+        f = GridField((3,), 0.5, (-0.25,), "unit", vals, [True, False, True])
+        p = tmp_path / "small.fld"
+        write_field(f, p)
+        assert p.read_bytes() == (
+            b'{"d":2,"dims":[3],"kind":"unit","mask":"inline",'
+            b'"origin":[-0.25],"spacing":0.5,"version":1}\n'
+            b"1,-0,1\n"
+            b"0.59999999999999998,0.80000000000000004,0\n"
+            b"0,1,1\n")
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.fld"
@@ -242,6 +250,23 @@ class TestEmbedded:
         assert rep.total == pytest.approx(rep.ac_part + rep.jump_part,
                                           abs=1e-9)
         assert rep.ac_part >= 0 and rep.jump_part > 0
+
+    def test_rough_field_threshold_not_below_floor(self):
+        # a random walk with 0.6 rad steps: 8 x the median step angle
+        # exceeds pi/2, where the tensor distance sin(theta) falls again
+        rng = np.random.default_rng(3)
+        g = (np.cumsum(0.6 * rng.standard_normal((32, 1)), axis=0)
+             + np.cumsum(0.6 * rng.standard_normal((1, 32)), axis=1))
+        vals = np.stack([np.cos(g), np.sin(g)], axis=-1)
+        for kind, metric in (("proj", "geodesic"),
+                             ("proj", "euclidean_tensor"),
+                             ("unit", "geodesic"),
+                             ("unit", "euclidean_sphere"),
+                             ("unit", "euclidean_tensor")):
+            f = GridField((32, 32), 1.0 / 32, (0.0, 0.0), kind, vals)
+            rep = embedded_tv(f, metric)
+            assert rep.params["jump_threshold"] >= default_jump_threshold(
+                metric), (kind, metric)
 
     def test_proj_field_rejects_sphere_metric(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bvlift.fields import GridField
 from bvlift.geometry import (canonicalize, dist_proj, dist_sphere,
                              embed_tensor, eucl_jump_cost, haar_rotations,
-                             haar_sample, lift_map_F, lift_map_F_eps,
-                             lift_map_LR, random_unit_vectors, uniaxial_q)
+                             lift_map_F, lift_sign, random_unit_vectors,
+                             uniaxial_q)
+from bvlift.lifting import lift_eps_regularized
 
 
 def e(i, d):
@@ -177,39 +179,51 @@ class TestFoldingMap:
         assert np.array_equal(lift_map_F(n), lift_map_F(-n))
 
 
+def lift_rot(R, u):
+    """The rotated lifting R^{-1} F(R u) through its sign."""
+    return lift_sign(R, u)[..., None] * u
+
+
+def fold_eps(eps, n):
+    """The regularized folding map F_eps: the eps-lifting at R = I."""
+    n = np.atleast_2d(n)
+    u = GridField((len(n),), 1.0, (0.0,), "proj", n)
+    return lift_eps_regularized(u, np.eye(n.shape[-1]), eps).values
+
+
 class TestFoldingMapRegularized:
     def test_above_threshold(self):
-        assert np.array_equal(lift_map_F_eps(0.1, e(2, 3)), e(2, 3))
+        assert np.array_equal(fold_eps(0.1, e(2, 3)), [e(2, 3)])
 
     def test_band_scaling(self):
         n = np.array([np.sqrt(1 - 0.25**2), 0.0, 0.25])
-        out = lift_map_F_eps(0.5, n)
-        assert np.allclose(out, 0.5 * n, atol=1e-15)
+        out = fold_eps(0.5, n)
+        assert np.allclose(out, [0.5 * n], atol=1e-15)
 
     def test_equator_maps_to_zero(self):
         n = np.array([1.0, 0.0, 0.0])
-        assert np.array_equal(lift_map_F_eps(0.5, n), np.zeros(3))
+        assert np.array_equal(fold_eps(0.5, n), np.zeros((1, 3)))
 
     def test_eps_out_of_range(self):
         with pytest.raises(ValueError):
-            lift_map_F_eps(0.0, e(0, 2))
+            fold_eps(0.0, e(0, 2))
         with pytest.raises(ValueError):
-            lift_map_F_eps(1.5, e(0, 2))
+            fold_eps(1.5, e(0, 2))
 
     def test_norm_bounded_and_pointwise_limit(self):
         rng = np.random.default_rng(10)
-        n = random_unit_vectors(3, 2000, rng)
+        n = canonicalize(random_unit_vectors(3, 2000, rng))
         off = np.abs(n[:, -1]) > 1e-3
         for eps in (0.5, 0.1, 1e-4):
-            out = lift_map_F_eps(eps, n)
+            out = fold_eps(eps, n)
             assert np.all(np.linalg.norm(out, axis=-1) <= 1 + 1e-12)
-        out = lift_map_F_eps(1e-4, n)
+        out = fold_eps(1e-4, n)
         assert np.array_equal(out[off], lift_map_F(n)[off])
 
 
 class TestRotatedLifting:
     def test_identity_rotation_north_pole(self):
-        assert np.array_equal(lift_map_LR(np.eye(3), e(2, 3)), e(2, 3))
+        assert np.array_equal(lift_rot(np.eye(3), e(2, 3)), e(2, 3))
 
     def test_pi_rotation_against_direct_oracle(self):
         # direct evaluation of R^{-1} F(R n) for the pi-rotation in the
@@ -220,7 +234,7 @@ class TestRotatedLifting:
         R[-1, -1] = -1.0
         n = e(d - 1, d)
         oracle = R.T @ lift_map_F(R @ n)
-        got = lift_map_LR(R, n)
+        got = lift_rot(R, n)
         assert np.allclose(got, oracle, atol=1e-12)
         assert np.array_equal(got, -e(d - 1, d))
         assert dist_proj(got, n) == 0.0
@@ -228,27 +242,28 @@ class TestRotatedLifting:
     def test_lifting_property_and_sign_independence(self):
         rng = np.random.default_rng(11)
         for d in (2, 3, 4):
-            R = haar_sample(d, seed=d)
+            R = haar_rotations(d, 1, d)[0]
             u = canonicalize(random_unit_vectors(d, 500, rng))
-            n = lift_map_LR(R, u)
+            n = lift_rot(R, u)
             assert np.array_equal(canonicalize(n), u)  # [n] = u exactly
-            assert np.array_equal(lift_map_LR(R, -u), n)
+            assert np.array_equal(lift_rot(R, -u), n)
 
     def test_matches_matrix_evaluation(self):
         rng = np.random.default_rng(12)
         for d in (2, 3):
-            R = haar_sample(d, seed=10 + d)
+            R = haar_rotations(d, 1, 10 + d)[0]
             u = canonicalize(random_unit_vectors(d, 200, rng))
             w = u @ R.T
             off = np.abs(w[:, -1]) > 1e-6
             direct = lift_map_F(w) @ R  # R^{-1} F(R u), R^{-1} = R^T
-            assert np.allclose(lift_map_LR(R, u)[off], direct[off], atol=1e-12)
+            assert np.allclose(lift_rot(R, u)[off], direct[off], atol=1e-12)
 
 
 class TestHaarSampling:
     def test_deterministic_given_seed(self):
-        assert np.array_equal(haar_sample(3, seed=42), haar_sample(3, seed=42))
-        assert not np.array_equal(haar_sample(3, seed=42), haar_sample(3, seed=43))
+        assert np.array_equal(haar_rotations(3, 1, 42), haar_rotations(3, 1, 42))
+        assert not np.array_equal(haar_rotations(3, 1, 42),
+                                  haar_rotations(3, 1, 43))
 
     def test_rotation_invariants_in_bulk(self):
         for d in (2, 3, 4):

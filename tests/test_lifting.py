@@ -5,7 +5,7 @@ import pytest
 
 from bvlift.fields import (GridField, avg_directional_energy, detect_jumps,
                            embedded_tv, metric_distance)
-from bvlift.geometry import (canonicalize, eucl_jump_cost, haar_sample,
+from bvlift.geometry import (canonicalize, eucl_jump_cost, haar_rotations,
                              lift_sign, random_unit_vectors)
 from bvlift.lifting import (boundary_cells, lift_1d, lift_eps_regularized,
                             lift_rotation_search, lift_with_boundary,
@@ -190,7 +190,7 @@ class TestEpsRegularized:
 
     def test_outside_band_unit_norm(self):
         u = make_half_vortex(64)
-        R = haar_sample(2, seed=6)
+        R = haar_rotations(2, 1, 6)[0]
         eps = 0.3
         g = lift_eps_regularized(u, R, eps)
         w_last = np.einsum("k,...k->...", R[-1], u.values)
@@ -201,7 +201,7 @@ class TestEpsRegularized:
 
     def test_converges_to_sharp_lifting(self):
         u = make_half_vortex(64)
-        R = haar_sample(2, seed=7)
+        R = haar_rotations(2, 1, 7)[0]
         sharp = u.values * lift_sign(R, u.values)[..., None]
         g = lift_eps_regularized(u, R, eps=0.01)
         w_last = np.abs(np.einsum("k,...k->...", R[-1], u.values))
