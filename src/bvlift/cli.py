@@ -1,8 +1,11 @@
 """Command-line front end: field generation, lifting, energies, constants, checks.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 boundary data that is not a lifting of the field, 4 under-resolved
-mollifier.  Outputs are written atomically (temp file + rename) and are byte
+Exit codes: 0 success, 1 verification failure, 2 malformed input (any
+ValueError or OSError, a missing or unwritable file included), 3 boundary
+data that is not a lifting of the field (BoundaryMismatchError), 4
+under-resolved mollifier (UnderResolvedError).  Only :func:`main` turns an
+exception into an exit code, by its type, and prints one ``error:`` line.
+Outputs are written atomically (temp file + rename) and are byte
 identical for identical (command, config, seed).
 """
 
@@ -17,9 +20,11 @@ import numpy as np
 
 from . import constants as consts
 from . import verify
-from .fields import (avg_directional_energy, embedded_tv, mollified_energy,
-                     mollified_energy_extrapolated, read_field, write_field)
-from .lifting import lift_1d, lift_rotation_search, lift_with_boundary
+from .fields import (UnderResolvedError, avg_directional_energy, embedded_tv,
+                     mollified_energy, mollified_energy_extrapolated,
+                     read_field, write_field)
+from .lifting import (BoundaryMismatchError, LiftResult, lift_1d,
+                      lift_rotation_search, lift_with_boundary)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -97,94 +102,51 @@ def cmd_make_field(args):
 
 def cmd_energy(args):
     cfg = _load_config(args.config, args)
-    try:
-        f = read_field(args.input)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    f = read_field(args.input)
     metric = cfg["metric"]
-    try:
-        if args.estimator == "mollified":
-            mults = cfg["mollifier_eps_over_h"]
-            if args.no_extrapolation:
-                rep = mollified_energy(f, mults[0] * f.spacing, metric)
-            else:
-                rep = mollified_energy_extrapolated(f, metric, mults)
-        elif args.estimator == "directional":
-            rep = avg_directional_energy(f, directions=cfg["directions"],
-                                         seed=cfg["seed"], metric=metric)
-        elif args.estimator == "embedded":
-            rep = embedded_tv(f, metric, cfg["jump_threshold"])
+    if args.estimator == "mollified":
+        mults = cfg["mollifier_eps_over_h"]
+        if args.no_extrapolation:
+            rep = mollified_energy(f, mults[0] * f.spacing, metric)
         else:
-            raise ValueError(f"unknown estimator {args.estimator!r}")
-    except ValueError as e:
-        msg = str(e)
-        print(f"error: {msg}", file=sys.stderr)
-        if "under-resolved" in msg:
-            return EXIT_UNDER_RESOLVED
-        return EXIT_BAD_INPUT
+            rep = mollified_energy_extrapolated(f, metric, mults)
+    elif args.estimator == "directional":
+        rep = avg_directional_energy(f, directions=cfg["directions"],
+                                     seed=cfg["seed"], metric=metric)
+    else:
+        rep = embedded_tv(f, metric, cfg["jump_threshold"])
     sys.stdout.write(_json_dumps(rep.to_dict()))
     return EXIT_OK
 
 
 def cmd_lift(args):
     cfg = _load_config(args.config, args)
-    try:
-        u = read_field(args.input)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
+    u = read_field(args.input)
     out = args.output or (os.path.splitext(args.input)[0] + ".lifted.fld")
     sidecar = os.path.splitext(out)[0] + ".json"
 
     if args.mode == "greedy1d":
         if u.N != 1:
-            print("error: greedy1d requires a one-dimensional field",
-                  file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("greedy1d requires a one-dimensional field")
         n = u.with_values(lift_1d(u.values), kind="unit")
         # the direction average is exact on an interval and skips the mask
         rep = avg_directional_energy(n, metric="geodesic")
         rep.params["projective_tv"] = avg_directional_energy(
             u, metric="geodesic").total
-        side = {"mode": "greedy1d", "energy": rep.to_dict(), "rotation": None,
-                "projection_check": 0.0}
+        res = LiftResult(field=n, energy=rep)
     elif args.mode == "rotation":
         res = lift_rotation_search(u, trials=cfg["trials"], seed=cfg["seed"],
                                    metric=cfg["metric"])
-        n = res.field
-        side = {"mode": "rotation", "energy": res.energy.to_dict(),
-                "rotation": [[float(x) for x in row] for row in res.rotation],
-                "projection_check": res.projection_check}
-    elif args.mode == "boundary":
-        if not args.boundary:
-            print("error: --boundary FILE is required for boundary mode",
-                  file=sys.stderr)
-            return EXIT_BAD_INPUT
-        try:
-            n0 = read_field(args.boundary)
-        except (ValueError, OSError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        try:
-            res = lift_with_boundary(u, n0, trials=cfg["trials"],
-                                     seed=cfg["seed"])
-        except ValueError as e:
-            msg = str(e)
-            print(f"error: {msg}", file=sys.stderr)
-            if "not a lifting" in msg:
-                return EXIT_BAD_BOUNDARY
-            return EXIT_BAD_INPUT
-        n = res.field
-        side = {"mode": "boundary", "energy": res.energy.to_dict(),
-                "rotation": None,
-                "projection_check": res.projection_check}
     else:
-        print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        if not args.boundary:
+            raise ValueError("--boundary FILE is required for boundary mode")
+        res = lift_with_boundary(u, read_field(args.boundary),
+                                 trials=cfg["trials"], seed=cfg["seed"])
+    side = {"mode": args.mode, "energy": res.energy.to_dict(),
+            "rotation": None if res.rotation is None else res.rotation.tolist(),
+            "projection_check": res.projection_check}
 
-    _atomic_write(out, lambda tmp: write_field(n, tmp))
+    _atomic_write(out, lambda tmp: write_field(res.field, tmp))
     _atomic_write(sidecar, lambda tmp: Path(tmp).write_text(_json_dumps(side)))
     print(f"wrote {out} and {sidecar}")
     return EXIT_OK
@@ -222,8 +184,7 @@ def cmd_constants(args):
             consts.avg_eucl_jump(args.avg_jump, args.samples, cfg["seed"],
                                  args.d))
     if not table:
-        print("error: no constants requested", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("no constants requested")
     sys.stdout.write(_json_dumps(table))
     return EXIT_OK
 
@@ -324,13 +285,17 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; the type of a rejected input picks the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
-    except ValueError as e:
+        return args.fn(args)
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        code = EXIT_BAD_INPUT
-    return code
+        if isinstance(e, UnderResolvedError):
+            return EXIT_UNDER_RESOLVED
+        if isinstance(e, BoundaryMismatchError):
+            return EXIT_BAD_BOUNDARY
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

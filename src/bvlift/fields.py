@@ -27,6 +27,7 @@ from .geometry import canonicalize, chord, chord_distance
 __all__ = [
     "GridField",
     "EnergyReport",
+    "UnderResolvedError",
     "METRICS",
     "metric_distance",
     "write_field",
@@ -133,6 +134,10 @@ class EnergyReport:
         }
 
 
+class UnderResolvedError(ValueError):
+    """A mollifier radius below two grid cells."""
+
+
 # ---------------------------------------------------------------------------
 # metric dispatch
 
@@ -161,6 +166,12 @@ def metric_distance(metric, kind):
 def default_jump_threshold(metric, angle=np.pi / 4):
     """Metric distance of a step of the given angle, at chord 2 sin(angle/2)."""
     return chord_distance(2.0 * np.sin(angle / 2.0), metric)
+
+
+def _check_jump_threshold(threshold):
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ValueError(
+            f"jump threshold must be finite and positive, got {threshold}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +303,7 @@ def mollified_energy(f, eps, metric="geodesic"):
     if not np.isfinite(eps):
         raise ValueError(f"mollifier eps must be finite, got {eps}")
     if eps < 2.0 * h:
-        raise ValueError(
+        raise UnderResolvedError(
             f"mollifier eps {eps} under-resolved by grid spacing {h}")
     if not f.inside().any():
         raise ValueError("empty mask")
@@ -319,7 +330,7 @@ def mollified_energy_extrapolated(f, metric="geodesic", multipliers=(8, 16, 32))
         raise ValueError("extrapolation needs two distinct mollifier "
                          f"multipliers, got {multipliers}")
     if multipliers[0] < 2:
-        raise ValueError(
+        raise UnderResolvedError(
             f"mollifier eps {multipliers[0] * h} under-resolved by grid "
             f"spacing {h}")
     if not f.inside().any():
@@ -471,8 +482,11 @@ def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
     distance, the threshold is the distance of a step of angle
     ``max(pi/4, 8 x median step angle)``, capped at the top of the metric's
     range: pi, or pi/2 when the chord is projective (beyond pi/2 the tensor
-    distance sin(theta) falls again).
+    distance sin(theta) falls again).  An explicit threshold must be finite
+    and positive.
     """
+    if jump_threshold is not None:
+        _check_jump_threshold(jump_threshold)
     if metric == "euclidean_sphere" and f.kind == "proj":
         raise ValueError(
             "euclidean_sphere embedding is sign-discontinuous on proj "
@@ -520,8 +534,7 @@ def detect_jumps(f, metric="geodesic", threshold=None):
     """
     if threshold is None:
         threshold = default_jump_threshold(metric)
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    _check_jump_threshold(threshold)
     valid, dists, _ = _face_data(f, metric)
     isjump = valid & (dists > threshold)
     out = []

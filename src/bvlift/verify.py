@@ -105,16 +105,21 @@ def _write_csv(csv_dir, name, header, rows):
 # ---------------------------------------------------------------------------
 # test fields
 
+def _polar_cells(grid):
+    """Spacing, then radius and angle in [0, 2 pi) of the cell centers of a
+    grid x grid grid of the square [-1, 1]^2."""
+    h = 2.0 / grid
+    c = (np.arange(grid) + 0.5) * h - 1.0
+    X, Y = np.meshgrid(c, c, indexing="ij")
+    return h, np.hypot(X, Y), np.mod(np.arctan2(Y, X), 2.0 * np.pi)
+
+
 def _half_vortex(grid, d, N, kind):
     if grid < 32:
         raise ValueError("grid must be >= 32")
     if d < 2 or N < 2:
         raise ValueError("need d >= 2 and N >= 2")
-    h = 2.0 / grid
-    c = (np.arange(grid) + 0.5) * h - 1.0
-    X, Y = np.meshgrid(c, c, indexing="ij")
-    r = np.hypot(X, Y)
-    theta = np.mod(np.arctan2(Y, X), 2.0 * np.pi)
+    h, r, theta = _polar_cells(grid)
     mask2 = (r <= 1.0) & (r >= 2.0 * h)
     vals2 = np.zeros((grid, grid, d))
     vals2[..., 0] = np.cos(theta / 2.0)
@@ -177,8 +182,7 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
     the lifting seam falls.  The plain tensor seminorm is measured with the
     finite-difference estimator.
     """
-    if grid < 128:
-        raise ValueError("grid must be >= 128")
+    _check_settings(grid=grid, trials=trials)
     reports = []
     rows = []
     u = make_half_vortex(grid)
@@ -240,8 +244,9 @@ def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
     theta grid and d in {2, 3, 4}; the averaged Euclidean jump must also stay
     below (1 + 2/pi) sin(theta).
     """
-    if samples < 100_000:
-        raise ValueError("samples must be >= 1e5")
+    if threads is None:
+        threads = int(os.environ.get("BVLIFT_THREADS", os.cpu_count() or 1))
+    _check_settings(samples=samples, threads=threads)
     combos = [(theta, d) for d in DIMS_GRID for theta in THETA_GRID]
     ss = np.random.SeedSequence(seed)
     seeds = ss.spawn(3 * len(combos) + 1)
@@ -287,9 +292,7 @@ def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
         return checks
 
     n_jobs = len(combos)
-    if threads is None:
-        threads = int(os.environ.get("BVLIFT_THREADS", os.cpu_count() or 1))
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
+    with ThreadPoolExecutor(max_workers=threads) as ex:
         dist_checks = list(ex.map(job_dist, range(n_jobs)))
         psi_checks = list(ex.map(job_psi, range(n_jobs)))
         jump_checks = [c for pair in ex.map(job_jump, range(n_jobs))
@@ -453,15 +456,11 @@ def run_diffuse_invariance_suite(seed=0, csv_dir=None, grids=(128, 256),
     grid = 128
     u = make_half_vortex(grid)
     n = make_half_vortex_lifting(grid)
-    h = u.spacing
+    h, r, theta = _polar_cells(grid)
     # per-cell length of the forward-difference gradient of n and of [n]:
     # the Euclidean face distances are the embedded steps
     gn = np.linalg.norm(_face_data(n, "euclidean_sphere")[1], axis=-1) / h
     gu = np.linalg.norm(_face_data(u, "euclidean_tensor")[1], axis=-1) / h
-    c = (np.arange(grid) + 0.5) * h - 1.0
-    X, Y = np.meshgrid(c, c, indexing="ij")
-    r = np.hypot(X, Y)
-    theta = np.mod(np.arctan2(Y, X), 2.0 * np.pi)
     ok = (u.inside() & (r < 1.0 - 2 * h) & (r > 0.2)
           & (theta > 0.2) & (theta < 2 * np.pi - 0.2))
     ok[-1, :] = False
@@ -491,9 +490,23 @@ SUITES = {
 }
 
 
+def _check_settings(grid=256, trials=64, samples=1_000_000, threads=None):
+    """Raise ValueError for settings a suite does not run at; each runner
+    checks its own, :func:`run_all_suites` all of them before any suite runs."""
+    if grid < 128:
+        raise ValueError("grid must be >= 128")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if samples < 100_000:
+        raise ValueError("samples must be >= 1e5")
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be >= 1")
+
+
 def run_all_suites(grid=256, trials=64, samples=1_000_000, seed=0,
                    csv_dir=None, threads=None):
     """All suites of :data:`SUITES` in declaration order."""
+    _check_settings(grid=grid, trials=trials, samples=samples, threads=threads)
     settings = dict(grid=grid, trials=trials, samples=samples, seed=seed,
                     csv_dir=csv_dir, threads=threads)
     return [r for run in SUITES.values() for r in run(**settings)]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bvlift import verify
 from bvlift.cli import main
 from bvlift.constants import avg_eucl_jump_closed, avg_lifted_dist_closed
 from bvlift.fields import GridField, read_field, write_field
@@ -14,6 +15,12 @@ def run(*argv):
         return main([str(a) for a in argv])
     except SystemExit as e:  # argparse rejections also mean bad input
         return e.code
+
+
+def assert_one_error_line(capfd):
+    # fd-level capture also sees output printed below Python
+    _, err = capfd.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.fixture
@@ -47,6 +54,11 @@ class TestMakeField:
         out, err = capfd.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "f.fld").exists()
+
+    def test_output_in_missing_directory_exit_2(self, tmp_path, capfd):
+        assert run("make-field", "--kind", "constant", "--grid", "8",
+                   "-o", tmp_path / "nope" / "f.fld") == 2
+        assert_one_error_line(capfd)
 
 
 class TestEnergy:
@@ -105,9 +117,16 @@ class TestEnergy:
                      '"origin":[0],"spacing":0.5,"version":1}\n1,0\nnan,nan\n')
         assert run("energy", p) == 2
 
-    def test_under_resolved_eps_exit_4(self, hv_path):
+    def test_under_resolved_eps_exit_4(self, hv_path, capfd):
         assert run("energy", hv_path, "--estimator", "mollified",
                    "--eps-over-h", "1,2,3") == 4
+        assert_one_error_line(capfd)
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "0", "inf"])
+    def test_bad_jump_threshold_exit_2(self, hv_path, capfd, threshold):
+        assert run("energy", hv_path, "--estimator", "embedded",
+                   f"--jump-threshold={threshold}") == 2
+        assert_one_error_line(capfd)
 
     @pytest.mark.parametrize("flags", [
         ["--eps-over-h", "inf,8"], ["--eps-over-h", "nan,8,16"],
@@ -161,7 +180,7 @@ class TestLift:
         side = json.loads((tmp_path / "nb.json").read_text())
         assert side["projection_check"] == 0.0
 
-    def test_boundary_mismatch_exit_3(self, hv_path, tmp_path):
+    def test_boundary_mismatch_exit_3(self, hv_path, tmp_path, capfd):
         u = make_half_vortex(64)
         rot = np.stack([-u.values[..., 1], u.values[..., 0]], axis=-1)
         bad = u.with_values(rot, kind="unit")  # everywhere orthogonal to u
@@ -169,9 +188,16 @@ class TestLift:
         write_field(bad, b)
         assert run("lift", hv_path, "--mode", "boundary",
                    "--boundary", b) == 3
+        assert_one_error_line(capfd)
 
     def test_boundary_requires_file(self, hv_path):
         assert run("lift", hv_path, "--mode", "boundary") == 2
+
+    def test_output_in_missing_directory_exit_2(self, hv_path, tmp_path,
+                                                capfd):
+        assert run("lift", hv_path, "--trials", "2",
+                   "-o", tmp_path / "nope" / "n.fld") == 2
+        assert_one_error_line(capfd)
 
 
 class TestConstants:
@@ -232,6 +258,25 @@ class TestVerifyCommand:
                    "--report", out, "--csv-dir", csvdir) == 0
         assert (csvdir / "repr_fields.csv").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--grid", "128", "--samples", "10"], ["--threads", "0"],
+        ["--threads", "-3"], ["--trials", "0"], ["--grid", "64"]])
+    def test_bad_settings_exit_2_before_any_suite(self, tmp_path, capfd,
+                                                  monkeypatch, flags):
+        def ran(*args, **kwargs):
+            raise AssertionError("a suite ran before the settings were checked")
+
+        monkeypatch.setattr(verify, "run_half_vortex_suite", ran)
+        out = tmp_path / "r.json"
+        assert run("verify", "--suite", "all", *flags, "--report", out) == 2
+        assert_one_error_line(capfd)
+        assert not out.exists()
+
+    def test_report_in_missing_directory_exit_2(self, tmp_path, capfd):
+        assert run("verify", "--suite", "diffuse",
+                   "--report", tmp_path / "nope" / "r.json") == 2
+        assert_one_error_line(capfd)
+
     def test_unknown_suite_exit_2(self, tmp_path):
         assert run("verify", "--suite", "bogus",
                    "--report", tmp_path / "r.json") == 2
@@ -246,6 +291,11 @@ class TestConfig:
                    "--directions", "16") == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["params"]["directions"] == 16  # flag wins
+
+    def test_missing_config_file_exit_2(self, hv_path, tmp_path, capfd):
+        assert run("--config", tmp_path / "missing.json", "energy",
+                   hv_path) == 2
+        assert_one_error_line(capfd)
 
     def test_unknown_config_key_rejected(self, hv_path, tmp_path):
         cfg = tmp_path / "cfg.json"

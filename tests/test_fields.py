@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from bvlift.constants import k_const
-from bvlift.fields import (GridField, avg_directional_energy,
-                           default_jump_threshold, detect_jumps,
-                           directional_tv, embedded_tv, metric_distance,
-                           mollified_energy, mollified_energy_extrapolated,
-                           read_field, write_field)
+from bvlift.fields import (GridField, UnderResolvedError,
+                           avg_directional_energy, default_jump_threshold,
+                           detect_jumps, directional_tv, embedded_tv,
+                           metric_distance, mollified_energy,
+                           mollified_energy_extrapolated, read_field,
+                           write_field)
 from bvlift.geometry import chord_distance
 from bvlift.verify import make_half_vortex, make_half_vortex_lifting
 
@@ -119,8 +120,10 @@ class TestMollified:
 
     def test_under_resolved_eps_raises(self):
         f = constant_field(32)
-        with pytest.raises(ValueError, match="under-resolved"):
+        with pytest.raises(UnderResolvedError, match="under-resolved"):
             mollified_energy(f, f.spacing, "geodesic")
+        with pytest.raises(UnderResolvedError, match="under-resolved"):
+            mollified_energy_extrapolated(f, "geodesic", (1, 8))
 
     def test_empty_mask_raises(self):
         f = constant_field(8)
@@ -304,8 +307,11 @@ class TestDetectJumps:
             assert i >= 64
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            detect_jumps(constant_field(8), "geodesic", threshold=0.0)
+        for threshold in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                detect_jumps(constant_field(8), "geodesic", threshold=threshold)
+            with pytest.raises(ValueError, match="finite and positive"):
+                embedded_tv(constant_field(8), "geodesic", threshold)
 
     def test_default_thresholds(self):
         assert default_jump_threshold("geodesic") == pytest.approx(np.pi / 4)

@@ -7,9 +7,9 @@ from bvlift.fields import (GridField, avg_directional_energy, detect_jumps,
                            embedded_tv, metric_distance)
 from bvlift.geometry import (canonicalize, eucl_jump_cost, haar_rotations,
                              lift_sign, random_unit_vectors)
-from bvlift.lifting import (boundary_cells, lift_1d, lift_eps_regularized,
-                            lift_rotation_search, lift_with_boundary,
-                            solve_laplace)
+from bvlift.lifting import (BoundaryMismatchError, boundary_cells, lift_1d,
+                            lift_eps_regularized, lift_rotation_search,
+                            lift_with_boundary, solve_laplace)
 from bvlift.verify import make_half_vortex, make_half_vortex_lifting
 
 GEO_S = metric_distance("geodesic", "unit")
@@ -258,6 +258,20 @@ class TestSolveLaplace:
         phi = solve_laplace(exact, bnd, interior)
         assert np.max(np.abs(phi - exact)[interior]) < 5e-3
 
+    def test_discrete_equation_on_masked_disk(self):
+        # interior cells equal the mean of their four neighbors to 1e-10,
+        # boundary cells keep their values and all other cells hold 0
+        u = make_half_vortex(64)
+        bnd = boundary_cells(u.inside())
+        interior = u.inside() & ~bnd
+        values = np.random.default_rng(4).choice([-1.0, 1.0], size=u.dims)
+        phi = solve_laplace(values, bnd, interior)
+        p = np.pad(phi, 1)
+        mean = 0.25 * (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2])
+        assert np.abs(mean - phi)[interior].max() < 1e-10
+        assert np.array_equal(phi[bnd], values[bnd])
+        assert np.all(phi[~u.inside()] == 0.0)
+
 
 class TestLiftWithBoundary:
     def _constant(self, grid=48):
@@ -302,7 +316,7 @@ class TestLiftWithBoundary:
         bad = np.zeros_like(u.values)
         bad[..., 1] = 1.0  # orthogonal directions: not a lifting of u
         n0 = u.with_values(bad, kind="unit")
-        with pytest.raises(ValueError, match="not a lifting"):
+        with pytest.raises(BoundaryMismatchError, match="not a lifting"):
             lift_with_boundary(u, n0, trials=2, seed=0)
 
     def test_rejects_one_dimensional(self):
