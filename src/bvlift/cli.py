@@ -42,6 +42,28 @@ DEFAULT_CONFIG = {
     "output_dir": ".",
     "threads": None,
 }
+# the types of the config values whose default is None
+_NULLABLE_TYPES = {"jump_threshold": float, "threads": int}
+
+
+def _is_a(val, want):
+    """isinstance, where an int passes as a float and a bool as neither."""
+    return (not isinstance(val, bool)
+            and isinstance(val, (int, float) if want is float else want))
+
+
+def _check_config_value(key, val):
+    """Raise ValueError unless ``val`` has the type of the key's default (a
+    list of numbers for a list); None passes where the default is None."""
+    default = DEFAULT_CONFIG[key]
+    if val is None and default is None:
+        return
+    want = _NULLABLE_TYPES.get(key, type(default))
+    if not (_is_a(val, want) and (want is not list
+                                  or all(_is_a(x, float) for x in val))):
+        raise ValueError(f"config value {key!r} must be a {want.__name__}"
+                         f"{' or null' if default is None else ''}, "
+                         f"got {val!r}")
 
 
 def _load_config(path, args):
@@ -49,9 +71,13 @@ def _load_config(path, args):
     if path:
         with open(path) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
         unknown = set(user) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in user.items():
+            _check_config_value(key, val)
         cfg.update(user)
     # explicit flags win over the config file
     for key in cfg:
@@ -59,6 +85,16 @@ def _load_config(path, args):
         if val is not None:
             cfg[key] = val
     return cfg
+
+
+def _check_output(path):
+    """Raise OSError naming ``path`` unless its directory exists and is
+    writable; commands call it before they compute anything."""
+    d = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(d):
+        raise FileNotFoundError(f"output directory does not exist: {path}")
+    if not os.access(d, os.W_OK):
+        raise PermissionError(f"output directory is not writable: {path}")
 
 
 def _atomic_write(path, write):
@@ -80,6 +116,7 @@ def _json_dumps(obj):
 
 
 def cmd_make_field(args):
+    _check_output(args.output)
     grid, d = args.grid, args.d
     if args.kind == "halfvortex":
         f = verify.make_half_vortex(grid, d=d, N=args.N)
@@ -121,9 +158,10 @@ def cmd_energy(args):
 
 def cmd_lift(args):
     cfg = _load_config(args.config, args)
-    u = read_field(args.input)
     out = args.output or (os.path.splitext(args.input)[0] + ".lifted.fld")
     sidecar = os.path.splitext(out)[0] + ".json"
+    _check_output(out)  # the sidecar goes beside the output
+    u = read_field(args.input)
 
     if args.mode == "greedy1d":
         if u.N != 1:
@@ -194,11 +232,12 @@ def cmd_verify(args):
     settings = dict(grid=args.grid, trials=cfg["trials"], samples=args.samples,
                     seed=cfg["seed"], csv_dir=args.csv_dir,
                     threads=cfg["threads"])
+    out = args.report or os.path.join(cfg["output_dir"], "report.json")
+    _check_output(out)
     if args.suite == "all":
         reports = verify.run_all_suites(**settings)
     else:
         reports = verify.SUITES[args.suite](**settings)
-    out = args.report or os.path.join(cfg["output_dir"], "report.json")
     _atomic_write(out, lambda tmp: verify.write_report(reports, tmp))
     n_fail = sum(1 for r in reports if not r.passed)
     for r in reports:

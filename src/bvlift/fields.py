@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .geometry import canonicalize, chord, chord_distance
+from .geometry import _squared_chords, canonicalize, chord, chord_distance
 
 __all__ = [
     "GridField",
@@ -252,25 +252,48 @@ def _half_offsets(N, rmax):
     return out
 
 
-def _pair_sums(f, metric, rmax):
-    """Sum of pair distances for every half-lattice offset up to rmax cells.
+def _pair_sums(f, requests, rmax):
+    """Sums of pair distances for every half-lattice offset up to rmax cells.
 
+    Returns one ``{offset: sum}`` dict per request ``(metric, signs)``:
+    ``signs=None`` is the field itself, a sign array s of shape ``f.dims``
+    the field s f (for a line field, its lifting s u).  Per offset the two
+    squared chords |a - b|^2 and |a + b|^2 are computed once, on contiguous
+    component planes, and every request reads its pair chords from them:
+    the smaller one for a projective chord, else |a - b| where s_i = s_j and
+    |a + b| where not.  This is bit-exact, as multiplying by -1 is exact.
     Every pair of the overlapping slices is evaluated and the pairs leaving
     the mask are multiplied by 0, which is faster than gathering the in-mask
     pairs; field values are finite, so those pairs add exactly 0.
     """
-    dist = metric_distance(metric, f.kind)
+    rules = []
+    for metric, signs in requests:
+        # s u of a line field u is sphere valued
+        kind = "unit" if signs is not None and f.kind == "proj" else f.kind
+        proj = _projective_chord(metric, kind)
+        rules.append((metric, proj,
+                      None if proj or signs is None else signs > 0))
+    plus = any(proj or pos is not None for _, proj, pos in rules)
     inside = f.inside()
-    vals = f.values
+    planes = [np.ascontiguousarray(f.values[..., k]) for k in range(f.d)]
     dims = f.dims
-    sums = {}
+    sums = [{} for _ in requests]
     for off in _half_offsets(f.N, rmax):
         src = tuple(slice(max(0, -o), min(n, n - o))
                     for o, n in zip(off, dims))
         dst = tuple(slice(max(0, o), min(n, n + o))
                     for o, n in zip(off, dims))
         ok = inside[src] & inside[dst]
-        sums[off] = float((dist(vals[src], vals[dst]) * ok).sum())
+        minus2, plus2 = _squared_chords(
+            [p[src] for p in planes], [p[dst] for p in planes], plus)
+        for (metric, proj, pos), out in zip(rules, sums):
+            if proj:
+                q2 = np.minimum(minus2, plus2)
+            elif pos is None:
+                q2 = minus2
+            else:
+                q2 = np.where(pos[src] == pos[dst], minus2, plus2)
+            out[off] = float((chord_distance(np.sqrt(q2), metric) * ok).sum())
     return sums
 
 
@@ -308,7 +331,7 @@ def mollified_energy(f, eps, metric="geodesic"):
     if not f.inside().any():
         raise ValueError("empty mask")
     rmax = int(eps / h + 1e-9)  # guard an exact-multiple eps/h ratio
-    sums = _pair_sums(f, metric, rmax)
+    sums = _pair_sums(f, [(metric, None)], rmax)[0]
     total = _energy_from_pair_sums(sums, eps, h, f.N)
     return EnergyReport(total, metric, "mollified",
                         params={"eps": eps, "eps_over_h": eps / h})
@@ -321,6 +344,12 @@ def mollified_energy_extrapolated(f, metric="geodesic", multipliers=(8, 16, 32))
     eps is evaluated at zero; the fit needs two distinct finite multipliers.
     Pair sums are shared across the eps sequence.
     """
+    return _extrapolated_energies(f, [(metric, None)], multipliers)[0]
+
+
+def _extrapolated_energies(f, requests, multipliers=(8, 16, 32)):
+    """:func:`mollified_energy_extrapolated` of each ``(metric, signs)``
+    request of :func:`_pair_sums`, all from one pair pass."""
     h = f.spacing
     if not np.all(np.isfinite(multipliers)):
         raise ValueError("mollifier multipliers must be finite, got "
@@ -335,15 +364,19 @@ def mollified_energy_extrapolated(f, metric="geodesic", multipliers=(8, 16, 32))
             f"spacing {h}")
     if not f.inside().any():
         raise ValueError("empty mask")
-    sums = _pair_sums(f, metric, int(multipliers[-1]))
     eps = np.array([m * h for m in multipliers])
-    es = np.array([_energy_from_pair_sums(sums, e, h, f.N) for e in eps])
     A = np.vstack([np.ones_like(eps), eps]).T
-    coef, *_ = np.linalg.lstsq(A, es, rcond=None)
-    return EnergyReport(float(coef[0]), metric, "mollified",
-                        params={"eps_over_h": list(multipliers),
-                                "energies": [float(x) for x in es],
-                                "extrapolated": True})
+    reports = []
+    for (metric, _), sums in zip(requests, _pair_sums(
+            f, requests, int(multipliers[-1]))):
+        es = np.array([_energy_from_pair_sums(sums, e, h, f.N) for e in eps])
+        coef, *_ = np.linalg.lstsq(A, es, rcond=None)
+        reports.append(EnergyReport(
+            float(coef[0]), metric, "mollified",
+            params={"eps_over_h": list(multipliers),
+                    "energies": [float(x) for x in es],
+                    "extrapolated": True}))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -449,25 +482,51 @@ def _forward_faces(N):
         yield a, tuple(src), tuple(dst)
 
 
+def _face_chords(f, plus=False):
+    """Forward-face validity and the chords |a - b| (and |a + b|) of each face.
+
+    Returns ``(valid, minus, plus)`` arrays of shape ``dims + (N,)``,
+    ``plus`` None unless requested; faces leaving the mask and the entries
+    past the last cell of an axis have chords exactly 0.
+    """
+    inside = f.inside()
+    comps = [f.values[..., k] for k in range(f.d)]
+    valid = np.zeros(f.dims + (f.N,), dtype=bool)
+    q_minus = np.zeros(valid.shape)
+    q_plus = np.zeros(valid.shape) if plus else None
+    for a, src, dst in _forward_faces(f.N):
+        ok = inside[src] & inside[dst]
+        valid[src + (a,)] = ok
+        minus2, plus2 = _squared_chords(
+            [c[src] for c in comps], [c[dst] for c in comps], plus)
+        q_minus[src + (a,)] = np.sqrt(minus2) * ok
+        if plus:
+            q_plus[src + (a,)] = np.sqrt(plus2) * ok
+    return valid, q_minus, q_plus
+
+
+def _signed_face_chords(signs, minus, plus):
+    """Face chords of the field s f from the two face chords of f.
+
+    The face chord of s f is |a - b| where s_i = s_j and |a + b| where not,
+    bit for bit, as multiplying by -1 is exact.
+    """
+    pos = signs > 0
+    same = np.zeros(minus.shape, dtype=bool)
+    for a, src, dst in _forward_faces(pos.ndim):
+        np.equal(pos[src], pos[dst], out=same[src + (a,)])
+    return np.where(same, minus, plus)
+
+
 def _face_data(f, metric):
     """Forward-face validity, metric distances and chords.
 
-    One chord pass per axis gives both numbers of every face, see
-    :func:`bvlift.geometry.chord`.  Faces leaving the mask have distance and
-    chord exactly 0.
+    Faces leaving the mask have distance and chord exactly 0.
     """
     proj = _projective_chord(metric, f.kind)
-    inside = f.inside()
-    valid = np.zeros(f.dims + (f.N,), dtype=bool)
-    dists = np.zeros(f.dims + (f.N,))
-    chords = np.zeros(f.dims + (f.N,))
-    for a, src, dst in _forward_faces(f.N):
-        ok = inside[src] & inside[dst]
-        q = chord(f.values[src], f.values[dst], proj) * ok
-        valid[src + (a,)] = ok
-        chords[src + (a,)] = q
-        dists[src + (a,)] = chord_distance(q, metric)
-    return valid, dists, chords
+    valid, minus, plus = _face_chords(f, proj)
+    chords = np.minimum(minus, plus) if proj else minus
+    return valid, chord_distance(chords, metric), chords
 
 
 def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
@@ -491,17 +550,26 @@ def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
         raise ValueError(
             "euclidean_sphere embedding is sign-discontinuous on proj "
             "fields; use euclidean_tensor or geodesic")
-    h = f.spacing
     valid, dists, chords = _face_data(f, metric)
-    proj = _projective_chord(metric, f.kind)
+    return _embedded_tv_tail(f, metric, _projective_chord(metric, f.kind),
+                             valid, dists, chords, jump_threshold)
+
+
+def _embedded_tv_tail(f, metric, proj, valid, dists, chords,
+                      jump_threshold=None):
+    """Threshold, jump set and Frobenius sum of :func:`embedded_tv`, from
+    face data on the grid of ``f``; ``proj`` says the chords are projective."""
+    h = f.spacing
     # step of the embedded values: the chord itself, or the step sin(theta)
     # of the tensor embedding (1/sqrt 2) n (x) n when the chord is projective
     steps = chord_distance(chords, "euclidean_tensor") if proj else chords
     inside = f.inside()
     if jump_threshold is None:
-        q = chords[valid]
-        # the step angle 2 arcsin(q/2) is monotone in the chord
-        med = float(chord_distance(np.median(q), "geodesic")) if q.size else 0.0
+        # the step angle 2 arcsin(q/2) is monotone in the chord q; the
+        # median partitions its temporary copy of the valid chords in place
+        med = (float(chord_distance(
+            np.median(chords[valid], overwrite_input=True), "geodesic"))
+            if valid.any() else 0.0)
         cap = np.pi / 2 if proj else np.pi
         jump_threshold = default_jump_threshold(
             metric, min(max(np.pi / 4.0, 8.0 * med), cap))

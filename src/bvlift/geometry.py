@@ -51,24 +51,56 @@ def _check_same_dim(n, m):
             f"dimension mismatch: {n.shape[-1]} vs {m.shape[-1]}")
 
 
+def _sum_of_squares(op, a, b, out, tmp):
+    """``out`` = sum over k of op(a_k, b_k)^2, accumulated in place.
+
+    The even and the odd components are summed in two lanes that are added
+    last, the order of numpy's two-lane ``einsum``.
+    """
+    np.square(op(a[0], b[0], out=out), out=out)
+    for k in range(2, len(a), 2):
+        out += np.square(op(a[k], b[k], out=tmp), out=tmp)
+    if len(a) > 1:
+        odd = np.square(op(a[1], b[1], out=tmp), out=tmp)
+        for k in range(3, len(a), 2):
+            odd = odd.copy() if odd is tmp else odd
+            odd += np.square(op(a[k], b[k], out=tmp), out=tmp)
+        out += odd
+    return out
+
+
+def _squared_chords(a, b, plus=False):
+    """Squared chords |a - b|^2 and, with ``plus``, |a + b|^2 of vector arrays.
+
+    ``a`` and ``b`` are sequences of the d component planes of the vectors
+    (arrays of any strides that broadcast together).  Both squares are
+    subtracted or added, squared and accumulated in place.  Returns
+    ``(minus, plus)``, with ``plus`` None unless requested.
+    """
+    shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
+    tmp = np.empty(shape)
+    minus = _sum_of_squares(np.subtract, a, b, np.empty(shape), tmp)
+    if not plus:
+        return minus, None
+    return minus, _sum_of_squares(np.add, a, b, np.empty(shape), tmp)
+
+
 def chord(a, b, proj=False):
     """Chord |a - b| of two unit vectors, or min(|a - b|, |a + b|) for lines.
 
     Every distance of the package is a closed form of this chord (see
-    :func:`chord_distance`).  Bit-identical representatives are at chord
-    exactly 0, and with ``proj`` a sign flip of either representative leaves
-    the result bit for bit unchanged.  Both chords share one buffer and are
-    squared by ``einsum``, which is faster than ``np.linalg.norm`` here.
+    :func:`chord_distance`), squared by :func:`_squared_chords`.
+    Bit-identical representatives are at chord exactly 0, and with ``proj``
+    a sign flip of either representative leaves the result bit for bit
+    unchanged.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_same_dim(a, b)
-    buf = a - b
-    q2 = np.einsum("...k,...k->...", buf, buf)
-    if proj:
-        np.add(a, b, out=buf)
-        q2 = np.minimum(q2, np.einsum("...k,...k->...", buf, buf))
-    return np.sqrt(q2)
+    d = a.shape[-1]
+    minus, plus = _squared_chords([a[..., k] for k in range(d)],
+                                 [b[..., k] for k in range(d)], proj)
+    return np.sqrt(np.minimum(minus, plus) if proj else minus)
 
 
 def chord_distance(q, metric):

@@ -20,8 +20,10 @@ import numpy as np
 from .constants import (_pair_at_angle, avg_eucl_jump, avg_eucl_jump_closed,
                         avg_lifted_dist, avg_lifted_dist_closed, k_const,
                         psi_closed, psi_estimate)
-from .fields import (GridField, _face_data, avg_directional_energy,
-                     embedded_tv, mollified_energy_extrapolated)
+from .fields import (GridField, _extrapolated_energies, _face_data,
+                     avg_directional_energy, embedded_tv,
+                     mollified_energy_extrapolated)
+from .geometry import lift_sign
 from .lifting import lift_rotation_search
 
 __all__ = [
@@ -187,17 +189,23 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
     rows = []
     u = make_half_vortex(grid)
 
+    # the two searches come first: their signs let one pair pass give all
+    # four mollified energies, which the first check's runtime includes
     t0 = time.perf_counter()
-    e_u_geo = mollified_energy_extrapolated(u, "geodesic")
+    lift_geo = lift_rotation_search(u, trials=trials, seed=seed,
+                                    metric="geodesic")
+    lift_euc = lift_rotation_search(u, trials=trials, seed=seed + 1,
+                                    metric="euclidean_sphere")
+    e_u_geo, e_u_tens_m, e_n_geo, e_n_euc = _extrapolated_energies(u, [
+        ("geodesic", None), ("euclidean_tensor", None),
+        ("geodesic", lift_sign(lift_geo.rotation, u.values)),
+        ("euclidean_sphere", lift_sign(lift_euc.rotation, u.values))])
     reports.append(_check(
         "halfvortex_geodesic_energy", 2.0, e_u_geo.total, 0.05, "rel",
         "intrinsic energy of the half vortex = K_2 pi = 2", t0,
         eps_energies=e_u_geo.params["energies"]))
 
     t0 = time.perf_counter()
-    lift_geo = lift_rotation_search(u, trials=trials, seed=seed,
-                                    metric="geodesic")
-    e_n_geo = mollified_energy_extrapolated(lift_geo.field, "geodesic")
     reports.append(_check(
         "halfvortex_geodesic_ratio", 2.0, e_n_geo.total / e_u_geo.total,
         0.05, "rel",
@@ -213,10 +221,6 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
         ac_part=e_u_tensor.ac_part, jump_part=e_u_tensor.jump_part))
 
     t0 = time.perf_counter()
-    lift_euc = lift_rotation_search(u, trials=trials, seed=seed + 1,
-                                    metric="euclidean_sphere")
-    e_n_euc = mollified_energy_extrapolated(lift_euc.field, "euclidean_sphere")
-    e_u_tens_m = mollified_energy_extrapolated(u, "euclidean_tensor")
     reports.append(_check(
         "halfvortex_euclidean_ratio", 1.0 + 2.0 / np.pi,
         e_n_euc.total / e_u_tens_m.total, 0.03, "rel",

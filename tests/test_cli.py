@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bvlift import verify
+from bvlift import cli, lifting, verify
 from bvlift.cli import main
 from bvlift.constants import avg_eucl_jump_closed, avg_lifted_dist_closed
 from bvlift.fields import GridField, read_field, write_field
@@ -17,10 +17,15 @@ def run(*argv):
         return e.code
 
 
-def assert_one_error_line(capfd):
+def assert_one_error_line(capfd, path=None):
     # fd-level capture also sees output printed below Python
     _, err = capfd.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert path is None or str(path) in err, err
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("computed before the output path was checked")
 
 
 @pytest.fixture
@@ -55,10 +60,13 @@ class TestMakeField:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "f.fld").exists()
 
-    def test_output_in_missing_directory_exit_2(self, tmp_path, capfd):
+    def test_output_in_missing_directory_exit_2(self, tmp_path, capfd,
+                                                monkeypatch):
+        monkeypatch.setattr(verify, "_angle_field", must_not_run)
+        out = tmp_path / "nope" / "f.fld"
         assert run("make-field", "--kind", "constant", "--grid", "8",
-                   "-o", tmp_path / "nope" / "f.fld") == 2
-        assert_one_error_line(capfd)
+                   "-o", out) == 2
+        assert_one_error_line(capfd, out)
 
 
 class TestEnergy:
@@ -194,10 +202,13 @@ class TestLift:
         assert run("lift", hv_path, "--mode", "boundary") == 2
 
     def test_output_in_missing_directory_exit_2(self, hv_path, tmp_path,
-                                                capfd):
-        assert run("lift", hv_path, "--trials", "2",
-                   "-o", tmp_path / "nope" / "n.fld") == 2
-        assert_one_error_line(capfd)
+                                                capfd, monkeypatch):
+        # cmd_lift holds its own binding of the search
+        for module in (lifting, cli):
+            monkeypatch.setattr(module, "lift_rotation_search", must_not_run)
+        for out in (tmp_path / "nope" / "n.fld", "/nonexistent/out.fld"):
+            assert run("lift", hv_path, "-o", out) == 2
+            assert_one_error_line(capfd, out)
 
 
 class TestConstants:
@@ -272,10 +283,13 @@ class TestVerifyCommand:
         assert_one_error_line(capfd)
         assert not out.exists()
 
-    def test_report_in_missing_directory_exit_2(self, tmp_path, capfd):
-        assert run("verify", "--suite", "diffuse",
-                   "--report", tmp_path / "nope" / "r.json") == 2
-        assert_one_error_line(capfd)
+    def test_report_in_missing_directory_exit_2(self, tmp_path, capfd,
+                                                monkeypatch):
+        monkeypatch.setattr(verify, "run_diffuse_invariance_suite",
+                            must_not_run)
+        out = tmp_path / "nope" / "r.json"
+        assert run("verify", "--suite", "diffuse", "--report", out) == 2
+        assert_one_error_line(capfd, out)
 
     def test_unknown_suite_exit_2(self, tmp_path):
         assert run("verify", "--suite", "bogus",
@@ -296,6 +310,28 @@ class TestConfig:
         assert run("--config", tmp_path / "missing.json", "energy",
                    hv_path) == 2
         assert_one_error_line(capfd)
+
+    @pytest.mark.parametrize("user", [
+        {"trials": "x"}, {"trials": 1.5}, {"trials": True}, {"seed": None},
+        {"threads": 2.0}, {"jump_threshold": "1"}, {"metric": 3},
+        {"mollifier_eps_over_h": 8}, {"mollifier_eps_over_h": [8, "16"]},
+        [1, 2]])
+    def test_config_value_of_wrong_type_exit_2(self, hv_path, tmp_path,
+                                               capfd, user):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user))
+        assert run("--config", cfg, "lift", hv_path,
+                   "-o", tmp_path / "n.fld") == 2
+        assert_one_error_line(capfd)
+
+    def test_config_int_as_float_and_null_where_default_is_null(
+            self, hv_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jump_threshold": 1, "threads": None,
+                                   "mollifier_eps_over_h": [8, 16.0]}))
+        assert run("--config", cfg, "energy", hv_path) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["params"]["jump_threshold"] == 1.0
 
     def test_unknown_config_key_rejected(self, hv_path, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,15 +1,18 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvlift.fields import (GridField, avg_directional_energy, detect_jumps,
                            embedded_tv, metric_distance)
 from bvlift.geometry import (canonicalize, eucl_jump_cost, haar_rotations,
                              lift_sign, random_unit_vectors)
-from bvlift.lifting import (BoundaryMismatchError, boundary_cells, lift_1d,
-                            lift_eps_regularized, lift_rotation_search,
-                            lift_with_boundary, solve_laplace)
+from bvlift.lifting import (BoundaryMismatchError, _candidate_liftings,
+                            boundary_cells, lift_1d, lift_eps_regularized,
+                            lift_rotation_search, lift_with_boundary,
+                            solve_laplace)
 from bvlift.verify import make_half_vortex, make_half_vortex_lifting
 
 GEO_S = metric_distance("geodesic", "unit")
@@ -161,6 +164,39 @@ class TestRotationSearch:
             e_n = avg_directional_energy(res.field, directions=dirs, seed=7,
                                          metric="geodesic").total
             assert e_n <= 2.0 * e_u * 1.05 + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_ranking_equals_embedded_tv_of_each_candidate(self, data):
+        # the ranking reads a candidate's face chords from u's through the
+        # sign products; a reference loop builds every candidate lifting
+        N = data.draw(st.sampled_from((1, 2, 3)))
+        dims = tuple(data.draw(st.integers(2, 6)) for _ in range(N))
+        d = data.draw(st.sampled_from((2, 3)))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        rng = np.random.default_rng(seed)
+        vals = random_unit_vectors(d, math.prod(dims), rng)
+        mask = rng.random(dims) < 0.7 if data.draw(st.booleans()) else None
+        u = GridField(dims, 1.0 / dims[0], (0.0,) * N, "proj",
+                      vals.reshape(dims + (d,)), mask)
+        metric = data.draw(st.sampled_from(
+            ("geodesic", "euclidean_sphere", "euclidean_tensor")))
+        rank = "geodesic" if metric == "geodesic" else "euclidean_sphere"
+        rots = haar_rotations(d, 6, seed)
+        want = []
+        for R in rots:
+            s = lift_sign(R, u.values)
+            n = u.with_values(u.values * s[..., None], kind="unit")
+            want.append(embedded_tv(n, rank).to_dict())
+        got = [rep.to_dict() for _, rep in _candidate_liftings(u, rots, rank)]
+        assert got == want
+        best = int(np.argmin([w["total"] for w in want]))  # first minimum
+        res = lift_rotation_search(u, trials=6, seed=seed, metric=metric)
+        assert np.array_equal(res.rotation, rots[best])
+        assert res.energy.to_dict() == want[best]
+        assert np.array_equal(
+            res.field.values, u.values * lift_sign(rots[best], u.values)[
+                ..., None])
 
     def test_antipodal_traces_at_lifting_jumps(self):
         # where the projected field is smooth, a lifting jumps between

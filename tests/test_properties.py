@@ -11,8 +11,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bvlift.fields import (METRICS, GridField, _face_data, _pair_sums,
-                           avg_directional_energy, embedded_tv,
+from bvlift.fields import (METRICS, GridField, _face_data, _half_offsets,
+                           _pair_sums, avg_directional_energy, embedded_tv,
                            metric_distance, mollified_energy, read_field,
                            write_field)
 from bvlift.geometry import (canonicalize, dist_proj, dist_sphere,
@@ -104,7 +104,8 @@ def test_lifting_distances_never_below_its_projection(data):
         assert np.all(metric_distance(metric, "unit")(a, b)
                       >= metric_distance(metric, "proj")(ca, cb)), metric
         assert np.all(_face_data(n, metric)[1] >= _face_data(u, metric)[1])
-        sn, su = _pair_sums(n, metric, rmax), _pair_sums(u, metric, rmax)
+        (sn,), (su,) = (_pair_sums(f, [(metric, None)], rmax)
+                        for f in (n, u))
         assert all(sn[k] >= su[k] for k in sn), metric
         assert (mollified_energy(n, eps, metric).total
                 >= mollified_energy(u, eps, metric).total), metric
@@ -142,3 +143,59 @@ def test_constant_field_has_exactly_zero_energy(v, kind, grid, N):
             == 0.0
         if kind == "unit" or metric != "euclidean_sphere":
             assert embedded_tv(f, metric).total == 0.0
+
+
+def _requests(data, u):
+    """Random (metric, signs) requests of _pair_sums on the field u."""
+    metrics = METRICS if u.kind != "vector" else ("euclidean_sphere",)
+    out = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        signs = None
+        if data.draw(st.booleans()):
+            signs = np.where(data.draw(hnp.arrays(bool, u.dims)), -1.0, 1.0)
+        out.append((data.draw(st.sampled_from(metrics)), signs))
+    return out
+
+
+def _reference_pair_sums(f, metric, rmax):
+    """Per-offset sums of the pair distances, one offset slice at a time."""
+    dist = metric_distance(metric, f.kind)
+    inside = f.inside()
+    sums = {}
+    for off in _half_offsets(f.N, rmax):
+        src = tuple(slice(max(0, -o), min(n, n - o))
+                    for o, n in zip(off, f.dims))
+        dst = tuple(slice(max(0, o), min(n, n + o))
+                    for o, n in zip(off, f.dims))
+        ok = inside[src] & inside[dst]
+        sums[off] = float((dist(f.values[src], f.values[dst]) * ok).sum())
+    return sums
+
+
+@SETTINGS
+@given(st.data())
+def test_signed_pair_sums_equal_the_explicit_lifting(data):
+    u = data.draw(grid_fields("proj", N_choices=(1, 2, 3), dims_max=4))
+    rmax = data.draw(st.integers(1, 3))
+    signs = np.where(data.draw(hnp.arrays(bool, u.dims)), -1.0, 1.0)
+    n = u.with_values(u.values * signs[..., None], "unit")
+    for metric in METRICS:
+        (got,) = _pair_sums(u, [(metric, signs)], rmax)
+        (want,) = _pair_sums(n, [(metric, None)], rmax)
+        assert got == want == _reference_pair_sums(n, metric, rmax), metric
+
+
+@SETTINGS
+@given(st.data())
+def test_multi_request_pair_sums_equal_single_requests(data):
+    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    u = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=4))
+    rmax = data.draw(st.integers(1, 3))
+    requests = _requests(data, u)
+    together = _pair_sums(u, requests, rmax)
+    assert len(together) == len(requests)
+    for (metric, signs), got in zip(requests, together):
+        (want,) = _pair_sums(u, [(metric, signs)], rmax)
+        assert got == want
+        if signs is None:
+            assert got == _reference_pair_sums(u, metric, rmax)
