@@ -234,6 +234,11 @@ def cmd_verify(args):
                     threads=cfg["threads"])
     out = args.report or os.path.join(cfg["output_dir"], "report.json")
     _check_output(out)
+    if args.csv_dir is not None:
+        os.makedirs(args.csv_dir, exist_ok=True)
+        if not os.access(args.csv_dir, os.W_OK):
+            raise PermissionError(
+                f"CSV directory is not writable: {args.csv_dir}")
     if args.suite == "all":
         reports = verify.run_all_suites(**settings)
     else:

@@ -16,8 +16,11 @@ the same continuum quantity; the third estimates the plain embedded
 seminorm, whose absolutely continuous part they share.
 """
 
+import itertools
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -43,6 +46,7 @@ __all__ = [
 
 METRICS = ("geodesic", "euclidean_sphere", "euclidean_tensor")
 _PAIRS_PER_BLOCK = 1 << 16  # line-bundle pairs evaluated at once
+_OFFSETS_PER_TASK = 32  # pair-kernel offsets per thread-pool task
 
 
 @dataclass
@@ -233,26 +237,36 @@ def read_field(path):
 # mollified double-integral energy
 
 def _half_offsets(N, rmax):
-    """Lattice offsets with 0 < |k| <= rmax, one per {k, -k} pair."""
-    rng = range(-rmax, rmax + 1)
-    out = []
-    for k in np.ndindex(*(len(rng),) * N):
-        off = tuple(rng[i] for i in k)
-        if all(o == 0 for o in off):
-            continue
-        if sum(o * o for o in off) > rmax * rmax:
-            continue
-        # keep the representative whose first nonzero component is positive
-        for o in off:
-            if o > 0:
-                out.append(off)
-                break
-            if o < 0:
-                break
-    return out
+    """Lattice offsets with 0 < |k| <= rmax, one per {k, -k} pair: the one
+    whose first nonzero component is positive, in lexicographic order."""
+    k = np.indices((2 * rmax + 1,) * N).reshape(N, -1).T - rmax
+    lead = k[np.arange(len(k)), (k != 0).argmax(axis=1)]
+    keep = (lead > 0) & ((k * k).sum(axis=1) <= rmax * rmax)
+    return [tuple(off) for off in k[keep].tolist()]
 
 
-def _pair_sums(f, requests, rmax):
+def _thread_count(threads):
+    """Worker threads: ``threads`` if given, else ``BVLIFT_THREADS``, else
+    the CPUs this process may run on.  Raises ValueError for a
+    ``BVLIFT_THREADS`` that is not an integer >= 1."""
+    if threads is not None:
+        return threads
+    env = os.environ.get("BVLIFT_THREADS")
+    if env is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(
+            f"BVLIFT_THREADS must be an integer >= 1, got {env!r}")
+    return n
+
+
+def _pair_sums(f, requests, rmax, threads=None):
     """Sums of pair distances for every half-lattice offset up to rmax cells.
 
     Returns one ``{offset: sum}`` dict per request ``(metric, signs)``:
@@ -265,6 +279,11 @@ def _pair_sums(f, requests, rmax):
     Every pair of the overlapping slices is evaluated and the pairs leaving
     the mask are multiplied by 0, which is faster than gathering the in-mask
     pairs; field values are finite, so those pairs add exactly 0.
+
+    The offsets run on ``_thread_count(threads)`` threads.  Each offset's
+    sum is computed by one thread alone, and the dicts are filled in the
+    order of :func:`_half_offsets`, so every sum and the key order are the
+    same bit for bit whatever the thread count.
     """
     rules = []
     for metric, signs in requests:
@@ -277,23 +296,42 @@ def _pair_sums(f, requests, rmax):
     inside = f.inside()
     planes = [np.ascontiguousarray(f.values[..., k]) for k in range(f.d)]
     dims = f.dims
-    sums = [{} for _ in requests]
-    for off in _half_offsets(f.N, rmax):
-        src = tuple(slice(max(0, -o), min(n, n - o))
+
+    def offset_sums(off):
+        # empty slices, and sums of exactly 0, for offsets past the grid
+        src = tuple(slice(max(0, -o), max(0, n - o))
                     for o, n in zip(off, dims))
-        dst = tuple(slice(max(0, o), min(n, n + o))
+        dst = tuple(slice(max(0, o), max(0, n + o))
                     for o, n in zip(off, dims))
         ok = inside[src] & inside[dst]
         minus2, plus2 = _squared_chords(
             [p[src] for p in planes], [p[dst] for p in planes], plus)
-        for (metric, proj, pos), out in zip(rules, sums):
+        vals = []
+        for metric, proj, pos in rules:
             if proj:
                 q2 = np.minimum(minus2, plus2)
             elif pos is None:
                 q2 = minus2
             else:
                 q2 = np.where(pos[src] == pos[dst], minus2, plus2)
-            out[off] = float((chord_distance(np.sqrt(q2), metric) * ok).sum())
+            vals.append(
+                float((chord_distance(np.sqrt(q2), metric) * ok).sum()))
+        return vals
+
+    offsets = _half_offsets(f.N, rmax)
+    # runs of consecutive offsets per task keep the futures few (68 532
+    # offsets in 3D at rmax = 32)
+    runs = [offsets[i:i + _OFFSETS_PER_TASK]
+            for i in range(0, len(offsets), _OFFSETS_PER_TASK)]
+    sums = [{} for _ in requests]
+    # the pool is used even with one worker: on the main thread, each
+    # offset's freed temporaries trim the main heap and the next offset
+    # faults its pages back in
+    with ThreadPoolExecutor(max_workers=_thread_count(threads)) as ex:
+        done = ex.map(lambda run: [offset_sums(off) for off in run], runs)
+        for off, row in zip(offsets, itertools.chain.from_iterable(done)):
+            for out, v in zip(sums, row):
+                out[off] = v
     return sums
 
 
@@ -347,9 +385,10 @@ def mollified_energy_extrapolated(f, metric="geodesic", multipliers=(8, 16, 32))
     return _extrapolated_energies(f, [(metric, None)], multipliers)[0]
 
 
-def _extrapolated_energies(f, requests, multipliers=(8, 16, 32)):
+def _extrapolated_energies(f, requests, multipliers=(8, 16, 32),
+                           threads=None):
     """:func:`mollified_energy_extrapolated` of each ``(metric, signs)``
-    request of :func:`_pair_sums`, all from one pair pass."""
+    request of :func:`_pair_sums`, all from one pair pass on ``threads``."""
     h = f.spacing
     if not np.all(np.isfinite(multipliers)):
         raise ValueError("mollifier multipliers must be finite, got "
@@ -368,7 +407,7 @@ def _extrapolated_energies(f, requests, multipliers=(8, 16, 32)):
     A = np.vstack([np.ones_like(eps), eps]).T
     reports = []
     for (metric, _), sums in zip(requests, _pair_sums(
-            f, requests, int(multipliers[-1]))):
+            f, requests, int(multipliers[-1]), threads)):
         es = np.array([_energy_from_pair_sums(sums, e, h, f.N) for e in eps])
         coef, *_ = np.linalg.lstsq(A, es, rcond=None)
         reports.append(EnergyReport(

@@ -21,8 +21,7 @@ from .constants import (_pair_at_angle, avg_eucl_jump, avg_eucl_jump_closed,
                         avg_lifted_dist, avg_lifted_dist_closed, k_const,
                         psi_closed, psi_estimate)
 from .fields import (GridField, _extrapolated_energies, _face_data,
-                     avg_directional_energy, embedded_tv,
-                     mollified_energy_extrapolated)
+                     _thread_count, avg_directional_energy, embedded_tv)
 from .geometry import lift_sign
 from .lifting import lift_rotation_search
 
@@ -175,16 +174,20 @@ def _angle_field(grid, box, angle_fn, kind="proj", d=2):
 # ---------------------------------------------------------------------------
 # half-vortex optimality suite
 
-def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
+def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None,
+                          threads=None):
     """Optimality ratios of the half-vortex: geodesic factor 2, Euclidean 1 + 2/pi.
 
     The energy of the line field and of the best rotation lifting are
     measured with the mollified estimator (extrapolated in eps), whose jump
     accounting is isotropic, so the measured ratios do not depend on where
     the lifting seam falls.  The plain tensor seminorm is measured with the
-    finite-difference estimator.
+    finite-difference estimator.  The pair pass runs on ``threads``
+    (default :func:`bvlift.fields._thread_count`); the results do not
+    depend on it.
     """
-    _check_settings(grid=grid, trials=trials)
+    _check_settings(grid=grid, trials=trials, threads=threads)
+    threads = _thread_count(threads)
     reports = []
     rows = []
     u = make_half_vortex(grid)
@@ -199,7 +202,8 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
     e_u_geo, e_u_tens_m, e_n_geo, e_n_euc = _extrapolated_energies(u, [
         ("geodesic", None), ("euclidean_tensor", None),
         ("geodesic", lift_sign(lift_geo.rotation, u.values)),
-        ("euclidean_sphere", lift_sign(lift_euc.rotation, u.values))])
+        ("euclidean_sphere", lift_sign(lift_euc.rotation, u.values))],
+        threads=threads)
     reports.append(_check(
         "halfvortex_geodesic_energy", 2.0, e_u_geo.total, 0.05, "rel",
         "intrinsic energy of the half vortex = K_2 pi = 2", t0,
@@ -248,9 +252,8 @@ def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
     theta grid and d in {2, 3, 4}; the averaged Euclidean jump must also stay
     below (1 + 2/pi) sin(theta).
     """
-    if threads is None:
-        threads = int(os.environ.get("BVLIFT_THREADS", os.cpu_count() or 1))
     _check_settings(samples=samples, threads=threads)
+    threads = _thread_count(threads)
     combos = [(theta, d) for d in DIMS_GRID for theta in THETA_GRID]
     ss = np.random.SeedSequence(seed)
     seeds = ss.spawn(3 * len(combos) + 1)
@@ -358,13 +361,16 @@ def _repr_fields():
     return fields
 
 
-def run_repr_formula_suite(seed=0, csv_dir=None):
-    """Mollified, direction-averaged and analytic energies agree within 5%."""
+def run_repr_formula_suite(seed=0, csv_dir=None, threads=None):
+    """Mollified, direction-averaged and analytic energies agree within 5%;
+    the mollified pair passes run on ``threads``."""
+    _check_settings(threads=threads)
     reports = []
     rows = []
     for name, f, analytic in _repr_fields():
         t0 = time.perf_counter()
-        moll = mollified_energy_extrapolated(f, "geodesic")
+        (moll,) = _extrapolated_energies(f, [("geodesic", None)],
+                                         threads=threads)
         direc = avg_directional_energy(f, directions=96, seed=seed,
                                        metric="geodesic")
         rows.append([name, analytic, moll.total, direc.total])
@@ -484,11 +490,12 @@ def run_diffuse_invariance_suite(seed=0, csv_dir=None, grids=(128, 256),
 # name -> runner; each runner takes the keyword arguments of run_all_suites
 # and uses its own
 SUITES = {
-    "halfvortex": lambda grid, trials, seed, csv_dir, **_:
-        run_half_vortex_suite(grid, trials, seed, csv_dir),
+    "halfvortex": lambda grid, trials, seed, csv_dir, threads, **_:
+        run_half_vortex_suite(grid, trials, seed, csv_dir, threads),
     "identities": lambda samples, seed, csv_dir, threads, **_:
         run_identity_suite(samples, seed, csv_dir, threads),
-    "repr": lambda seed, csv_dir, **_: run_repr_formula_suite(seed, csv_dir),
+    "repr": lambda seed, csv_dir, threads, **_:
+        run_repr_formula_suite(seed, csv_dir, threads),
     "diffuse": lambda seed, csv_dir, **_:
         run_diffuse_invariance_suite(seed, csv_dir),
 }
@@ -511,6 +518,7 @@ def run_all_suites(grid=256, trials=64, samples=1_000_000, seed=0,
                    csv_dir=None, threads=None):
     """All suites of :data:`SUITES` in declaration order."""
     _check_settings(grid=grid, trials=trials, samples=samples, threads=threads)
+    threads = _thread_count(threads)
     settings = dict(grid=grid, trials=trials, samples=samples, seed=seed,
                     csv_dir=csv_dir, threads=threads)
     return [r for run in SUITES.values() for r in run(**settings)]

@@ -136,6 +136,13 @@ class TestEnergy:
                    f"--jump-threshold={threshold}") == 2
         assert_one_error_line(capfd)
 
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_bad_thread_variable_exit_2(self, hv_path, capfd, monkeypatch,
+                                        value):
+        monkeypatch.setenv("BVLIFT_THREADS", value)
+        assert run("energy", hv_path, "--estimator", "mollified") == 2
+        assert_one_error_line(capfd, "BVLIFT_THREADS")
+
     @pytest.mark.parametrize("flags", [
         ["--eps-over-h", "inf,8"], ["--eps-over-h", "nan,8,16"],
         ["--eps-over-h", "8"], ["--eps-over-h", "8,8"],
@@ -290,6 +297,27 @@ class TestVerifyCommand:
         out = tmp_path / "nope" / "r.json"
         assert run("verify", "--suite", "diffuse", "--report", out) == 2
         assert_one_error_line(capfd, out)
+
+    def test_csv_dir_under_a_file_exit_2(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.setattr(verify, "run_diffuse_invariance_suite",
+                            must_not_run)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        csvdir = afile / "traces"
+        assert run("verify", "--suite", "diffuse", "--report",
+                   tmp_path / "r.json", "--csv-dir", csvdir) == 2
+        assert_one_error_line(capfd, csvdir)
+
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_bad_thread_variable_exit_2(self, tmp_path, capfd, monkeypatch,
+                                        value):
+        monkeypatch.setattr(verify, "avg_lifted_dist", must_not_run)
+        monkeypatch.setenv("BVLIFT_THREADS", value)
+        out = tmp_path / "r.json"
+        assert run("verify", "--suite", "identities", "--samples", "100000",
+                   "--report", out) == 2
+        assert_one_error_line(capfd, "BVLIFT_THREADS")
+        assert not out.exists()
 
     def test_unknown_suite_exit_2(self, tmp_path):
         assert run("verify", "--suite", "bogus",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bvlift.constants import k_const
-from bvlift.fields import (GridField, UnderResolvedError,
+from bvlift.fields import (GridField, UnderResolvedError, _pair_sums,
                            avg_directional_energy, default_jump_threshold,
                            detect_jumps, directional_tv, embedded_tv,
                            metric_distance, mollified_energy,
@@ -131,6 +131,17 @@ class TestMollified:
                       np.zeros(f.dims, bool))
         with pytest.raises(ValueError, match="mask"):
             mollified_energy(g, 2 * f.spacing, "geodesic")
+
+    def test_radius_past_the_grid(self):
+        # offsets reaching past the grid have no pairs: their sums are
+        # exactly 0 and the others are those of a radius inside the grid
+        f = angle_field(12, lambda X, Y: 1.2 * X + 0.4 * Y)
+        (inner,) = _pair_sums(f, [("geodesic", None)], 11)
+        (sums,) = _pair_sums(f, [("geodesic", None)], 32)
+        assert {off: s for off, s in sums.items() if off in inner} == inner
+        assert all(s == 0.0 for off, s in sums.items()
+                   if max(map(abs, off)) >= 12)
+        assert np.isfinite(mollified_energy_extrapolated(f, "geodesic").total)
 
     def test_one_dimensional_jump(self):
         # exact 1D TV oracle: a single projective jump of angle pi/2 has

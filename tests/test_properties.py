@@ -157,6 +157,34 @@ def _requests(data, u):
     return out
 
 
+def _loop_half_offsets(N, rmax):
+    """The lexicographic np.ndindex loop that _half_offsets vectorizes."""
+    rng = range(-rmax, rmax + 1)
+    out = []
+    for k in np.ndindex(*(len(rng),) * N):
+        off = tuple(rng[i] for i in k)
+        if all(o == 0 for o in off):
+            continue
+        if sum(o * o for o in off) > rmax * rmax:
+            continue
+        # keep the representative whose first nonzero component is positive
+        for o in off:
+            if o > 0:
+                out.append(off)
+                break
+            if o < 0:
+                break
+    return out
+
+
+def test_half_offsets_equal_the_reference_loop():
+    for N in (1, 2, 3):
+        for rmax in (0, 1, 2, 3, 5, 8, 13):
+            got = _half_offsets(N, rmax)
+            assert got == _loop_half_offsets(N, rmax), (N, rmax)
+            assert all(type(o) is int for off in got for o in off)
+
+
 def _reference_pair_sums(f, metric, rmax):
     """Per-offset sums of the pair distances, one offset slice at a time."""
     dist = metric_distance(metric, f.kind)
@@ -199,3 +227,17 @@ def test_multi_request_pair_sums_equal_single_requests(data):
         assert got == want
         if signs is None:
             assert got == _reference_pair_sums(u, metric, rmax)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_pair_sums_do_not_depend_on_the_thread_count(data):
+    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    u = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=8))
+    rmax = data.draw(st.integers(1, 6))
+    requests = _requests(data, u)
+    # values and key order alike
+    one, two, three = ([list(sums.items()) for sums in
+                        _pair_sums(u, requests, rmax, threads)]
+                       for threads in (1, 2, 3))
+    assert one == two == three

@@ -136,6 +136,12 @@ class TestGridRefinement:
 
 
 class TestSuites:
+    def test_half_vortex_suite_does_not_depend_on_the_thread_count(self):
+        from bvlift.verify import run_half_vortex_suite
+        one, three = (run_half_vortex_suite(grid=128, trials=4, threads=t)
+                      for t in (1, 3))
+        assert [r.to_dict() for r in one] == [r.to_dict() for r in three]
+
     def test_repr_suite_passes_and_is_deterministic(self):
         a = run_repr_formula_suite(seed=3)
         b = run_repr_formula_suite(seed=3)
