@@ -54,14 +54,15 @@ def _is_a(val, want):
 
 def _check_config_value(key, val):
     """Raise ValueError unless ``val`` has the type of the key's default (a
-    list of numbers for a list); None passes where the default is None."""
+    non-empty list of numbers for a list), or is None where that is None."""
     default = DEFAULT_CONFIG[key]
     if val is None and default is None:
         return
     want = _NULLABLE_TYPES.get(key, type(default))
-    if not (_is_a(val, want) and (want is not list
-                                  or all(_is_a(x, float) for x in val))):
-        raise ValueError(f"config value {key!r} must be a {want.__name__}"
+    if not (_is_a(val, want) and (want is not list or (
+            len(val) > 0 and all(_is_a(x, float) for x in val)))):
+        what = "non-empty list of numbers" if want is list else want.__name__
+        raise ValueError(f"config value {key!r} must be a {what}"
                          f"{' or null' if default is None else ''}, "
                          f"got {val!r}")
 
@@ -210,17 +211,11 @@ def cmd_constants(args):
         put(f"C_j_{args.cj}", consts.cj_estimate(args.cj))
     if args.c1d:
         put("C_1d_tensor", consts.c1d_const())
-    if args.psi is not None:
-        put(f"psi_{args.psi:.6f}",
-            consts.psi_estimate(args.psi, args.d, args.samples, cfg["seed"]))
-    if args.avg_dist is not None:
-        n, m = consts._pair_at_angle(args.d, args.avg_dist)
-        put(f"avg_lifted_dist_{args.avg_dist:.6f}",
-            consts.avg_lifted_dist(n, m, args.samples, cfg["seed"]))
-    if args.avg_jump is not None:
-        put(f"avg_eucl_jump_{args.avg_jump:.6f}",
-            consts.avg_eucl_jump(args.avg_jump, args.samples, cfg["seed"],
-                                 args.d))
+    for flag, name in zip(("avg_dist", "psi", "avg_jump"), consts.AVERAGES):
+        theta = getattr(args, flag)
+        if theta is not None:
+            put(f"{name}_{theta:.6f}", consts.AVERAGES[name][0](
+                theta, args.d, args.samples, cfg["seed"]))
     if not table:
         raise ValueError("no constants requested")
     sys.stdout.write(_json_dumps(table))

@@ -27,6 +27,7 @@ __all__ = [
     "psi_closed",
     "avg_eucl_jump",
     "avg_eucl_jump_closed",
+    "AVERAGES",
     "m_const",
     "ca_const",
     "cj_estimate",
@@ -198,6 +199,26 @@ def avg_eucl_jump_closed(theta):
     """Closed form: (2/pi)((pi - theta) sin(theta/2) + theta cos(theta/2))."""
     return 2.0 / np.pi * ((np.pi - theta) * np.sin(theta / 2.0)
                           + theta * np.cos(theta / 2.0))
+
+
+# name -> (estimate(theta, d, samples, seed), closed_form(theta), identity);
+# an estimate looks its estimator up by name when called, so a rebound one runs
+AVERAGES = {
+    "avg_lifted_dist": (
+        lambda theta, d, samples, seed:
+            avg_lifted_dist(*_pair_at_angle(d, theta), samples, seed),
+        avg_lifted_dist_closed,
+        "mean over rotations of dist(F(Rn), F(Rm)) = (2/pi) theta (pi - theta)"),
+    "psi": (
+        lambda theta, d, samples, seed: psi_estimate(theta, d, samples, seed),
+        psi_closed,
+        "measure of opposite-hemisphere rotations = theta / (2 pi)"),
+    "avg_eucl_jump": (
+        lambda theta, d, samples, seed: avg_eucl_jump(theta, samples, seed, d),
+        avg_eucl_jump_closed,
+        "mean |F(Rn) - F(Rm)| = (2/pi)((pi-theta) sin(theta/2) "
+        "+ theta cos(theta/2))"),
+}
 
 
 def m_const(d):

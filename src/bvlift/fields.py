@@ -368,7 +368,7 @@ def mollified_energy(f, eps, metric="geodesic"):
             f"mollifier eps {eps} under-resolved by grid spacing {h}")
     if not f.inside().any():
         raise ValueError("empty mask")
-    rmax = int(eps / h + 1e-9)  # guard an exact-multiple eps/h ratio
+    rmax = math.ceil(eps / h - 1e-9)  # all |k| <= eps/h; m h / h may round up
     sums = _pair_sums(f, [(metric, None)], rmax)[0]
     total = _energy_from_pair_sums(sums, eps, h, f.N)
     return EnergyReport(total, metric, "mollified",
@@ -407,7 +407,7 @@ def _extrapolated_energies(f, requests, multipliers=(8, 16, 32),
     A = np.vstack([np.ones_like(eps), eps]).T
     reports = []
     for (metric, _), sums in zip(requests, _pair_sums(
-            f, requests, int(multipliers[-1]), threads)):
+            f, requests, math.ceil(multipliers[-1] - 1e-9), threads)):
         es = np.array([_energy_from_pair_sums(sums, e, h, f.N) for e in eps])
         coef, *_ = np.linalg.lstsq(A, es, rcond=None)
         reports.append(EnergyReport(

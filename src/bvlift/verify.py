@@ -17,9 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .constants import (_pair_at_angle, avg_eucl_jump, avg_eucl_jump_closed,
-                        avg_lifted_dist, avg_lifted_dist_closed, k_const,
-                        psi_closed, psi_estimate)
+from .constants import AVERAGES, k_const, psi_estimate
 from .fields import (GridField, _extrapolated_energies, _face_data,
                      _thread_count, avg_directional_energy, embedded_tv)
 from .geometry import lift_sign
@@ -246,7 +244,8 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None,
 # averaging identities suite
 
 def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
-    """Monte Carlo vs closed forms for the three rotation-averaged quantities.
+    """Monte Carlo vs closed forms for the rotation averages of
+    :data:`bvlift.constants.AVERAGES`.
 
     Each estimate must fall within 4 standard errors of its closed form on a
     theta grid and d in {2, 3, 4}; the averaged Euclidean jump must also stay
@@ -254,56 +253,31 @@ def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
     """
     _check_settings(samples=samples, threads=threads)
     threads = _thread_count(threads)
-    combos = [(theta, d) for d in DIMS_GRID for theta in THETA_GRID]
-    ss = np.random.SeedSequence(seed)
-    seeds = ss.spawn(3 * len(combos) + 1)
+    # job j = 12 f + i is family f of AVERAGES at combo i and draws seeds[j]
+    jobs = [(name, theta, d) for name in AVERAGES
+            for d in DIMS_GRID for theta in THETA_GRID]
+    seeds = np.random.SeedSequence(seed).spawn(len(jobs) + 1)
 
-    def job_dist(i):
-        theta, d = combos[i]
+    def job(j):
         t0 = time.perf_counter()
-        n, m = _pair_at_angle(d, theta)
-        res = avg_lifted_dist(n, m, samples, seeds[i])
-        return _check(
-            f"avg_lifted_dist_theta={theta:.4f}_d={d}",
-            avg_lifted_dist_closed(theta), res.value,
-            max(4.0 * res.error_estimate, 1e-12), "abs",
-            "mean over rotations of dist(F(Rn), F(Rm)) = (2/pi) theta (pi - theta)",
-            t0, stderr=res.error_estimate, theta=theta, d=d)
-
-    def job_psi(i):
-        theta, d = combos[i]
-        t0 = time.perf_counter()
-        res = psi_estimate(theta, d, samples, seeds[len(combos) + i])
-        return _check(
-            f"psi_theta={theta:.4f}_d={d}", psi_closed(theta), res.value,
-            max(4.0 * res.error_estimate, 1e-12), "abs",
-            "measure of opposite-hemisphere rotations = theta / (2 pi)",
-            t0, stderr=res.error_estimate, theta=theta, d=d)
-
-    def job_jump(i):
-        theta, d = combos[i]
-        t0 = time.perf_counter()
-        res = avg_eucl_jump(theta, samples, seeds[2 * len(combos) + i], d)
+        name, theta, d = jobs[j]
+        estimate, closed, identity = AVERAGES[name]
+        res = estimate(theta, d, samples, seeds[j])
         checks = [_check(
-            f"avg_eucl_jump_theta={theta:.4f}_d={d}",
-            avg_eucl_jump_closed(theta), res.value,
-            max(4.0 * res.error_estimate, 1e-12), "abs",
-            "mean |F(Rn) - F(Rm)| = (2/pi)((pi-theta) sin(theta/2) + theta cos(theta/2))",
-            t0, stderr=res.error_estimate, theta=theta, d=d)]
-        checks.append(_check(
-            f"avg_eucl_jump_bound_theta={theta:.4f}_d={d}",
-            (1.0 + 2.0 / np.pi) * np.sin(theta), res.value,
-            4.0 * res.error_estimate, "le",
-            "mean |F(Rn) - F(Rm)| <= (1 + 2/pi) sin(theta)", t0,
-            stderr=res.error_estimate, theta=theta, d=d))
+            f"{name}_theta={theta:.4f}_d={d}", closed(theta), res.value,
+            max(4.0 * res.error_estimate, 1e-12), "abs", identity, t0,
+            stderr=res.error_estimate, theta=theta, d=d)]
+        if name == "avg_eucl_jump":
+            checks.append(_check(
+                f"avg_eucl_jump_bound_theta={theta:.4f}_d={d}",
+                (1.0 + 2.0 / np.pi) * np.sin(theta), res.value,
+                4.0 * res.error_estimate, "le",
+                "mean |F(Rn) - F(Rm)| <= (1 + 2/pi) sin(theta)", t0,
+                stderr=res.error_estimate, theta=theta, d=d))
         return checks
 
-    n_jobs = len(combos)
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        dist_checks = list(ex.map(job_dist, range(n_jobs)))
-        psi_checks = list(ex.map(job_psi, range(n_jobs)))
-        jump_checks = [c for pair in ex.map(job_jump, range(n_jobs))
-                       for c in pair]
+        checks = [c for group in ex.map(job, range(len(jobs))) for c in group]
 
     # the pinned quarter value at a right angle
     t0 = time.perf_counter()
@@ -312,15 +286,11 @@ def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
                      "hemisphere-split measure at pi/2 equals 1/4", t0,
                      stderr=res.error_estimate)
 
-    reports = dist_checks + psi_checks + jump_checks + [quarter]
-    rows = []
-    for c in dist_checks + psi_checks + jump_checks:
-        if "theta" in c.extra:
-            rows.append([c.name, c.extra["theta"], c.extra["d"], c.measured,
-                         c.claimed, c.extra["stderr"]])
+    rows = [[c.name, c.extra["theta"], c.extra["d"], c.measured, c.claimed,
+             c.extra["stderr"]] for c in checks]
     _write_csv(csv_dir, "identities.csv",
                ["check", "theta", "d", "measured", "claimed", "stderr"], rows)
-    return reports
+    return checks + [quarter]
 
 
 # ---------------------------------------------------------------------------

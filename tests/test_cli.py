@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bvlift import cli, lifting, verify
+from bvlift import cli, constants, lifting, verify
 from bvlift.cli import main
 from bvlift.constants import avg_eucl_jump_closed, avg_lifted_dist_closed
 from bvlift.fields import GridField, read_field, write_field
@@ -311,7 +311,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("value", ["0", "abc"])
     def test_bad_thread_variable_exit_2(self, tmp_path, capfd, monkeypatch,
                                         value):
-        monkeypatch.setattr(verify, "avg_lifted_dist", must_not_run)
+        monkeypatch.setattr(constants, "avg_lifted_dist", must_not_run)
         monkeypatch.setenv("BVLIFT_THREADS", value)
         out = tmp_path / "r.json"
         assert run("verify", "--suite", "identities", "--samples", "100000",
@@ -343,7 +343,7 @@ class TestConfig:
         {"trials": "x"}, {"trials": 1.5}, {"trials": True}, {"seed": None},
         {"threads": 2.0}, {"jump_threshold": "1"}, {"metric": 3},
         {"mollifier_eps_over_h": 8}, {"mollifier_eps_over_h": [8, "16"]},
-        [1, 2]])
+        [1, 2], {"mollifier_eps_over_h": []}])
     def test_config_value_of_wrong_type_exit_2(self, hv_path, tmp_path,
                                                capfd, user):
         cfg = tmp_path / "cfg.json"

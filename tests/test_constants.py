@@ -170,6 +170,30 @@ class TestAvgEuclJump:
             assert res.value <= bound + 4 * res.error_estimate
 
 
+class TestAverages:
+    ESTIMATORS = {"avg_lifted_dist": "avg_lifted_dist", "psi": "psi_estimate",
+                  "avg_eucl_jump": "avg_eucl_jump"}
+
+    def test_entries_are_the_estimators_and_closed_forms(self):
+        direct = {
+            "avg_lifted_dist": (avg_lifted_dist(*pair_at_angle(4, 0.7), 5000,
+                                                3), avg_lifted_dist_closed),
+            "psi": (psi_estimate(0.7, 4, 5000, 3), psi_closed),
+            "avg_eucl_jump": (avg_eucl_jump(0.7, 5000, 3, 4),
+                              avg_eucl_jump_closed)}
+        assert list(constants.AVERAGES) == list(direct)
+        for name, (estimate, closed, _) in constants.AVERAGES.items():
+            assert (estimate(0.7, 4, 5000, 3), closed) == direct[name]
+
+    def test_entries_look_the_estimator_up_when_called(self, monkeypatch):
+        # a rebound estimator (a tracing wrapper, say) is the one that runs
+        for estimator in self.ESTIMATORS.values():
+            monkeypatch.setattr(constants, estimator,
+                                lambda *args, e=estimator: e)
+        for name, (estimate, _, _) in constants.AVERAGES.items():
+            assert estimate(0.7, 4, 10, 3) == self.ESTIMATORS[name]
+
+
 class TestSphereSampler:
     """The estimators sample r = R^T e_d on the sphere, not rotations R."""
 

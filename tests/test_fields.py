@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bvlift.constants import k_const
-from bvlift.fields import (GridField, UnderResolvedError, _pair_sums,
+from bvlift.fields import (GridField, UnderResolvedError,
+                           _energy_from_pair_sums, _pair_sums,
                            avg_directional_energy, default_jump_threshold,
                            detect_jumps, directional_tv, embedded_tv,
                            metric_distance, mollified_energy,
@@ -142,6 +143,26 @@ class TestMollified:
         assert all(s == 0.0 for off, s in sums.items()
                    if max(map(abs, off)) >= 12)
         assert np.isfinite(mollified_energy_extrapolated(f, "geodesic").total)
+
+    @pytest.mark.parametrize("ratio", [8.5, 8.9])
+    def test_non_integer_radius_sums_the_whole_ball(self, ratio):
+        # the offsets with 8 < |k| <= eps/h count too
+        f = angle_field(128, lambda X, Y: 1.2 * X)
+        h = f.spacing
+        (sums,) = _pair_sums(f, [("geodesic", None)], 9)
+        got = mollified_energy(f, ratio * h, "geodesic").total
+        assert got == _energy_from_pair_sums(sums, ratio * h, h, 2)
+        assert got != mollified_energy(f, 8 * h, "geodesic").total
+
+    def test_non_integer_largest_multiplier(self):
+        f = angle_field(128, lambda X, Y: 1.2 * X)
+        h = f.spacing
+        (sums,) = _pair_sums(f, [("geodesic", None)], 9)
+        rep = mollified_energy_extrapolated(f, "geodesic", (4, 8.5))
+        assert rep.params["energies"] == [
+            _energy_from_pair_sums(sums, m * h, h, 2) for m in (4, 8.5)]
+        assert rep.params["energies"][1] != mollified_energy(
+            f, 8 * h, "geodesic").total
 
     def test_one_dimensional_jump(self):
         # exact 1D TV oracle: a single projective jump of angle pi/2 has

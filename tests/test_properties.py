@@ -191,9 +191,9 @@ def _reference_pair_sums(f, metric, rmax):
     inside = f.inside()
     sums = {}
     for off in _half_offsets(f.N, rmax):
-        src = tuple(slice(max(0, -o), min(n, n - o))
+        src = tuple(slice(max(0, -o), max(0, n - o))
                     for o, n in zip(off, f.dims))
-        dst = tuple(slice(max(0, o), min(n, n + o))
+        dst = tuple(slice(max(0, o), max(0, n + o))
                     for o, n in zip(off, f.dims))
         ok = inside[src] & inside[dst]
         sums[off] = float((dist(f.values[src], f.values[dst]) * ok).sum())
@@ -204,7 +204,7 @@ def _reference_pair_sums(f, metric, rmax):
 @given(st.data())
 def test_signed_pair_sums_equal_the_explicit_lifting(data):
     u = data.draw(grid_fields("proj", N_choices=(1, 2, 3), dims_max=4))
-    rmax = data.draw(st.integers(1, 3))
+    rmax = data.draw(st.integers(1, 5))
     signs = np.where(data.draw(hnp.arrays(bool, u.dims)), -1.0, 1.0)
     n = u.with_values(u.values * signs[..., None], "unit")
     for metric in METRICS:
@@ -218,7 +218,7 @@ def test_signed_pair_sums_equal_the_explicit_lifting(data):
 def test_multi_request_pair_sums_equal_single_requests(data):
     kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
     u = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=4))
-    rmax = data.draw(st.integers(1, 3))
+    rmax = data.draw(st.integers(1, 5))
     requests = _requests(data, u)
     together = _pair_sums(u, requests, rmax)
     assert len(together) == len(requests)

@@ -5,9 +5,9 @@ import pytest
 
 from bvlift.fields import directional_tv, embedded_tv
 from bvlift.geometry import dist_sphere
-from bvlift.verify import (CheckReport, make_half_vortex,
-                           make_half_vortex_lifting,
-                           run_diffuse_invariance_suite,
+from bvlift.verify import (DIMS_GRID, THETA_GRID, CheckReport,
+                           make_half_vortex, make_half_vortex_lifting,
+                           run_diffuse_invariance_suite, run_identity_suite,
                            run_repr_formula_suite, write_report)
 
 
@@ -141,6 +141,19 @@ class TestSuites:
         one, three = (run_half_vortex_suite(grid=128, trials=4, threads=t)
                       for t in (1, 3))
         assert [r.to_dict() for r in one] == [r.to_dict() for r in three]
+
+    def test_identity_suite_does_not_depend_on_the_thread_count(self):
+        one, two = ([r.to_dict() for r in run_identity_suite(
+            samples=100_000, seed=3, threads=t)] for t in (1, 2))
+        assert one == two
+        combos = [f"theta={theta:.4f}_d={d}"
+                  for d in DIMS_GRID for theta in THETA_GRID]
+        assert [r["name"] for r in one] == (
+            [f"avg_lifted_dist_{c}" for c in combos]
+            + [f"psi_{c}" for c in combos]
+            + [f"avg_eucl_jump{part}_{c}" for c in combos
+               for part in ("", "_bound")]
+            + ["psi_right_angle_quarter"])
 
     def test_repr_suite_passes_and_is_deterministic(self):
         a = run_repr_formula_suite(seed=3)
