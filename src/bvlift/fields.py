@@ -72,8 +72,10 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float)
         if not np.isfinite(self.values).all():
             raise ValueError("field values must be finite")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not (np.isfinite([*self.origin, self.spacing]).all()
+                and self.spacing > 0):
+            raise ValueError("spacing must be finite and positive, and origin "
+                             f"finite, got {self.spacing} and {self.origin}")
         if self.kind not in ("proj", "unit", "vector"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.values.shape[:-1] != self.dims:
@@ -218,7 +220,12 @@ def read_field(path):
                 raise ValueError(f"field header missing {key!r}")
         if header["version"] != 1:
             raise ValueError(f"unsupported field version {header['version']}")
-        dims = tuple(header["dims"])
+        dims = header["dims"]
+        if not (isinstance(dims, list) and dims and all(
+                type(n) is int and n >= 1 for n in dims)):  # excludes bools
+            raise ValueError(f"field dims must be ints >= 1, got {dims!r}")
+        if header["mask"] not in ("inline", "none"):
+            raise ValueError(f"unknown field mask mode {header['mask']!r}")
         d = int(header["d"])
         ncells = math.prod(dims)
         has_mask = header["mask"] == "inline"
@@ -227,7 +234,7 @@ def read_field(path):
     if data.shape != (ncells, want):
         raise ValueError(
             f"field body has shape {data.shape}, expected {(ncells, want)}")
-    values = data[:, :d].reshape(dims + (d,))
+    values = data[:, :d].reshape((*dims, d))
     mask = data[:, d].astype(bool).reshape(dims) if has_mask else None
     return GridField(dims, float(header["spacing"]), tuple(header["origin"]),
                      header["kind"], values, mask)
@@ -427,14 +434,17 @@ def directional_tv(f, omega, metric="geodesic"):
     A bundle of grid-sampled lines parallel to omega (one per unit intercept
     in the slab orthogonal to the dominant axis, nearest-cell traversal) is
     summed with transverse weight |omega_a| h^{N-1}.  Pairs crossing the mask
-    are dropped.
+    are dropped.  Each line step is one flat cell index, through which the
+    mask and the component planes are read.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (f.N,):
         raise ValueError(f"omega must be a unit vector in R^{f.N}")
-    omega = omega / np.linalg.norm(omega)
-    dist = metric_distance(metric, f.kind)
-    inside = f.inside()
+    if not 0 < (norm := np.linalg.norm(omega)) < math.inf:  # or NaN
+        raise ValueError(f"omega must be finite and nonzero, got {omega}")
+    omega = omega / norm
+    proj = _projective_chord(metric, f.kind)
+    inside = f.inside().ravel()  # read through the flat cell indices
     if not inside.any():
         raise ValueError("empty mask")
     h = f.spacing
@@ -453,26 +463,30 @@ def directional_tv(f, omega, metric="geodesic"):
         lo = math.floor(min(0.0, -drift))
         hi = math.ceil((f.dims[t] - 1) + max(0.0, -drift))
         axes_b.append(np.arange(lo, hi + 1))
-    B = np.meshgrid(*axes_b, indexing="ij")
-    B = np.stack([b.ravel() for b in B], axis=-1)  # (L, N-1)
+    B = np.stack([b.ravel() for b in np.meshgrid(*axes_b, indexing="ij")],
+                 axis=-1)  # (L, N-1)
+    stride = [math.prod(f.dims[t + 1:]) for t in range(f.N)]  # in cells
+    planes = f.values.reshape(-1, f.d).T  # (d, cells) component views
     tv = 0.0
-    # blocks of lines keep the (lines x K x d) arrays bounded on 3D grids
+    # blocks of lines keep the (lines x K) arrays bounded on 3D grids
     rows = max(1, _PAIRS_PER_BLOCK // K)
-    for start in range(0, len(B), rows):
-        # transverse index of every line at every step
-        T = np.rint(B[start:start + rows, None, :]
-                    + ks[None, :, None] * slopes[None, None, :]).astype(int)
-        ok = np.ones(T.shape[:2], dtype=bool)
-        idx = [None] * f.N
-        idx[a] = np.broadcast_to(ks[None, :], T.shape[:2])
-        for j, t in enumerate(others):
-            tj = T[:, :, j]
-            ok &= (tj >= 0) & (tj < f.dims[t])
-            idx[t] = np.clip(tj, 0, f.dims[t] - 1)
-        ok &= inside[tuple(idx)]
-        v = f.values[tuple(idx)]  # (lines, K, d)
-        pair_ok = ok[:, :-1] & ok[:, 1:]
-        tv += float((dist(v[:, :-1], v[:, 1:]) * pair_ok).sum())
+    for b in (B[i:i + rows] for i in range(0, len(B), rows)):
+        flat = np.broadcast_to(ks * stride[a], (len(b), K)).copy()
+        ok, t = np.ones(flat.shape, dtype=bool), np.empty(flat.shape)
+        for j, ax in enumerate(others):
+            # nearest transverse cell of every line at every step
+            np.rint(np.add(b[:, j, None], ks * slopes[j], out=t), out=t)
+            ok &= (t >= 0) & (t < f.dims[ax])
+            np.multiply(np.clip(t, 0, f.dims[ax] - 1, out=t), stride[ax],
+                        out=t)
+            np.add(flat, t, out=flat, casting="unsafe")  # exact integers
+        ok &= inside[flat]
+        v = [p[flat] for p in planes]  # (lines, K) component planes
+        minus2, plus2 = _squared_chords([c[:, :-1] for c in v],
+                                        [c[:, 1:] for c in v], proj)
+        q = np.minimum(minus2, plus2, out=minus2) if proj else minus2
+        tv += float((chord_distance(np.sqrt(q, out=q), metric)
+                     * (ok[:, :-1] & ok[:, 1:])).sum())
     return abs(omega[a]) * h ** (f.N - 1) * tv
 
 
@@ -486,12 +500,14 @@ def _sample_directions(N, directions, rng):
 
 
 def avg_directional_energy(f, directions=64, seed=0, metric="geodesic",
-                           omegas=None):
+                           omegas=None, threads=None):
     """Average of :func:`directional_tv` over sampled directions of S^{N-1}.
 
     For N = 1 both elements of S^0 give the same restriction, so the value is
     exact.  The sample standard error is reported in ``params`` (conservative
-    for the stratified N = 2 sampling).
+    for the stratified N = 2 sampling).  ``omegas`` replaces the sampled
+    directions.  They run on ``_thread_count(threads)`` threads, one thread
+    per direction, in order: the report does not depend on the thread count.
     """
     if f.N == 1:
         tv = directional_tv(f, np.array([1.0]), metric)
@@ -502,7 +518,11 @@ def avg_directional_energy(f, directions=64, seed=0, metric="geodesic",
     rng = np.random.default_rng(seed)
     if omegas is None:
         omegas = _sample_directions(f.N, directions, rng)
-    tvs = np.array([directional_tv(f, w, metric) for w in omegas])
+    if len(omegas) == 0:
+        raise ValueError("omegas must hold at least one direction")
+    with ThreadPoolExecutor(max_workers=_thread_count(threads)) as ex:
+        tvs = np.array(list(
+            ex.map(lambda w: directional_tv(f, w, metric), omegas)))
     stderr = float(tvs.std(ddof=1) / np.sqrt(len(tvs))) if len(tvs) > 1 else 0.0
     return EnergyReport(float(tvs.mean()), metric, "directional_avg",
                         params={"directions": len(tvs), "stderr": stderr})

@@ -333,7 +333,7 @@ def _repr_fields():
 
 def run_repr_formula_suite(seed=0, csv_dir=None, threads=None):
     """Mollified, direction-averaged and analytic energies agree within 5%;
-    the mollified pair passes run on ``threads``."""
+    the mollified pair passes and the directions run on ``threads``."""
     _check_settings(threads=threads)
     reports = []
     rows = []
@@ -342,7 +342,7 @@ def run_repr_formula_suite(seed=0, csv_dir=None, threads=None):
         (moll,) = _extrapolated_energies(f, [("geodesic", None)],
                                          threads=threads)
         direc = avg_directional_energy(f, directions=96, seed=seed,
-                                       metric="geodesic")
+                                       metric="geodesic", threads=threads)
         rows.append([name, analytic, moll.total, direc.total])
         if analytic == 0.0:
             reports.append(_check(

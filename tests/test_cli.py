@@ -125,6 +125,18 @@ class TestEnergy:
                      '"origin":[0],"spacing":0.5,"version":1}\n1,0\nnan,nan\n')
         assert run("energy", p) == 2
 
+    @pytest.mark.parametrize("estimator", ["directional", "embedded",
+                                           "mollified"])
+    @pytest.mark.parametrize("header", ['"origin":[0,0],"spacing":NaN',
+                                        '"origin":[0,Infinity],"spacing":1'])
+    def test_non_finite_geometry_exit_2(self, tmp_path, capfd, estimator,
+                                        header):
+        p = tmp_path / "nan.fld"
+        p.write_text('{"d":2,"dims":[4,4],"kind":"proj","mask":"none",'
+                     + header + ',"version":1}\n' + "1,0\n" * 16)
+        assert run("energy", p, "--estimator", estimator) == 2
+        assert_one_error_line(capfd)
+
     def test_under_resolved_eps_exit_4(self, hv_path, capfd):
         assert run("energy", hv_path, "--estimator", "mollified",
                    "--eps-over-h", "1,2,3") == 4

@@ -59,6 +59,15 @@ class TestGridField:
             with pytest.raises(ValueError, match="finite"):
                 GridField((4, 4), 0.1, (0, 0), kind, nan)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spacing_or_origin(self, bad):
+        vals = np.zeros((4, 4, 2))
+        vals[..., 0] = 1.0
+        with pytest.raises(ValueError, match="finite"):
+            GridField((4, 4), bad, (0, 0), "proj", vals)
+        with pytest.raises(ValueError, match="finite"):
+            GridField((4, 4), 0.1, (0, bad), "proj", vals)
+
     def test_proj_values_are_canonicalized(self):
         vals = np.zeros((2, 2, 2))
         vals[..., 0] = -1.0
@@ -103,6 +112,20 @@ class TestFieldFiles:
         p = tmp_path / "bad.fld"
         p.write_text("not json\n1,0\n")
         with pytest.raises(ValueError):
+            read_field(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("dims", '["2","2"]'), ("dims", "4"), ("dims", "[-2,-2]"),
+        ("dims", "[2,0]"), ("dims", "[]"), ("dims", "[true,true]"),
+        ("dims", "[2.0,2]"), ("mask", '"yes"'), ("mask", "null")])
+    def test_malformed_dims_or_mask(self, tmp_path, key, value):
+        header = {"d": "2", "dims": "[2,2]", "kind": '"proj"',
+                  "mask": '"none"', "origin": "[0,0]", "spacing": "0.5",
+                  "version": "1", key: value}
+        p = tmp_path / "bad.fld"
+        p.write_text("{" + ",".join(f'"{k}":{v}' for k, v in header.items())
+                     + "}\n" + "1,0\n" * 4)
+        with pytest.raises(ValueError, match=f"field {key}"):
             read_field(p)
 
     def test_wrong_cell_count(self, tmp_path):
@@ -255,6 +278,16 @@ class TestDirectional:
                       np.zeros(f.dims, bool))
         with pytest.raises(ValueError):
             directional_tv(g, np.array([1.0, 0.0]), "geodesic")
+
+    @pytest.mark.parametrize("omega", [
+        [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_zero_or_non_finite_omega_raises(self, omega):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            directional_tv(jump_field(16), np.array(omega), "geodesic")
+
+    def test_empty_omegas_raise(self):
+        with pytest.raises(ValueError, match="at least one"):
+            avg_directional_energy(jump_field(16), omegas=np.zeros((0, 2)))
 
 
 class TestEmbedded:

@@ -4,6 +4,7 @@ Each property holds exactly in floating point, so every comparison is
 bit for bit or an exact inequality, never a tolerance.
 """
 
+import math
 import os
 import tempfile
 
@@ -11,10 +12,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bvlift.fields import (METRICS, GridField, _face_data, _half_offsets,
-                           _pair_sums, avg_directional_energy, embedded_tv,
-                           metric_distance, mollified_energy, read_field,
-                           write_field)
+from bvlift.fields import (_PAIRS_PER_BLOCK, METRICS, GridField, _face_data,
+                           _half_offsets, _pair_sums, avg_directional_energy,
+                           directional_tv, embedded_tv, metric_distance,
+                           mollified_energy, read_field, write_field)
 from bvlift.geometry import (canonicalize, dist_proj, dist_sphere,
                              eucl_jump_cost)
 
@@ -240,4 +241,88 @@ def test_pair_sums_do_not_depend_on_the_thread_count(data):
     one, two, three = ([list(sums.items()) for sums in
                         _pair_sums(u, requests, rmax, threads)]
                        for threads in (1, 2, 3))
+    assert one == two == three
+
+
+@st.composite
+def directions(draw, N):
+    """A nonzero direction of R^N; half of them have coordinates in
+    {0, +-1, +-2}: axes and diagonals, where the dominant axis ties, and
+    slopes 1/2, where the nearest-cell rounding meets exact halves."""
+    if draw(st.booleans()):
+        w = draw(hnp.arrays(float, N, elements=st.sampled_from(
+            (-2.0, -1.0, 0.0, 1.0, 2.0))))
+    else:
+        w = draw(hnp.arrays(float, N, elements=st.floats(-1.0, 1.0)))
+    if np.linalg.norm(w) < 1e-3:
+        w[draw(st.integers(0, N - 1))] = 1.0
+    return w
+
+
+def _reference_directional_tv(f, omega, metric):
+    """The block loop that gathers (lines, K, d) values through N index
+    arrays, which the flat-index kernel of directional_tv replaces."""
+    omega = omega / np.linalg.norm(omega)
+    dist = metric_distance(metric, f.kind)
+    inside = f.inside()
+    a = int(np.argmax(np.abs(omega)))
+    others = [t for t in range(f.N) if t != a]
+    slopes = omega[others] / omega[a]
+    K = f.dims[a]
+    ks = np.arange(K)
+    axes_b = []
+    for t, s in zip(others, slopes):
+        drift = (K - 1) * s
+        lo = math.floor(min(0.0, -drift))
+        hi = math.ceil((f.dims[t] - 1) + max(0.0, -drift))
+        axes_b.append(np.arange(lo, hi + 1))
+    B = np.meshgrid(*axes_b, indexing="ij")
+    B = np.stack([b.ravel() for b in B], axis=-1)
+    tv = 0.0
+    rows = max(1, _PAIRS_PER_BLOCK // K)
+    for start in range(0, len(B), rows):
+        T = np.rint(B[start:start + rows, None, :]
+                    + ks[None, :, None] * slopes[None, None, :]).astype(int)
+        ok = np.ones(T.shape[:2], dtype=bool)
+        idx = [None] * f.N
+        idx[a] = np.broadcast_to(ks[None, :], T.shape[:2])
+        for j, t in enumerate(others):
+            tj = T[:, :, j]
+            ok &= (tj >= 0) & (tj < f.dims[t])
+            idx[t] = np.clip(tj, 0, f.dims[t] - 1)
+        ok &= inside[tuple(idx)]
+        v = f.values[tuple(idx)]
+        pair_ok = ok[:, :-1] & ok[:, 1:]
+        tv += float((dist(v[:, :-1], v[:, 1:]) * pair_ok).sum())
+    return abs(omega[a]) * f.spacing ** (f.N - 1) * tv
+
+
+def _metrics(kind):
+    return METRICS if kind != "vector" else ("euclidean_sphere",)
+
+
+@SETTINGS
+@given(st.data())
+def test_directional_tv_equals_the_reference_loop(data):
+    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    f = data.draw(grid_fields(kind, N_choices=(2, 3), dims_max=7))
+    for _ in range(3):
+        omega = data.draw(directions(f.N))
+        for metric in _metrics(kind):
+            assert directional_tv(f, omega, metric) \
+                == _reference_directional_tv(f, omega, metric), (omega, metric)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_directional_energy_does_not_depend_on_the_thread_count(data):
+    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    f = data.draw(grid_fields(kind, N_choices=(2, 3), dims_max=7))
+    metric = data.draw(st.sampled_from(_metrics(kind)))
+    omegas = data.draw(st.none() | st.lists(directions(f.N), min_size=1,
+                                            max_size=6).map(np.array))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    one, two, three = (avg_directional_energy(
+        f, directions=8, seed=seed, metric=metric, omegas=omegas,
+        threads=threads).to_dict() for threads in (1, 2, 3))
     assert one == two == three

@@ -155,6 +155,11 @@ class TestSuites:
                for part in ("", "_bound")]
             + ["psi_right_angle_quarter"])
 
+    def test_repr_suite_does_not_depend_on_the_thread_count(self):
+        one, two = ([r.to_dict() for r in run_repr_formula_suite(
+            seed=5, threads=t)] for t in (1, 2))
+        assert one == two
+
     def test_repr_suite_passes_and_is_deterministic(self):
         a = run_repr_formula_suite(seed=3)
         b = run_repr_formula_suite(seed=3)
