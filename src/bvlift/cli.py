@@ -123,6 +123,8 @@ def cmd_make_field(args):
         f = verify.make_half_vortex(grid, d=d, N=args.N)
     elif args.kind == "halfvortex-lift":
         f = verify.make_half_vortex_lifting(grid, d=d, N=args.N)
+    elif args.N != 2:
+        raise ValueError(f"--kind {args.kind} makes 2D fields, got --N {args.N}")
     elif args.kind == "constant":
         f = verify._angle_field(grid, ((0.0, 1.0), (0.0, 1.0)),
                                 lambda X, Y: 0.0 * X, d=d)

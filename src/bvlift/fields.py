@@ -25,7 +25,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .geometry import _squared_chords, canonicalize, chord, chord_distance
+from .geometry import (_pick_chord, _squared_chords, canonicalize, chord,
+                       chord_distance)
 
 __all__ = [
     "GridField",
@@ -147,17 +148,24 @@ class UnderResolvedError(ValueError):
 # ---------------------------------------------------------------------------
 # metric dispatch
 
-def _projective_chord(metric, kind):
-    """Whether pairs of ``kind`` values are compared by the projective chord.
+def _chord_rule(metric, kind, signs=None):
+    """How a ``(metric, signs)`` request compares a pair: ``(proj, pos)``.
 
-    Line fields always are; the tensor metric sees only the lines of unit
-    values.  Raises ValueError for a metric the kind does not support.
+    ``signs`` None is the field itself, a sign array s of the grid's shape
+    the field s f; s u of a line field u is sphere valued.  ``proj`` says
+    the pair is compared by the projective chord (line fields always are;
+    the tensor metric sees only the lines of unit values); else ``pos`` =
+    s > 0 picks the chord by the sign product, or is None without signs.
+    Raises ValueError for a metric the kind does not support.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    if signs is not None and kind == "proj":
+        kind = "unit"
     if kind == "vector" and metric != "euclidean_sphere":
         raise ValueError(f"{metric} metric needs unit or proj values")
-    return kind == "proj" or metric == "euclidean_tensor"
+    proj = kind == "proj" or metric == "euclidean_tensor"
+    return proj, None if proj or signs is None else signs > 0
 
 
 def metric_distance(metric, kind):
@@ -165,7 +173,7 @@ def metric_distance(metric, kind):
 
     A closed form of the pair's chord, see :func:`bvlift.geometry.chord`.
     """
-    proj = _projective_chord(metric, kind)
+    proj, _ = _chord_rule(metric, kind)
     return lambda a, b: chord_distance(chord(a, b, proj), metric)
 
 
@@ -218,15 +226,24 @@ def read_field(path):
         for key in ("version", "dims", "spacing", "origin", "d", "kind", "mask"):
             if key not in header:
                 raise ValueError(f"field header missing {key!r}")
-        if header["version"] != 1:
-            raise ValueError(f"unsupported field version {header['version']}")
-        dims = header["dims"]
-        if not (isinstance(dims, list) and dims and all(
-                type(n) is int and n >= 1 for n in dims)):  # excludes bools
-            raise ValueError(f"field dims must be ints >= 1, got {dims!r}")
-        if header["mask"] not in ("inline", "none"):
-            raise ValueError(f"unknown field mask mode {header['mask']!r}")
-        d = int(header["d"])
+        dims, d, origin = header["dims"], header["d"], header["origin"]
+        N = len(dims) if type(dims) is list else 0  # dims is checked first
+        number = (int, float)  # matched by type(), which excludes bools
+        for key, ok, want in [
+                ("version", type(header["version"]) is int
+                 and header["version"] == 1, "1"),
+                ("dims", type(dims) is list and dims and all(
+                    type(n) is int and n >= 1 for n in dims), "ints >= 1"),
+                ("d", type(d) is int and d >= 1, "an int >= 1"),
+                ("spacing", type(header["spacing"]) in number, "a number"),
+                ("origin", type(origin) is list and len(origin) == N
+                 and all(type(x) in number for x in origin),
+                 f"a list of {N} numbers"),
+                ("mask", header["mask"] in ("inline", "none"),
+                 '"inline" or "none"')]:
+            if not ok:
+                raise ValueError(
+                    f"field {key} must be {want}, got {header[key]!r}")
         ncells = math.prod(dims)
         has_mask = header["mask"] == "inline"
         want = d + (1 if has_mask else 0)
@@ -236,7 +253,7 @@ def read_field(path):
             f"field body has shape {data.shape}, expected {(ncells, want)}")
     values = data[:, :d].reshape((*dims, d))
     mask = data[:, d].astype(bool).reshape(dims) if has_mask else None
-    return GridField(dims, float(header["spacing"]), tuple(header["origin"]),
+    return GridField(dims, float(header["spacing"]), tuple(origin),
                      header["kind"], values, mask)
 
 
@@ -250,6 +267,13 @@ def _half_offsets(N, rmax):
     lead = k[np.arange(len(k)), (k != 0).argmax(axis=1)]
     keep = (lead > 0) & ((k * k).sum(axis=1) <= rmax * rmax)
     return [tuple(off) for off in k[keep].tolist()]
+
+
+def _offset_slices(off, dims):
+    """Slices ``(src, dst)`` of the cells x and x + off of the pairs at
+    lattice offset ``off`` on a grid of ``dims``; empty past the grid."""
+    return tuple(tuple(slice(max(0, s * o), max(0, n + s * o))
+                       for o, n in zip(off, dims)) for s in (-1, 1))
 
 
 def _thread_count(threads):
@@ -276,13 +300,11 @@ def _thread_count(threads):
 def _pair_sums(f, requests, rmax, threads=None):
     """Sums of pair distances for every half-lattice offset up to rmax cells.
 
-    Returns one ``{offset: sum}`` dict per request ``(metric, signs)``:
-    ``signs=None`` is the field itself, a sign array s of shape ``f.dims``
-    the field s f (for a line field, its lifting s u).  Per offset the two
-    squared chords |a - b|^2 and |a + b|^2 are computed once, on contiguous
-    component planes, and every request reads its pair chords from them:
-    the smaller one for a projective chord, else |a - b| where s_i = s_j and
-    |a + b| where not.  This is bit-exact, as multiplying by -1 is exact.
+    Returns one ``{offset: sum}`` dict per ``(metric, signs)`` request (see
+    :func:`_chord_rule`).  Per offset the two squared chords |a - b|^2 and
+    |a + b|^2 are computed once, on contiguous component planes, and every
+    request picks its pair chords from them by
+    :func:`~bvlift.geometry._pick_chord`.
     Every pair of the overlapping slices is evaluated and the pairs leaving
     the mask are multiplied by 0, which is faster than gathering the in-mask
     pairs; field values are finite, so those pairs add exactly 0.
@@ -292,35 +314,23 @@ def _pair_sums(f, requests, rmax, threads=None):
     order of :func:`_half_offsets`, so every sum and the key order are the
     same bit for bit whatever the thread count.
     """
-    rules = []
-    for metric, signs in requests:
-        # s u of a line field u is sphere valued
-        kind = "unit" if signs is not None and f.kind == "proj" else f.kind
-        proj = _projective_chord(metric, kind)
-        rules.append((metric, proj,
-                      None if proj or signs is None else signs > 0))
+    rules = [(metric, *_chord_rule(metric, f.kind, signs))
+             for metric, signs in requests]
     plus = any(proj or pos is not None for _, proj, pos in rules)
     inside = f.inside()
     planes = [np.ascontiguousarray(f.values[..., k]) for k in range(f.d)]
-    dims = f.dims
 
     def offset_sums(off):
-        # empty slices, and sums of exactly 0, for offsets past the grid
-        src = tuple(slice(max(0, -o), max(0, n - o))
-                    for o, n in zip(off, dims))
-        dst = tuple(slice(max(0, o), max(0, n + o))
-                    for o, n in zip(off, dims))
+        src, dst = _offset_slices(off, f.dims)
         ok = inside[src] & inside[dst]
         minus2, plus2 = _squared_chords(
             [p[src] for p in planes], [p[dst] for p in planes], plus)
         vals = []
         for metric, proj, pos in rules:
-            if proj:
-                q2 = np.minimum(minus2, plus2)
-            elif pos is None:
-                q2 = minus2
-            else:
-                q2 = np.where(pos[src] == pos[dst], minus2, plus2)
+            # only q2 outlives a request: more live arrays per offset make
+            # the worker heaps trim and fault their pages back in each offset
+            q2 = _pick_chord(minus2, plus2, proj,
+                             None if pos is None else pos[src] == pos[dst])
             vals.append(
                 float((chord_distance(np.sqrt(q2), metric) * ok).sum()))
         return vals
@@ -358,6 +368,22 @@ def _energy_from_pair_sums(sums, eps, h, N):
     return tot * rho * h ** (2 * N)
 
 
+def _mollifier_pair_sums(f, requests, eps, threads=None):
+    """:func:`_pair_sums` of the requests out to the largest radius in
+    ``eps``.  A radius below two cells (which includes eps <= 0) is rejected
+    as under-resolved, a non-finite radius as malformed."""
+    h = f.spacing
+    if not np.all(np.isfinite(eps)):
+        raise ValueError(f"mollifier eps must be finite, got {list(eps)}")
+    if min(eps) < 2.0 * h:
+        raise UnderResolvedError(
+            f"mollifier eps {min(eps)} under-resolved by grid spacing {h}")
+    if not f.inside().any():
+        raise ValueError("empty mask")
+    # all |k| <= eps/h; m h / h may round up
+    return _pair_sums(f, requests, math.ceil(max(eps) / h - 1e-9), threads)
+
+
 def mollified_energy(f, eps, metric="geodesic"):
     """Riemann sum of the mollified double integral over masked cell pairs.
 
@@ -367,19 +393,10 @@ def mollified_energy(f, eps, metric="geodesic"):
     two cells (which includes eps <= 0) is rejected as under-resolved, a
     non-finite radius as malformed.
     """
-    h = f.spacing
-    if not np.isfinite(eps):
-        raise ValueError(f"mollifier eps must be finite, got {eps}")
-    if eps < 2.0 * h:
-        raise UnderResolvedError(
-            f"mollifier eps {eps} under-resolved by grid spacing {h}")
-    if not f.inside().any():
-        raise ValueError("empty mask")
-    rmax = math.ceil(eps / h - 1e-9)  # all |k| <= eps/h; m h / h may round up
-    sums = _pair_sums(f, [(metric, None)], rmax)[0]
-    total = _energy_from_pair_sums(sums, eps, h, f.N)
+    (sums,) = _mollifier_pair_sums(f, [(metric, None)], [eps])
+    total = _energy_from_pair_sums(sums, eps, f.spacing, f.N)
     return EnergyReport(total, metric, "mollified",
-                        params={"eps": eps, "eps_over_h": eps / h})
+                        params={"eps": eps, "eps_over_h": eps / f.spacing})
 
 
 def mollified_energy_extrapolated(f, metric="geodesic", multipliers=(8, 16, 32)):
@@ -396,25 +413,16 @@ def _extrapolated_energies(f, requests, multipliers=(8, 16, 32),
                            threads=None):
     """:func:`mollified_energy_extrapolated` of each ``(metric, signs)``
     request of :func:`_pair_sums`, all from one pair pass on ``threads``."""
-    h = f.spacing
-    if not np.all(np.isfinite(multipliers)):
-        raise ValueError("mollifier multipliers must be finite, got "
-                         f"{list(multipliers)}")
     multipliers = sorted(multipliers)
     if len(set(multipliers)) < 2:
         raise ValueError("extrapolation needs two distinct mollifier "
                          f"multipliers, got {multipliers}")
-    if multipliers[0] < 2:
-        raise UnderResolvedError(
-            f"mollifier eps {multipliers[0] * h} under-resolved by grid "
-            f"spacing {h}")
-    if not f.inside().any():
-        raise ValueError("empty mask")
+    h = f.spacing
     eps = np.array([m * h for m in multipliers])
     A = np.vstack([np.ones_like(eps), eps]).T
     reports = []
-    for (metric, _), sums in zip(requests, _pair_sums(
-            f, requests, math.ceil(multipliers[-1] - 1e-9), threads)):
+    for (metric, _), sums in zip(requests, _mollifier_pair_sums(
+            f, requests, eps, threads)):
         es = np.array([_energy_from_pair_sums(sums, e, h, f.N) for e in eps])
         coef, *_ = np.linalg.lstsq(A, es, rcond=None)
         reports.append(EnergyReport(
@@ -443,13 +451,13 @@ def directional_tv(f, omega, metric="geodesic"):
     if not 0 < (norm := np.linalg.norm(omega)) < math.inf:  # or NaN
         raise ValueError(f"omega must be finite and nonzero, got {omega}")
     omega = omega / norm
-    proj = _projective_chord(metric, f.kind)
+    proj, _ = _chord_rule(metric, f.kind)
     inside = f.inside().ravel()  # read through the flat cell indices
     if not inside.any():
         raise ValueError("empty mask")
     h = f.spacing
     if f.N == 1:
-        return float(_face_data(f, metric)[1].sum())
+        return float(next(_face_data(f, [(metric, None)]))[1].sum())
 
     a = int(np.argmax(np.abs(omega)))
     others = [t for t in range(f.N) if t != a]
@@ -484,7 +492,7 @@ def directional_tv(f, omega, metric="geodesic"):
         v = [p[flat] for p in planes]  # (lines, K) component planes
         minus2, plus2 = _squared_chords([c[:, :-1] for c in v],
                                         [c[:, 1:] for c in v], proj)
-        q = np.minimum(minus2, plus2, out=minus2) if proj else minus2
+        q = _pick_chord(minus2, plus2, proj, out=minus2)
         tv += float((chord_distance(np.sqrt(q, out=q), metric)
                      * (ok[:, :-1] & ok[:, 1:])).sum())
     return abs(omega[a]) * h ** (f.N - 1) * tv
@@ -531,29 +539,23 @@ def avg_directional_energy(f, directions=64, seed=0, metric="geodesic",
 # ---------------------------------------------------------------------------
 # embedded finite-difference total variation
 
-def _forward_faces(N):
-    """(axis, lower cells, upper cells) index tuples of the forward faces."""
-    for a in range(N):
-        src = [slice(None)] * N
-        dst = [slice(None)] * N
-        src[a] = slice(0, -1)
-        dst[a] = slice(1, None)
-        yield a, tuple(src), tuple(dst)
+def _forward_faces(dims):
+    """(axis, lower cells, upper cells) slices of the forward faces of a grid:
+    the pairs at the unit lattice offsets."""
+    for a, off in enumerate(np.eye(len(dims), dtype=int)):
+        yield (a, *_offset_slices(off, dims))
 
 
 def _face_chords(f, plus=False):
-    """Forward-face validity and the chords |a - b| (and |a + b|) of each face.
-
-    Returns ``(valid, minus, plus)`` arrays of shape ``dims + (N,)``,
-    ``plus`` None unless requested; faces leaving the mask and the entries
-    past the last cell of an axis have chords exactly 0.
-    """
+    """Forward-face validity and chords |a - b| and, with ``plus``, |a + b|
+    (else None): arrays of shape ``dims + (N,)``, exactly 0 on faces leaving
+    the mask and on the entries past the last cell of an axis."""
     inside = f.inside()
     comps = [f.values[..., k] for k in range(f.d)]
     valid = np.zeros(f.dims + (f.N,), dtype=bool)
     q_minus = np.zeros(valid.shape)
     q_plus = np.zeros(valid.shape) if plus else None
-    for a, src, dst in _forward_faces(f.N):
+    for a, src, dst in _forward_faces(f.dims):
         ok = inside[src] & inside[dst]
         valid[src + (a,)] = ok
         minus2, plus2 = _squared_chords(
@@ -564,28 +566,34 @@ def _face_chords(f, plus=False):
     return valid, q_minus, q_plus
 
 
-def _signed_face_chords(signs, minus, plus):
-    """Face chords of the field s f from the two face chords of f.
+def _face_data(f, requests):
+    """Forward-face validity, distances and chords of each request, lazily.
 
-    The face chord of s f is |a - b| where s_i = s_j and |a + b| where not,
-    bit for bit, as multiplying by -1 is exact.
+    Yields ``(valid, dists, chords, metric, proj)`` per ``(metric, signs)``
+    request (see :func:`_chord_rule`), arrays of shape ``dims + (N,)``.
+    The face chords |a - b| and |a + b| of f are computed once and each
+    request picks its own from them.  A request's arrays are freed before
+    the next one's are built, and f's chords after the last, so a generator
+    of sign requests holds one candidate at a time.  Faces leaving the mask
+    have distance and chord exactly 0.
     """
-    pos = signs > 0
-    same = np.zeros(minus.shape, dtype=bool)
-    for a, src, dst in _forward_faces(pos.ndim):
-        np.equal(pos[src], pos[dst], out=same[src + (a,)])
-    return np.where(same, minus, plus)
-
-
-def _face_data(f, metric):
-    """Forward-face validity, metric distances and chords.
-
-    Faces leaving the mask have distance and chord exactly 0.
-    """
-    proj = _projective_chord(metric, f.kind)
-    valid, minus, plus = _face_chords(f, proj)
-    chords = np.minimum(minus, plus) if proj else minus
-    return valid, chord_distance(chords, metric), chords
+    faces = None
+    for (metric, signs), after in itertools.pairwise(
+            itertools.chain(requests, [None])):
+        proj, pos = _chord_rule(metric, f.kind, signs)
+        if faces is None or (proj or pos is not None) and faces[2] is None:
+            faces = _face_chords(f, proj or pos is not None)
+        valid, minus, plus = faces
+        same = None
+        if pos is not None:
+            same = np.zeros(valid.shape, dtype=bool)
+            for a, src, dst in _forward_faces(f.dims):
+                np.equal(pos[src], pos[dst], out=same[src + (a,)])
+        chords = _pick_chord(minus, plus, proj, same)
+        if after is None:
+            faces = minus = plus = None  # free f's face chords after the last
+        yield valid, chord_distance(chords, metric), chords, metric, proj
+        del same, chords  # before the next request's arrays are built
 
 
 def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
@@ -603,52 +611,53 @@ def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
     distance sin(theta) falls again).  An explicit threshold must be finite
     and positive.
     """
+    return next(_face_energies(f, [(metric, None)], jump_threshold))
+
+
+def _face_energies(f, requests, jump_threshold=None):
+    """:func:`embedded_tv` report of each ``(metric, signs)`` request of
+    :func:`_face_data`, lazily, one request's arrays at a time; a request
+    with signs s is the field s f."""
     if jump_threshold is not None:
         _check_jump_threshold(jump_threshold)
-    if metric == "euclidean_sphere" and f.kind == "proj":
-        raise ValueError(
-            "euclidean_sphere embedding is sign-discontinuous on proj "
-            "fields; use euclidean_tensor or geodesic")
-    valid, dists, chords = _face_data(f, metric)
-    return _embedded_tv_tail(f, metric, _projective_chord(metric, f.kind),
-                             valid, dists, chords, jump_threshold)
-
-
-def _embedded_tv_tail(f, metric, proj, valid, dists, chords,
-                      jump_threshold=None):
-    """Threshold, jump set and Frobenius sum of :func:`embedded_tv`, from
-    face data on the grid of ``f``; ``proj`` says the chords are projective."""
     h = f.spacing
-    # step of the embedded values: the chord itself, or the step sin(theta)
-    # of the tensor embedding (1/sqrt 2) n (x) n when the chord is projective
-    steps = chord_distance(chords, "euclidean_tensor") if proj else chords
     inside = f.inside()
-    if jump_threshold is None:
-        # the step angle 2 arcsin(q/2) is monotone in the chord q; the
-        # median partitions its temporary copy of the valid chords in place
-        med = (float(chord_distance(
-            np.median(chords[valid], overwrite_input=True), "geodesic"))
-            if valid.any() else 0.0)
-        cap = np.pi / 2 if proj else np.pi
-        jump_threshold = default_jump_threshold(
-            metric, min(max(np.pi / 4.0, 8.0 * med), cap))
-    isjump = valid & (dists > jump_threshold)
+    for valid, dists, chords, metric, proj in _face_data(f, requests):
+        if proj and metric == "euclidean_sphere":
+            raise ValueError(
+                "euclidean_sphere embedding is sign-discontinuous on proj "
+                "fields; use euclidean_tensor or geodesic")
+        # embedded step: the chord, or the step sin(theta) of the tensor
+        # embedding (1/sqrt 2) n (x) n when the chord is projective
+        steps = chord_distance(chords, "euclidean_tensor") if proj else chords
+        threshold = jump_threshold
+        if threshold is None:
+            # the step angle 2 arcsin(q/2) is monotone in the chord q; the
+            # median partitions its temporary copy of the valid chords in place
+            med = (float(chord_distance(
+                np.median(chords[valid], overwrite_input=True), "geodesic"))
+                if valid.any() else 0.0)
+            threshold = default_jump_threshold(
+                metric, min(max(np.pi / 4.0, 8.0 * med),
+                            np.pi / 2 if proj else np.pi))
+        isjump = valid & (dists > threshold)
 
-    # a cell is excluded from the smooth sum if any face it touches jumps
-    near_jump = np.zeros(f.dims, dtype=bool)
-    for a, src, dst in _forward_faces(f.N):
-        ja = isjump[src + (a,)]
-        near_jump[src] |= ja
-        near_jump[dst] |= ja
+        # a cell is excluded from the smooth sum if any face it touches jumps
+        near_jump = np.zeros(f.dims, dtype=bool)
+        for a, src, dst in _forward_faces(f.dims):
+            ja = isjump[src + (a,)]
+            near_jump[src] |= ja
+            near_jump[dst] |= ja
 
-    frob = np.sqrt(np.einsum("...a,...a->...", steps, steps))
-    owner = inside & valid.any(axis=-1)
-    ac = float((h ** (f.N - 1) * frob)[owner & ~near_jump].sum())
-    jump = float((dists[isjump]).sum() * h ** (f.N - 1))
-    return EnergyReport(ac + jump, metric, "embedded_tv",
-                        ac_part=ac, jump_part=jump,
-                        params={"jump_threshold": float(jump_threshold),
-                                "jump_faces": int(isjump.sum())})
+        frob = np.sqrt(np.einsum("...a,...a->...", steps, steps))
+        owner = inside & valid.any(axis=-1)
+        ac = float((h ** (f.N - 1) * frob)[owner & ~near_jump].sum())
+        jump = float((dists[isjump]).sum() * h ** (f.N - 1))
+        yield EnergyReport(ac + jump, metric, "embedded_tv",
+                           ac_part=ac, jump_part=jump,
+                           params={"jump_threshold": float(threshold),
+                                   "jump_faces": int(isjump.sum())})
+        del dists, chords, steps, isjump, near_jump, frob, owner
 
 
 def detect_jumps(f, metric="geodesic", threshold=None):
@@ -662,7 +671,7 @@ def detect_jumps(f, metric="geodesic", threshold=None):
     if threshold is None:
         threshold = default_jump_threshold(metric)
     _check_jump_threshold(threshold)
-    valid, dists, _ = _face_data(f, metric)
+    valid, dists, *_ = next(_face_data(f, [(metric, None)]))
     isjump = valid & (dists > threshold)
     out = []
     for flat in np.flatnonzero(isjump):

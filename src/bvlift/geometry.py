@@ -85,6 +85,18 @@ def _squared_chords(a, b, plus=False):
     return minus, _sum_of_squares(np.add, a, b, np.empty(shape), tmp)
 
 
+def _pick_chord(minus, plus, proj=False, same=None, out=None):
+    """The chord of each pair from its chords |a - b| and |a + b| (or squares).
+
+    The smaller one with ``proj`` (into ``out`` if given); else |a - b|, or
+    with ``same`` the chord of the pair s_i a, s_j b: |a - b| where
+    s_i s_j = +1 and |a + b| where not.  Bit-exact, as multiplying by -1 is.
+    """
+    if proj:
+        return np.minimum(minus, plus, out=out)
+    return minus if same is None else np.where(same, minus, plus)
+
+
 def chord(a, b, proj=False):
     """Chord |a - b| of two unit vectors, or min(|a - b|, |a + b|) for lines.
 
@@ -100,7 +112,7 @@ def chord(a, b, proj=False):
     d = a.shape[-1]
     minus, plus = _squared_chords([a[..., k] for k in range(d)],
                                  [b[..., k] for k in range(d)], proj)
-    return np.sqrt(np.minimum(minus, plus) if proj else minus)
+    return np.sqrt(_pick_chord(minus, plus, proj))
 
 
 def chord_distance(q, metric):

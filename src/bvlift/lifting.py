@@ -15,10 +15,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg
 
-from .fields import (EnergyReport, GridField, _embedded_tv_tail, _face_chords,
-                     _signed_face_chords, embedded_tv)
-from .geometry import (canonicalize, chord_distance, dist_proj, haar_rotations,
-                       lift_sign)
+from .fields import EnergyReport, GridField, _face_energies, embedded_tv
+from .geometry import canonicalize, dist_proj, haar_rotations, lift_sign
 
 __all__ = [
     "LiftResult",
@@ -54,53 +52,30 @@ def _projection_check(n_field, u_field):
     return float(dist_proj(n_field.values, u_field.values)[inside].max())
 
 
-def _ranking_metric(metric):
-    # lifted fields are sphere valued: both Euclidean requests rank by the
-    # sphere chord energy (the tensor energy of a lifting is that of its
-    # projection, identical across candidates)
-    return "geodesic" if metric == "geodesic" else "euclidean_sphere"
-
-
-def _candidate_liftings(u, rotations, metric):
-    """Signs s and the :func:`embedded_tv` report of each rotation lifting s u.
-
-    The face chords of a lifting are u's chords |a - b| and |a + b| picked
-    by s_i s_j, so u's are computed once and each candidate only selects
-    them and runs the shared tail of ``embedded_tv``: the reports equal
-    ``embedded_tv`` of the explicit liftings bit for bit.
-    """
-    valid, minus, plus = _face_chords(u, plus=True)
-    for R in rotations:
-        s = lift_sign(R, u.values)
-        chords = _signed_face_chords(s, minus, plus)
-        yield s, _embedded_tv_tail(u, metric, False, valid,
-                                   chord_distance(chords, metric), chords)
-
-
 def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
     """Best-of-``trials`` Haar-sampled rotation liftings of a line field.
 
     Each rotation R induces the cellwise lifting s u with s = sgn((R u).e_d).
     Candidates are ranked by the finite-difference energy
     (:func:`embedded_tv`) of the lifted field in the requested metric, one
-    at a time: the two face chords |a - b| and |a + b| of u are computed
-    once, and a candidate's face chords are read from them through its sign
-    products s_i s_j.  Only the minimizer is built as a field and returned.
-    The expected energy of a random candidate already satisfies the
-    averaging bound, so the sample minimum does with margin.
+    at a time, as sign requests ``(metric, s)`` of the face kernel: the two
+    face chords |a - b| and |a + b| of u are computed once, and a
+    candidate's face chords are picked from them by its sign products
+    s_i s_j.  The first minimizer is built as a field and returned.  The
+    expected energy of a random candidate already satisfies the averaging
+    bound, so the sample minimum does with margin.
     """
     if u.kind != "proj":
         raise ValueError("rotation search expects a proj field")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rots = haar_rotations(u.d, trials, seed)
-    best = None
-    for R, (s, rep) in zip(rots, _candidate_liftings(
-            u, rots, _ranking_metric(metric))):
-        if best is None or rep.total < best[1].total:
-            best = (s, rep, R)
-    s, rep, R = best
-    n = u.with_values(u.values * s[..., None], kind="unit")
+    # both Euclidean requests rank by the sphere chord energy: the tensor
+    # energy of a lifting is that of its projection, the same for all
+    rank = "geodesic" if metric == "geodesic" else "euclidean_sphere"
+    reports = _face_energies(u, ((rank, lift_sign(R, u.values)) for R in rots))
+    rep, R = min(zip(reports, rots), key=lambda c: c[0].total)
+    n = u.with_values(u.values * lift_sign(R, u.values)[..., None], kind="unit")
     return LiftResult(field=n, energy=rep, rotation=R,
                       projection_check=_projection_check(n, u))
 

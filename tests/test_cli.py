@@ -53,7 +53,10 @@ class TestMakeField:
     @pytest.mark.parametrize("flags", [
         ["--kind", "jump", "--d", "1"], ["--kind", "smooth", "--d", "1"],
         ["--kind", "smooth", "--grid", "0"], ["--kind", "halfvortex",
-                                              "--grid", "16"]])
+                                              "--grid", "16"],
+        # these kinds make 2D fields only: another --N is not ignored
+        ["--kind", "constant", "--N", "3"], ["--kind", "jump", "--N", "1"],
+        ["--kind", "smooth", "--N", "3"]])
     def test_bad_size_exit_2(self, tmp_path, capfd, flags):
         assert run("make-field", *flags, "-o", tmp_path / "f.fld") == 2
         out, err = capfd.readouterr()

@@ -117,7 +117,12 @@ class TestFieldFiles:
     @pytest.mark.parametrize("key, value", [
         ("dims", '["2","2"]'), ("dims", "4"), ("dims", "[-2,-2]"),
         ("dims", "[2,0]"), ("dims", "[]"), ("dims", "[true,true]"),
-        ("dims", "[2.0,2]"), ("mask", '"yes"'), ("mask", "null")])
+        ("dims", "[2.0,2]"), ("mask", '"yes"'), ("mask", "null"),
+        ("d", "2.7"), ("d", "true"), ("d", "0"), ("d", '"2"'),
+        ("version", "true"), ("version", "1.0"), ("version", "2"),
+        ("spacing", '"0.0625"'), ("spacing", "true"), ("spacing", "null"),
+        ("origin", "[0]"), ("origin", '[0,"0"]'), ("origin", "[false,0]"),
+        ("origin", "0")])
     def test_malformed_dims_or_mask(self, tmp_path, key, value):
         header = {"d": "2", "dims": "[2,2]", "kind": '"proj"',
                   "mask": '"none"', "origin": "[0,0]", "spacing": "0.5",

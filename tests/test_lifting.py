@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvlift.fields import (GridField, avg_directional_energy, detect_jumps,
-                           embedded_tv, metric_distance)
+from bvlift.fields import (GridField, _face_energies, avg_directional_energy,
+                           detect_jumps, embedded_tv, metric_distance)
 from bvlift.geometry import (canonicalize, eucl_jump_cost, haar_rotations,
                              lift_sign, random_unit_vectors)
-from bvlift.lifting import (BoundaryMismatchError, _candidate_liftings,
-                            boundary_cells, lift_1d, lift_eps_regularized,
-                            lift_rotation_search, lift_with_boundary,
-                            solve_laplace)
+from bvlift.lifting import (BoundaryMismatchError, boundary_cells, lift_1d,
+                            lift_eps_regularized, lift_rotation_search,
+                            lift_with_boundary, solve_laplace)
 from bvlift.verify import make_half_vortex, make_half_vortex_lifting
 
 GEO_S = metric_distance("geodesic", "unit")
@@ -188,7 +187,8 @@ class TestRotationSearch:
             s = lift_sign(R, u.values)
             n = u.with_values(u.values * s[..., None], kind="unit")
             want.append(embedded_tv(n, rank).to_dict())
-        got = [rep.to_dict() for _, rep in _candidate_liftings(u, rots, rank)]
+        got = [rep.to_dict() for rep in _face_energies(
+            u, ((rank, lift_sign(R, u.values)) for R in rots))]
         assert got == want
         best = int(np.argmin([w["total"] for w in want]))  # first minimum
         res = lift_rotation_search(u, trials=6, seed=seed, metric=metric)

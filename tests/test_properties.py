@@ -13,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bvlift.fields import (_PAIRS_PER_BLOCK, METRICS, GridField, _face_data,
-                           _half_offsets, _pair_sums, avg_directional_energy,
-                           directional_tv, embedded_tv, metric_distance,
-                           mollified_energy, read_field, write_field)
+                           _face_energies, _half_offsets, _pair_sums,
+                           avg_directional_energy, directional_tv,
+                           embedded_tv, metric_distance,
+                           mollified_energy, mollified_energy_extrapolated,
+                           read_field, write_field)
 from bvlift.geometry import (canonicalize, dist_proj, dist_sphere,
                              eucl_jump_cost)
 
@@ -42,7 +44,7 @@ def unit_vectors(draw, n=None, d=None):
 
 
 @st.composite
-def grid_fields(draw, kind, dims_max=5, N_choices=(1, 2)):
+def grid_fields(draw, kind, dims_max=5, N_choices=(1, 2), masked=None):
     N = draw(st.sampled_from(N_choices))
     dims = tuple(draw(st.integers(2, dims_max)) for _ in range(N))
     d = draw(st.sampled_from((2, 3)))
@@ -52,7 +54,7 @@ def grid_fields(draw, kind, dims_max=5, N_choices=(1, 2)):
         scale = draw(hnp.arrays(float, dims, elements=st.floats(0.0, 1.0)))
         vals = vals * scale[..., None]
     mask = None
-    if draw(st.booleans()):
+    if masked or masked is None and draw(st.booleans()):
         mask = draw(hnp.arrays(bool, dims))
         mask.flat[draw(st.integers(0, cells - 1))] = True  # never empty
     spacing = draw(st.floats(1e-3, 10.0))
@@ -104,7 +106,8 @@ def test_lifting_distances_never_below_its_projection(data):
     for metric in METRICS:
         assert np.all(metric_distance(metric, "unit")(a, b)
                       >= metric_distance(metric, "proj")(ca, cb)), metric
-        assert np.all(_face_data(n, metric)[1] >= _face_data(u, metric)[1])
+        dn, du = (next(_face_data(f, [(metric, None)]))[1] for f in (n, u))
+        assert np.all(dn >= du), metric
         (sn,), (su,) = (_pair_sums(f, [(metric, None)], rmax)
                         for f in (n, u))
         assert all(sn[k] >= su[k] for k in sn), metric
@@ -228,6 +231,38 @@ def test_multi_request_pair_sums_equal_single_requests(data):
         assert got == want
         if signs is None:
             assert got == _reference_pair_sums(u, metric, rmax)
+
+
+@SETTINGS
+@given(st.data())
+def test_mollified_energy_is_an_entry_of_the_extrapolation(data):
+    # both entry points share one radius check and one pair pass
+    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    f = data.draw(grid_fields(kind, N_choices=(1, 2, 3), masked=True))
+    ms = data.draw(st.lists(st.floats(2.0, 5.0), min_size=2, max_size=3,
+                            unique=True))
+    for metric in METRICS if kind != "vector" else ("euclidean_sphere",):
+        rep = mollified_energy_extrapolated(f, metric, ms)
+        assert rep.params["energies"] == [
+            mollified_energy(f, m * f.spacing, metric).total
+            for m in sorted(ms)], metric
+
+
+@SETTINGS
+@given(st.data())
+def test_face_energies_equal_embedded_tv_of_each_request(data):
+    # one face pass serves mixed requests, each as its explicit field
+    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    u = data.draw(grid_fields(kind, N_choices=(1, 2, 3)))
+    requests = [(metric, signs) for metric, signs in _requests(data, u)
+                if not (kind == "proj" and metric == "euclidean_sphere"
+                        and signs is None)]
+    lifted = "unit" if kind == "proj" else kind
+    want = [embedded_tv(u if signs is None else u.with_values(
+        u.values * signs[..., None], kind=lifted), metric).to_dict()
+        for metric, signs in requests]
+    got = [rep.to_dict() for rep in _face_energies(u, iter(requests))]
+    assert got == want
 
 
 @settings(max_examples=30, deadline=None)
