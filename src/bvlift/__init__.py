@@ -12,8 +12,8 @@ from .constants import (ConstantResult, avg_eucl_jump, avg_eucl_jump_closed,
                         psi_closed, psi_estimate, sphere_area, sphere_quad)
 from .fields import (EnergyReport, GridField, avg_directional_energy,
                      detect_jumps, directional_tv, embedded_tv,
-                     metric_distance, mollified_energy,
-                     mollified_energy_extrapolated, read_field, write_field)
+                     mollified_energy, mollified_energy_extrapolated,
+                     read_field, write_field)
 from .geometry import (canonicalize, dist_proj, dist_sphere, embed_tensor,
                        eucl_jump_cost, haar_rotations, lift_map_F, lift_sign,
                        random_unit_vectors, uniaxial_q)

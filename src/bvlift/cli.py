@@ -20,9 +20,9 @@ import numpy as np
 
 from . import constants as consts
 from . import verify
-from .fields import (UnderResolvedError, avg_directional_energy, embedded_tv,
-                     mollified_energy, mollified_energy_extrapolated,
-                     read_field, write_field)
+from .fields import (METRICS, UnderResolvedError, avg_directional_energy,
+                     embedded_tv, mollified_energy,
+                     mollified_energy_extrapolated, read_field, write_field)
 from .lifting import (BoundaryMismatchError, LiftResult, lift_1d,
                       lift_rotation_search, lift_with_boundary)
 
@@ -275,8 +275,7 @@ def build_parser():
     en.add_argument("input")
     en.add_argument("--estimator", default="embedded",
                     choices=["mollified", "directional", "embedded"])
-    en.add_argument("--metric", choices=["geodesic", "euclidean_sphere",
-                                         "euclidean_tensor"])
+    en.add_argument("--metric", choices=METRICS)
     en.add_argument("--directions", type=int)
     en.add_argument("--seed", type=int)
     en.add_argument("--jump-threshold", dest="jump_threshold", type=float)
@@ -291,8 +290,7 @@ def build_parser():
                     choices=["rotation", "greedy1d", "boundary"])
     lf.add_argument("--trials", type=int)
     lf.add_argument("--seed", type=int)
-    lf.add_argument("--metric", choices=["geodesic", "euclidean_sphere",
-                                         "euclidean_tensor"])
+    lf.add_argument("--metric", choices=METRICS)
     lf.add_argument("--boundary", help="unit field file with boundary data")
     lf.add_argument("-o", "--output")
     lf.set_defaults(fn=cmd_lift)

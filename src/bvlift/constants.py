@@ -79,6 +79,20 @@ def sphere_quad(k, n=64):
     return pts.reshape(-1, k + 1), W.reshape(-1)
 
 
+def _polar_integrals(*integrands):
+    """Adaptive quadratures of the integrands over the polar angle [0, pi],
+    split at pi/2 so that |cos| is smooth on each panel.  Returns the
+    integrals and the sum of their error estimates, added panel by panel."""
+    vals = [0.0] * len(integrands)
+    err = 0.0
+    for a, b in ((0.0, np.pi / 2), (np.pi / 2, np.pi)):
+        for i, fn in enumerate(integrands):
+            v, e = integrate.quad(fn, a, b, epsabs=1e-13, epsrel=1e-13)
+            vals[i] += v
+            err += e
+    return vals, err
+
+
 def k_const(N):
     """Spherical average of |omega . e| over S^{N-1}.
 
@@ -89,24 +103,11 @@ def k_const(N):
         raise ValueError("N must be >= 1")
     if N == 1:
         return ConstantResult(1.0, "closed_form")
-    # K_N = int |cos| sin^{N-2} dphi / int sin^{N-2} dphi over [0, pi];
-    # split at pi/2 so the integrand is smooth on each panel.
-    num = 0.0
-    den = 0.0
-    nerr = 0.0
-    for a, b in ((0.0, np.pi / 2), (np.pi / 2, np.pi)):
-        v, e = integrate.quad(
-            lambda p: abs(np.cos(p)) * np.sin(p) ** (N - 2), a, b,
-            epsabs=1e-13, epsrel=1e-13)
-        num += v
-        nerr += e
-        v, e = integrate.quad(
-            lambda p: np.sin(p) ** (N - 2), a, b,
-            epsabs=1e-13, epsrel=1e-13)
-        den += v
-        nerr += e
-    return ConstantResult(num / den, "quadrature", error_estimate=nerr,
-                          samples_or_nodes=0)
+    # K_N = int |cos| sin^{N-2} dphi / int sin^{N-2} dphi over [0, pi]
+    (num, den), err = _polar_integrals(
+        lambda p: abs(np.cos(p)) * np.sin(p) ** (N - 2),
+        lambda p: np.sin(p) ** (N - 2))
+    return ConstantResult(num / den, "quadrature", error_estimate=err)
 
 
 def _mc_over_sphere(fn, n, m, theta, samples, seed):
@@ -195,10 +196,14 @@ def avg_eucl_jump(theta, samples, seed=0, d=3):
         n, m, theta, samples, seed)
 
 
+def _jump_numerator(theta):
+    # theta cos(theta/2) + (pi - theta) sin(theta/2)
+    return theta * np.cos(theta / 2.0) + (np.pi - theta) * np.sin(theta / 2.0)
+
+
 def avg_eucl_jump_closed(theta):
     """Closed form: (2/pi)((pi - theta) sin(theta/2) + theta cos(theta/2))."""
-    return 2.0 / np.pi * ((np.pi - theta) * np.sin(theta / 2.0)
-                          + theta * np.cos(theta / 2.0))
+    return 2.0 / np.pi * _jump_numerator(theta)
 
 
 # name -> (estimate(theta, d, samples, seed), closed_form(theta), identity);
@@ -231,21 +236,10 @@ def m_const(d):
         raise ValueError("d must be >= 2")
     if d == 2:
         return ConstantResult(2.0, "closed_form")
-    if d == 3:
-        val, err = integrate.quad(lambda p: abs(np.cos(p)), 0.0, 2.0 * np.pi,
-                                  points=[np.pi / 2, 3 * np.pi / 2],
-                                  limit=200, epsabs=1e-13, epsrel=1e-13)
-        return ConstantResult(val, "quadrature", error_estimate=err)
-    # d >= 4: integrate |cos| sin^{d-3} over the polar angle, times the
-    # area of the sub-sphere S^{d-3}.
-    val = 0.0
-    err = 0.0
-    for a, b in ((0.0, np.pi / 2), (np.pi / 2, np.pi)):
-        v, e = integrate.quad(
-            lambda p: abs(np.cos(p)) * np.sin(p) ** (d - 3), a, b,
-            epsabs=1e-13, epsrel=1e-13)
-        val += v
-        err += e
+    # integrate |cos| sin^{d-3} over the polar angle, times the area of the
+    # sub-sphere S^{d-3} (the two points of S^0 for d = 3)
+    (val,), err = _polar_integrals(
+        lambda p: abs(np.cos(p)) * np.sin(p) ** (d - 3))
     sub = sphere_area(d - 3)
     return ConstantResult(val * sub, "quadrature", error_estimate=err * sub)
 
@@ -306,11 +300,6 @@ def ca_const(N, d, restarts=64, seed=0, quad_n=96, max_iter=1000):
                           error_estimate=err,
                           samples_or_nodes=len(w),
                           params={"sup": best, "restarts": restarts})
-
-
-def _jump_numerator(theta):
-    # theta cos(theta/2) + (pi - theta) sin(theta/2)
-    return theta * np.cos(theta / 2.0) + (np.pi - theta) * np.sin(theta / 2.0)
 
 
 def cj_estimate(embedding="tensor", grid_points=100_000):

@@ -21,19 +21,18 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .geometry import (_pick_chord, _squared_chords, canonicalize, chord,
-                       chord_distance)
+from .geometry import (_pick_chord, _squared_chords, canonicalize,
+                       chord_distance, random_unit_vectors)
 
 __all__ = [
     "GridField",
     "EnergyReport",
     "UnderResolvedError",
     "METRICS",
-    "metric_distance",
     "write_field",
     "read_field",
     "mollified_energy",
@@ -131,14 +130,7 @@ class EnergyReport:
     params: dict = dc_field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "total": self.total,
-            "ac_part": self.ac_part,
-            "jump_part": self.jump_part,
-            "metric": self.metric,
-            "estimator": self.estimator,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 class UnderResolvedError(ValueError):
@@ -156,7 +148,8 @@ def _chord_rule(metric, kind, signs=None):
     the pair is compared by the projective chord (line fields always are;
     the tensor metric sees only the lines of unit values); else ``pos`` =
     s > 0 picks the chord by the sign product, or is None without signs.
-    Raises ValueError for a metric the kind does not support.
+    Raises ValueError for a metric the kind does not support, which
+    includes ``euclidean_sphere``, the metric of liftings, on a line field.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -164,17 +157,12 @@ def _chord_rule(metric, kind, signs=None):
         kind = "unit"
     if kind == "vector" and metric != "euclidean_sphere":
         raise ValueError(f"{metric} metric needs unit or proj values")
+    if kind == "proj" and metric == "euclidean_sphere":
+        raise ValueError(
+            "euclidean_sphere embedding is sign-discontinuous on proj "
+            "fields; use euclidean_tensor or geodesic")
     proj = kind == "proj" or metric == "euclidean_tensor"
     return proj, None if proj or signs is None else signs > 0
-
-
-def metric_distance(metric, kind):
-    """Distance function (A, B) -> array for value arrays of a given kind.
-
-    A closed form of the pair's chord, see :func:`bvlift.geometry.chord`.
-    """
-    proj, _ = _chord_rule(metric, kind)
-    return lambda a, b: chord_distance(chord(a, b, proj), metric)
 
 
 def default_jump_threshold(metric, angle=np.pi / 4):
@@ -278,9 +266,11 @@ def _offset_slices(off, dims):
 
 def _thread_count(threads):
     """Worker threads: ``threads`` if given, else ``BVLIFT_THREADS``, else
-    the CPUs this process may run on.  Raises ValueError for a
-    ``BVLIFT_THREADS`` that is not an integer >= 1."""
+    the CPUs this process may run on.  Raises ValueError for a count
+    below 1, or a ``BVLIFT_THREADS`` that is not an integer >= 1."""
     if threads is not None:
+        if threads < 1:
+            raise ValueError("threads must be >= 1")
         return threads
     env = os.environ.get("BVLIFT_THREADS")
     if env is None:
@@ -503,8 +493,7 @@ def _sample_directions(N, directions, rng):
         # equispaced angles with one random offset: unbiased, low variance
         phi = (np.arange(directions) + rng.random()) / directions * 2.0 * np.pi
         return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    v = rng.standard_normal((directions, N))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return random_unit_vectors(N, directions, rng)
 
 
 def avg_directional_energy(f, directions=64, seed=0, metric="geodesic",
@@ -623,10 +612,6 @@ def _face_energies(f, requests, jump_threshold=None):
     h = f.spacing
     inside = f.inside()
     for valid, dists, chords, metric, proj in _face_data(f, requests):
-        if proj and metric == "euclidean_sphere":
-            raise ValueError(
-                "euclidean_sphere embedding is sign-discontinuous on proj "
-                "fields; use euclidean_tensor or geodesic")
         # embedded step: the chord, or the step sin(theta) of the tensor
         # embedding (1/sqrt 2) n (x) n when the chord is projective
         steps = chord_distance(chords, "euclidean_tensor") if proj else chords

@@ -39,10 +39,15 @@ def canonicalize(v):
     bit, and idempotent.
     """
     v = np.asarray(v, dtype=float)
+    return v * _lead_sign(v)[..., None]
+
+
+def _lead_sign(v):
+    """The sign in {-1, +1} that makes the coordinate of largest absolute
+    value (lowest index on ties) of ``v`` nonnegative."""
     idx = np.argmax(np.abs(v), axis=-1)
     lead = np.take_along_axis(v, idx[..., None], axis=-1)[..., 0]
-    sign = np.where(lead < 0, -1.0, 1.0)
-    return v * sign[..., None]
+    return np.where(lead < 0, -1.0, 1.0)
 
 
 def _check_same_dim(n, m):
@@ -184,15 +189,11 @@ def lift_map_F(n):
     """Symmetric folding map onto the upper hemisphere: n if n.e_d > 0, else -n.
 
     On the equator (n.e_d == 0, measure zero) the canonical representative is
-    returned, which keeps F(n) == F(-n) exact everywhere.
+    returned, which keeps F(n) == F(-n) exact everywhere.  This is the
+    rotated lifting of :func:`lift_sign` at the identity rotation.
     """
     n = np.asarray(n, dtype=float)
-    last = n[..., -1]
-    out = np.where((last > 0)[..., None], n, -n)
-    eq = last == 0
-    if np.any(eq):
-        out = np.where(eq[..., None], canonicalize(n), out)
-    return out
+    return n * lift_sign(np.eye(n.shape[-1]), n)[..., None]
 
 
 def lift_sign(R, u):
@@ -209,10 +210,7 @@ def lift_sign(R, u):
     s = np.where(w_last > 0, 1.0, -1.0)
     eq = w_last == 0
     if np.any(eq):
-        # canonical tie-break: sign that makes the largest-|coord| entry >= 0
-        idx = np.argmax(np.abs(u), axis=-1)
-        lead = np.take_along_axis(u, idx[..., None], axis=-1)[..., 0]
-        s = np.where(eq, np.where(lead < 0, -1.0, 1.0), s)
+        s = np.where(eq, _lead_sign(u), s)  # the canonical tie-break
     return s
 
 

@@ -13,7 +13,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -54,16 +54,9 @@ class CheckReport:
     def to_dict(self):
         # runtime is volatile; keep it out of the serialized report so that
         # identical (command, seed) runs produce byte-identical files
-        return {
-            "name": self.name,
-            "claimed": self.claimed,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "passed": bool(self.passed),
-            "kind": self.kind,
-            "formula": self.formula,
-            "extra": self.extra,
-        }
+        out = asdict(self)
+        del out["runtime_ms"]
+        return {**out, "passed": bool(self.passed)}
 
 
 def _check(name, claimed, measured, tolerance, kind="abs", formula="",
@@ -184,7 +177,7 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None,
     (default :func:`bvlift.fields._thread_count`); the results do not
     depend on it.
     """
-    _check_settings(grid=grid, trials=trials, threads=threads)
+    _check_settings(grid=grid, trials=trials)
     threads = _thread_count(threads)
     reports = []
     rows = []
@@ -251,7 +244,7 @@ def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
     theta grid and d in {2, 3, 4}; the averaged Euclidean jump must also stay
     below (1 + 2/pi) sin(theta).
     """
-    _check_settings(samples=samples, threads=threads)
+    _check_settings(samples=samples)
     threads = _thread_count(threads)
     # job j = 12 f + i is family f of AVERAGES at combo i and draws seeds[j]
     jobs = [(name, theta, d) for name in AVERAGES
@@ -334,7 +327,7 @@ def _repr_fields():
 def run_repr_formula_suite(seed=0, csv_dir=None, threads=None):
     """Mollified, direction-averaged and analytic energies agree within 5%;
     the mollified pair passes and the directions run on ``threads``."""
-    _check_settings(threads=threads)
+    threads = _thread_count(threads)
     reports = []
     rows = []
     for name, f, analytic in _repr_fields():
@@ -471,23 +464,22 @@ SUITES = {
 }
 
 
-def _check_settings(grid=256, trials=64, samples=1_000_000, threads=None):
+def _check_settings(grid=256, trials=64, samples=1_000_000):
     """Raise ValueError for settings a suite does not run at; each runner
-    checks its own, :func:`run_all_suites` all of them before any suite runs."""
+    checks its own, :func:`run_all_suites` all of them before any suite runs
+    (and the thread count by :func:`bvlift.fields._thread_count`)."""
     if grid < 128:
         raise ValueError("grid must be >= 128")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if samples < 100_000:
         raise ValueError("samples must be >= 1e5")
-    if threads is not None and threads < 1:
-        raise ValueError("threads must be >= 1")
 
 
 def run_all_suites(grid=256, trials=64, samples=1_000_000, seed=0,
                    csv_dir=None, threads=None):
     """All suites of :data:`SUITES` in declaration order."""
-    _check_settings(grid=grid, trials=trials, samples=samples, threads=threads)
+    _check_settings(grid=grid, trials=trials, samples=samples)
     threads = _thread_count(threads)
     settings = dict(grid=grid, trials=trials, samples=samples, seed=seed,
                     csv_dir=csv_dir, threads=threads)

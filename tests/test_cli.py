@@ -6,7 +6,10 @@ import pytest
 from bvlift import cli, constants, lifting, verify
 from bvlift.cli import main
 from bvlift.constants import avg_eucl_jump_closed, avg_lifted_dist_closed
-from bvlift.fields import GridField, read_field, write_field
+from bvlift.fields import (GridField, avg_directional_energy, detect_jumps,
+                           embedded_tv, mollified_energy,
+                           mollified_energy_extrapolated, read_field,
+                           write_field)
 from bvlift.verify import make_half_vortex
 
 
@@ -138,6 +141,24 @@ class TestEnergy:
         p.write_text('{"d":2,"dims":[4,4],"kind":"proj","mask":"none",'
                      + header + ',"version":1}\n' + "1,0\n" * 16)
         assert run("energy", p, "--estimator", estimator) == 2
+        assert_one_error_line(capfd)
+
+    @pytest.mark.parametrize("estimator, kernels", [
+        ("mollified", [mollified_energy_extrapolated,
+                       lambda f, m: mollified_energy(f, 8 * f.spacing, m)]),
+        ("directional", [lambda f, m: avg_directional_energy(f, metric=m)]),
+        ("embedded", [embedded_tv, detect_jumps])],
+        ids=["mollified", "directional", "embedded"])
+    def test_sphere_metric_on_a_line_field_exit_2(self, hv_path, capfd,
+                                                  estimator, kernels):
+        # euclidean_sphere is the metric of liftings: without signs every
+        # kernel rejects it on a line field, rather than measure a chord
+        u = read_field(hv_path)
+        for kernel in kernels:
+            with pytest.raises(ValueError, match="euclidean_sphere"):
+                kernel(u, "euclidean_sphere")
+        assert run("energy", hv_path, "--estimator", estimator,
+                   "--metric", "euclidean_sphere") == 2
         assert_one_error_line(capfd)
 
     def test_under_resolved_eps_exit_4(self, hv_path, capfd):

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from bvlift.constants import k_const
-from bvlift.fields import (GridField, UnderResolvedError,
+from bvlift.fields import (GridField, UnderResolvedError, _chord_rule,
                            _energy_from_pair_sums, _pair_sums,
                            avg_directional_energy, default_jump_threshold,
                            detect_jumps, directional_tv, embedded_tv,
-                           metric_distance, mollified_energy,
-                           mollified_energy_extrapolated, read_field,
-                           write_field)
-from bvlift.geometry import chord_distance
+                           mollified_energy, mollified_energy_extrapolated,
+                           read_field, write_field)
+from bvlift.geometry import chord, chord_distance
 from bvlift.verify import make_half_vortex, make_half_vortex_lifting
 
 K2 = k_const(2).value
@@ -430,7 +429,7 @@ class TestScaling:
 class TestMetricDispatch:
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
-            metric_distance("l1", "unit")
+            _chord_rule("l1", "unit")
         with pytest.raises(ValueError):
             chord_distance(1.0, "l1")
 
@@ -440,7 +439,15 @@ class TestMetricDispatch:
         a /= np.linalg.norm(a, axis=-1, keepdims=True)
         b = rng.standard_normal((64, 3))
         b /= np.linalg.norm(b, axis=-1, keepdims=True)
-        chord = metric_distance("euclidean_sphere", "proj")(a, b)
+        q = chord_distance(chord(a, b, True), "euclidean_sphere")
         direct = np.minimum(np.linalg.norm(a - b, axis=-1),
                             np.linalg.norm(a + b, axis=-1))
-        assert np.allclose(chord, direct, atol=1e-12)
+        assert np.allclose(q, direct, atol=1e-12)
+
+    def test_thread_count_below_one_rejected(self):
+        f = jump_field(16)
+        for threads in (0, -2):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                avg_directional_energy(f, threads=threads)
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                _pair_sums(f, [("geodesic", None)], 2, threads)

@@ -6,16 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvlift.fields import (GridField, _face_energies, avg_directional_energy,
-                           detect_jumps, embedded_tv, metric_distance)
-from bvlift.geometry import (canonicalize, eucl_jump_cost, haar_rotations,
-                             lift_sign, random_unit_vectors)
+                           detect_jumps, embedded_tv)
+from bvlift.geometry import (canonicalize, chord, chord_distance,
+                             eucl_jump_cost, haar_rotations, lift_sign,
+                             random_unit_vectors)
 from bvlift.lifting import (BoundaryMismatchError, boundary_cells, lift_1d,
                             lift_eps_regularized, lift_rotation_search,
                             lift_with_boundary, solve_laplace)
 from bvlift.verify import make_half_vortex, make_half_vortex_lifting
 
-GEO_S = metric_distance("geodesic", "unit")
-GEO_P = metric_distance("geodesic", "proj")
+
+def GEO_S(a, b):
+    return chord_distance(chord(a, b), "geodesic")
+
+
+def GEO_P(a, b):
+    return chord_distance(chord(a, b, True), "geodesic")
 
 
 def planar(angles, d=2):

@@ -15,11 +15,11 @@ from hypothesis.extra import numpy as hnp
 from bvlift.fields import (_PAIRS_PER_BLOCK, METRICS, GridField, _face_data,
                            _face_energies, _half_offsets, _pair_sums,
                            avg_directional_energy, directional_tv,
-                           embedded_tv, metric_distance,
-                           mollified_energy, mollified_energy_extrapolated,
-                           read_field, write_field)
-from bvlift.geometry import (canonicalize, dist_proj, dist_sphere,
-                             eucl_jump_cost)
+                           embedded_tv, mollified_energy,
+                           mollified_energy_extrapolated, read_field,
+                           write_field)
+from bvlift.geometry import (canonicalize, chord, chord_distance, dist_proj,
+                             dist_sphere, eucl_jump_cost)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -62,6 +62,24 @@ def grid_fields(draw, kind, dims_max=5, N_choices=(1, 2), masked=None):
     return GridField(dims, spacing, origin, kind, vals, mask)
 
 
+def _metrics(kind, signed=False):
+    """The metrics a request without (or with) signs may ask of a field of
+    the kind: euclidean_sphere, the metric of liftings, needs signs on a
+    line field, and vector fields have no other."""
+    if kind == "vector":
+        return ("euclidean_sphere",)
+    if kind == "proj" and not signed:
+        return ("geodesic", "euclidean_tensor")
+    return METRICS
+
+
+def _distance(metric, kind):
+    """The pair distance of a field of the kind: a closed form of the chord,
+    projective for line fields and for the tensor metric."""
+    proj = kind == "proj" or metric == "euclidean_tensor"
+    return lambda a, b: chord_distance(chord(a, b, proj), metric)
+
+
 def _signs(draw, n):
     return np.where(draw(hnp.arrays(bool, (n,))), -1.0, 1.0)[:, None]
 
@@ -74,7 +92,7 @@ def test_sign_flip_of_proj_representatives_is_bit_identical(data):
     b = data.draw(st.one_of(unit_vectors(n, d), st.just(a.copy())))
     sa, sb = _signs(data.draw, n), _signs(data.draw, n)
     for metric in METRICS:
-        dist = metric_distance(metric, "proj")
+        dist = _distance(metric, "proj")
         assert np.array_equal(dist(sa * a, sb * b), dist(a, b)), metric
     assert np.array_equal(dist_proj(sa * a, sb * b), dist_proj(a, b))
     assert np.array_equal(eucl_jump_cost(sa * a, sb * b), eucl_jump_cost(a, b))
@@ -85,9 +103,9 @@ def test_sign_flip_of_proj_representatives_is_bit_identical(data):
 def test_identical_representatives_are_at_distance_zero(a):
     for metric in METRICS:
         for kind in ("unit", "proj"):
-            got = metric_distance(metric, kind)(a, a.copy())
+            got = _distance(metric, kind)(a, a.copy())
             assert np.all(got == 0.0), (metric, kind, got.max())
-    assert np.all(metric_distance("euclidean_sphere", "vector")(a, a) == 0.0)
+    assert np.all(_distance("euclidean_sphere", "vector")(a, a) == 0.0)
     assert np.all(dist_sphere(a, a) == 0.0)
     assert np.all(dist_proj(a, a) == 0.0)
     assert np.all(dist_proj(a, -a) == 0.0)
@@ -104,8 +122,9 @@ def test_lifting_distances_never_below_its_projection(data):
     rmax = data.draw(st.integers(2, 3))
     eps = rmax * n.spacing
     for metric in METRICS:
-        assert np.all(metric_distance(metric, "unit")(a, b)
-                      >= metric_distance(metric, "proj")(ca, cb)), metric
+        assert np.all(_distance(metric, "unit")(a, b)
+                      >= _distance(metric, "proj")(ca, cb)), metric
+    for metric in _metrics("proj"):
         dn, du = (next(_face_data(f, [(metric, None)]))[1] for f in (n, u))
         assert np.all(dn >= du), metric
         (sn,), (su,) = (_pair_sums(f, [(metric, None)], rmax)
@@ -141,22 +160,21 @@ def test_constant_field_has_exactly_zero_energy(v, kind, grid, N):
     dims = (grid,) * N
     vals = np.broadcast_to(v[0], dims + v.shape[-1:])
     f = GridField(dims, 1.0 / grid, (0.0,) * N, kind, vals)
-    for metric in METRICS:
+    for metric in _metrics(kind):
         assert mollified_energy(f, 2 * f.spacing, metric).total == 0.0
         assert avg_directional_energy(f, directions=4, metric=metric).total \
             == 0.0
-        if kind == "unit" or metric != "euclidean_sphere":
-            assert embedded_tv(f, metric).total == 0.0
+        assert embedded_tv(f, metric).total == 0.0
 
 
 def _requests(data, u):
     """Random (metric, signs) requests of _pair_sums on the field u."""
-    metrics = METRICS if u.kind != "vector" else ("euclidean_sphere",)
     out = []
     for _ in range(data.draw(st.integers(1, 4))):
         signs = None
         if data.draw(st.booleans()):
             signs = np.where(data.draw(hnp.arrays(bool, u.dims)), -1.0, 1.0)
+        metrics = _metrics(u.kind, signs is not None)
         out.append((data.draw(st.sampled_from(metrics)), signs))
     return out
 
@@ -191,7 +209,7 @@ def test_half_offsets_equal_the_reference_loop():
 
 def _reference_pair_sums(f, metric, rmax):
     """Per-offset sums of the pair distances, one offset slice at a time."""
-    dist = metric_distance(metric, f.kind)
+    dist = _distance(metric, f.kind)
     inside = f.inside()
     sums = {}
     for off in _half_offsets(f.N, rmax):
@@ -241,7 +259,7 @@ def test_mollified_energy_is_an_entry_of_the_extrapolation(data):
     f = data.draw(grid_fields(kind, N_choices=(1, 2, 3), masked=True))
     ms = data.draw(st.lists(st.floats(2.0, 5.0), min_size=2, max_size=3,
                             unique=True))
-    for metric in METRICS if kind != "vector" else ("euclidean_sphere",):
+    for metric in _metrics(kind):
         rep = mollified_energy_extrapolated(f, metric, ms)
         assert rep.params["energies"] == [
             mollified_energy(f, m * f.spacing, metric).total
@@ -254,9 +272,7 @@ def test_face_energies_equal_embedded_tv_of_each_request(data):
     # one face pass serves mixed requests, each as its explicit field
     kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
     u = data.draw(grid_fields(kind, N_choices=(1, 2, 3)))
-    requests = [(metric, signs) for metric, signs in _requests(data, u)
-                if not (kind == "proj" and metric == "euclidean_sphere"
-                        and signs is None)]
+    requests = _requests(data, u)
     lifted = "unit" if kind == "proj" else kind
     want = [embedded_tv(u if signs is None else u.with_values(
         u.values * signs[..., None], kind=lifted), metric).to_dict()
@@ -298,7 +314,7 @@ def _reference_directional_tv(f, omega, metric):
     """The block loop that gathers (lines, K, d) values through N index
     arrays, which the flat-index kernel of directional_tv replaces."""
     omega = omega / np.linalg.norm(omega)
-    dist = metric_distance(metric, f.kind)
+    dist = _distance(metric, f.kind)
     inside = f.inside()
     a = int(np.argmax(np.abs(omega)))
     others = [t for t in range(f.N) if t != a]
@@ -330,10 +346,6 @@ def _reference_directional_tv(f, omega, metric):
         pair_ok = ok[:, :-1] & ok[:, 1:]
         tv += float((dist(v[:, :-1], v[:, 1:]) * pair_ok).sum())
     return abs(omega[a]) * f.spacing ** (f.N - 1) * tv
-
-
-def _metrics(kind):
-    return METRICS if kind != "vector" else ("euclidean_sphere",)
 
 
 @SETTINGS
