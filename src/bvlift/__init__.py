@@ -18,11 +18,11 @@ from .geometry import (canonicalize, dist_proj, dist_sphere, embed_tensor,
                        eucl_jump_cost, haar_rotations, lift_map_F, lift_sign,
                        random_unit_vectors, uniaxial_q)
 from .lifting import (LiftResult, boundary_cells, lift_1d,
-                      lift_eps_regularized, lift_rotation_search,
-                      lift_with_boundary, solve_laplace)
-from .verify import (CheckReport, make_half_vortex, make_half_vortex_lifting,
-                     run_all_suites, run_diffuse_invariance_suite,
-                     run_half_vortex_suite, run_identity_suite,
-                     run_repr_formula_suite, write_report)
+                      lift_eps_regularized, lift_greedy_1d,
+                      lift_rotation_search, lift_with_boundary, solve_laplace)
+from .verify import (FIELD_KINDS, CheckReport, make_field, make_half_vortex,
+                     make_half_vortex_lifting, run_all_suites,
+                     run_diffuse_invariance_suite, run_half_vortex_suite,
+                     run_identity_suite, run_repr_formula_suite, write_report)
 
 __version__ = "0.1.0"

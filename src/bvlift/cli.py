@@ -1,4 +1,4 @@
-"""Command-line front end: field generation, lifting, energies, constants, checks.
+"""Command-line shell over the library: one library call per subcommand.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input (any
 ValueError or OSError, a missing or unwritable file included), 3 boundary
@@ -16,14 +16,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import constants as consts
 from . import verify
 from .fields import (METRICS, UnderResolvedError, avg_directional_energy,
                      embedded_tv, mollified_energy,
                      mollified_energy_extrapolated, read_field, write_field)
-from .lifting import (BoundaryMismatchError, LiftResult, lift_1d,
+from .lifting import (BoundaryMismatchError, lift_greedy_1d,
                       lift_rotation_search, lift_with_boundary)
 
 EXIT_OK = 0
@@ -118,23 +116,8 @@ def _json_dumps(obj):
 
 def cmd_make_field(args):
     _check_output(args.output)
-    grid, d = args.grid, args.d
-    if args.kind == "halfvortex":
-        f = verify.make_half_vortex(grid, d=d, N=args.N)
-    elif args.kind == "halfvortex-lift":
-        f = verify.make_half_vortex_lifting(grid, d=d, N=args.N)
-    elif args.N != 2:
-        raise ValueError(f"--kind {args.kind} makes 2D fields, got --N {args.N}")
-    elif args.kind == "constant":
-        f = verify._angle_field(grid, ((0.0, 1.0), (0.0, 1.0)),
-                                lambda X, Y: 0.0 * X, d=d)
-    elif args.kind == "jump":
-        f = verify._angle_field(grid, ((-0.5, 0.5), (-0.5, 0.5)),
-                                lambda X, Y: np.where(X < 0, 0.0, np.pi / 2),
-                                d=d)
-    else:
-        f = verify._angle_field(grid, ((0.0, 1.0), (0.0, 1.0)),
-                                lambda X, Y: args.slope * X, d=d)
+    f = verify.make_field(args.kind, args.grid, d=args.d, N=args.N,
+                          slope=args.slope)
     _atomic_write(args.output, lambda tmp: write_field(f, tmp))
     print(f"wrote {args.output}: dims={f.dims} d={f.d} kind={f.kind}")
     return EXIT_OK
@@ -167,14 +150,7 @@ def cmd_lift(args):
     u = read_field(args.input)
 
     if args.mode == "greedy1d":
-        if u.N != 1:
-            raise ValueError("greedy1d requires a one-dimensional field")
-        n = u.with_values(lift_1d(u.values), kind="unit")
-        # the direction average is exact on an interval and skips the mask
-        rep = avg_directional_energy(n, metric="geodesic")
-        rep.params["projective_tv"] = avg_directional_energy(
-            u, metric="geodesic").total
-        res = LiftResult(field=n, energy=rep)
+        res = lift_greedy_1d(u)
     elif args.mode == "rotation":
         res = lift_rotation_search(u, trials=cfg["trials"], seed=cfg["seed"],
                                    metric=cfg["metric"])
@@ -213,11 +189,11 @@ def cmd_constants(args):
         put(f"C_j_{args.cj}", consts.cj_estimate(args.cj))
     if args.c1d:
         put("C_1d_tensor", consts.c1d_const())
-    for flag, name in zip(("avg_dist", "psi", "avg_jump"), consts.AVERAGES):
-        theta = getattr(args, flag)
+    for name, (estimate, _, _) in consts.AVERAGES.items():
+        theta = getattr(args, name)  # each average's flag has its name as dest
         if theta is not None:
-            put(f"{name}_{theta:.6f}", consts.AVERAGES[name][0](
-                theta, args.d, args.samples, cfg["seed"]))
+            put(f"{name}_{theta:.6f}",
+                estimate(theta, args.d, args.samples, cfg["seed"]))
     if not table:
         raise ValueError("no constants requested")
     sys.stdout.write(_json_dumps(table))
@@ -261,9 +237,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     mk = sub.add_parser("make-field", help="generate test fields")
-    mk.add_argument("--kind", required=True,
-                    choices=["halfvortex", "halfvortex-lift", "constant",
-                             "jump", "smooth"])
+    mk.add_argument("--kind", required=True, choices=verify.FIELD_KINDS)
     mk.add_argument("--grid", type=int, default=256)
     mk.add_argument("--d", type=int, default=2)
     mk.add_argument("--N", type=int, default=2)
@@ -302,9 +276,11 @@ def build_parser():
     co.add_argument("--cj", choices=["tensor"],
                     help="'tensor' for the tensor embedding")
     co.add_argument("--c1d", action="store_true")
-    co.add_argument("--psi", type=float, metavar="THETA")
-    co.add_argument("--avg-dist", dest="avg_dist", type=float, metavar="THETA")
-    co.add_argument("--avg-jump", dest="avg_jump", type=float, metavar="THETA")
+    co.add_argument("--psi", dest="psi", type=float, metavar="THETA")
+    co.add_argument("--avg-dist", dest="avg_lifted_dist", type=float,
+                    metavar="THETA")
+    co.add_argument("--avg-jump", dest="avg_eucl_jump", type=float,
+                    metavar="THETA")
     co.add_argument("--d", type=int, default=3)
     co.add_argument("--samples", type=int, default=1_000_000)
     co.add_argument("--seed", type=int)

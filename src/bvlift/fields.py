@@ -124,7 +124,7 @@ class EnergyReport:
 
     total: float
     metric: str
-    estimator: str  # mollified | directional_avg | embedded_tv | analytic_repr
+    estimator: str  # mollified | directional_avg | embedded_tv
     ac_part: float = None
     jump_part: float = None
     params: dict = dc_field(default_factory=dict)
@@ -506,6 +506,7 @@ def avg_directional_energy(f, directions=64, seed=0, metric="geodesic",
     directions.  They run on ``_thread_count(threads)`` threads, one thread
     per direction, in order: the report does not depend on the thread count.
     """
+    threads = _thread_count(threads)
     if f.N == 1:
         tv = directional_tv(f, np.array([1.0]), metric)
         return EnergyReport(tv, metric, "directional_avg",
@@ -517,7 +518,7 @@ def avg_directional_energy(f, directions=64, seed=0, metric="geodesic",
         omegas = _sample_directions(f.N, directions, rng)
     if len(omegas) == 0:
         raise ValueError("omegas must hold at least one direction")
-    with ThreadPoolExecutor(max_workers=_thread_count(threads)) as ex:
+    with ThreadPoolExecutor(max_workers=threads) as ex:
         tvs = np.array(list(
             ex.map(lambda w: directional_tv(f, w, metric), omegas)))
     stderr = float(tvs.std(ddof=1) / np.sqrt(len(tvs))) if len(tvs) > 1 else 0.0

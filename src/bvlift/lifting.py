@@ -5,8 +5,8 @@ representative so the resulting sphere-valued field n satisfies [n] = u
 exactly.  Three constructions are provided: a rotation-averaging search that
 makes the existential bound algorithmic (:func:`lift_rotation_search`), the
 greedy one-dimensional lifting that never creates extra jumps
-(:func:`lift_1d`), and a boundary-prescribed lifting through a thresholded
-harmonic extension (:func:`lift_with_boundary`).
+(:func:`lift_1d`; :func:`lift_greedy_1d` on fields), and a boundary-prescribed
+lifting through a thresholded harmonic extension (:func:`lift_with_boundary`).
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg
 
-from .fields import EnergyReport, GridField, _face_energies, embedded_tv
+from .fields import (EnergyReport, GridField, _face_energies,
+                     avg_directional_energy, embedded_tv)
 from .geometry import canonicalize, dist_proj, haar_rotations, lift_sign
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "BoundaryMismatchError",
     "lift_rotation_search",
     "lift_1d",
+    "lift_greedy_1d",
     "lift_with_boundary",
     "lift_eps_regularized",
     "boundary_cells",
@@ -103,6 +105,20 @@ def lift_1d(seq):
         signs[:, k] = np.where(c < 0, -1.0, 1.0)
     out = r * signs[..., None]
     return out if batched else out[0]
+
+
+def lift_greedy_1d(u):
+    """Greedy lifting (:func:`lift_1d`) of a line field on an interval.  Its
+    energy is the geodesic TV, equal to that of u (``params["projective_tv"]``);
+    both are exact direction averages that skip the masked cells."""
+    if u.N != 1:
+        raise ValueError("greedy1d requires a one-dimensional field")
+    n = u.with_values(lift_1d(u.values), kind="unit")
+    rep = avg_directional_energy(n, metric="geodesic")
+    rep.params["projective_tv"] = avg_directional_energy(
+        u, metric="geodesic").total
+    return LiftResult(field=n, energy=rep,
+                      projection_check=_projection_check(n, u))
 
 
 def boundary_cells(mask):

@@ -25,6 +25,8 @@ from .lifting import lift_rotation_search
 
 __all__ = [
     "CheckReport",
+    "FIELD_KINDS",
+    "make_field",
     "make_half_vortex",
     "make_half_vortex_lifting",
     "run_half_vortex_suite",
@@ -37,6 +39,7 @@ __all__ = [
 
 THETA_GRID = (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3)
 DIMS_GRID = (2, 3, 4)
+FIELD_KINDS = ("halfvortex", "halfvortex-lift", "constant", "jump", "smooth")
 
 
 @dataclass
@@ -144,22 +147,44 @@ def make_half_vortex_lifting(grid, d=2, N=2):
     return _half_vortex(grid, d, N, "unit")
 
 
-def _angle_field(grid, box, angle_fn, kind="proj", d=2):
-    """2D field of directions at angle ``angle_fn(X, Y)`` in the first two of
-    ``d`` coordinates (the other coordinates are 0)."""
+def _angle_field(grid, x0, angle_fn, d=2):
+    """Line field on grid x grid cells of the square [x0, x0 + 1]^2 at angle
+    ``angle_fn(X)`` of the cell abscissas X, in the first two of ``d``
+    coordinates (the other coordinates are 0)."""
     if grid < 1 or d < 2:
         raise ValueError("need grid >= 1 and d >= 2")
-    (x0, x1), (y0, y1) = box
-    h = (x1 - x0) / grid
-    gy = int(round((y1 - y0) / h))
-    cx = x0 + (np.arange(grid) + 0.5) * h
-    cy = y0 + (np.arange(gy) + 0.5) * h
-    X, Y = np.meshgrid(cx, cy, indexing="ij")
-    g = angle_fn(X, Y)
-    vals = np.zeros((grid, gy, d))
+    h = 1.0 / grid
+    c = x0 + (np.arange(grid) + 0.5) * h
+    g = angle_fn(np.meshgrid(c, c, indexing="ij")[0])
+    vals = np.zeros((grid, grid, d))
     vals[..., 0] = np.cos(g)
     vals[..., 1] = np.sin(g)
-    return GridField((grid, gy), h, (x0, y0), kind, vals)
+    return GridField((grid, grid), h, (x0, x0), "proj", vals)
+
+
+def _step(X):
+    """The angle jumps by pi/2 across x = 0."""
+    return np.where(X < 0, 0.0, np.pi / 2)
+
+
+def make_field(kind, grid, d=2, N=2, slope=1.2):
+    """The test field ``kind`` of :data:`FIELD_KINDS`: the half vortex or its
+    lifting, or a 2D line field (N = 2) of angle 0 on [0, 1]^2 (constant),
+    with a pi/2 jump at x = 0 on [-1/2, 1/2]^2 (jump), or of angle slope x
+    on [0, 1]^2 (smooth)."""
+    if kind == "halfvortex":
+        return make_half_vortex(grid, d=d, N=N)
+    if kind == "halfvortex-lift":
+        return make_half_vortex_lifting(grid, d=d, N=N)
+    if kind not in FIELD_KINDS:
+        raise ValueError(f"unknown test field {kind!r}")
+    if N != 2:
+        raise ValueError(f"{kind} fields are 2D, got N = {N}")
+    if kind == "constant":
+        return _angle_field(grid, 0.0, lambda X: 0.0 * X, d)
+    if kind == "jump":
+        return _angle_field(grid, -0.5, _step, d)
+    return _angle_field(grid, 0.0, lambda X: slope * X, d)
 
 
 # ---------------------------------------------------------------------------
@@ -298,30 +323,18 @@ def _repr_fields():
     """
     k2 = k_const(2).value
     s = 1.2
-    fields = []
-
-    const = _angle_field(96, ((0.0, 1.0), (0.0, 1.0)), lambda X, Y: 0.0 * X)
-    fields.append(("constant", const, 0.0))
-
-    jump = _angle_field(128, ((-0.5, 0.5), (-0.5, 0.5)),
-                        lambda X, Y: np.where(X < 0, 0.0, np.pi / 2))
-    fields.append(("pure_jump", jump, k2 * (np.pi / 2)))
-
-    smooth = _angle_field(128, ((0.0, 1.0), (0.0, 1.0)), lambda X, Y: s * X)
-    fields.append(("smooth", smooth, k2 * s))
-
-    mixed = _angle_field(128, ((-0.5, 0.5), (-0.5, 0.5)),
-                         lambda X, Y: s * X + np.where(X < 0, 0.0, np.pi / 2))
-    fields.append(("mixed", mixed, k2 * (s + np.pi / 2)))
-
+    mixed = _angle_field(128, -0.5, lambda X: s * X + _step(X))
     m = 1024
     h1 = 1.0 / m
     x = (np.arange(m) + 0.5) * h1
     g = 0.9 * x + np.where(x < 0.5, 0.0, np.pi / 2)
     vals = np.stack([np.cos(g), np.sin(g)], axis=-1)
     one_d = GridField((m,), h1, (0.0,), "proj", vals)
-    fields.append(("one_dimensional", one_d, 0.9 + np.pi / 2))  # K_1 = 1
-    return fields
+    return [("constant", make_field("constant", 96), 0.0),
+            ("pure_jump", make_field("jump", 128), k2 * (np.pi / 2)),
+            ("smooth", make_field("smooth", 128, slope=s), k2 * s),
+            ("mixed", mixed, k2 * (s + np.pi / 2)),
+            ("one_dimensional", one_d, 0.9 + np.pi / 2)]  # K_1 = 1
 
 
 def run_repr_formula_suite(seed=0, csv_dir=None, threads=None):
@@ -338,12 +351,10 @@ def run_repr_formula_suite(seed=0, csv_dir=None, threads=None):
                                        metric="geodesic", threads=threads)
         rows.append([name, analytic, moll.total, direc.total])
         if analytic == 0.0:
-            reports.append(_check(
-                f"repr_{name}_mollified", 0.0, moll.total, 1e-9, "abs",
-                "constant field has zero energy", t0))
-            reports.append(_check(
-                f"repr_{name}_directional", 0.0, direc.total, 1e-9, "abs",
-                "constant field has zero energy", t0))
+            for est, rep in (("mollified", moll), ("directional", direc)):
+                reports.append(_check(
+                    f"repr_{name}_{est}", 0.0, rep.total, 1e-9, "abs",
+                    "constant field has zero energy", t0))
             continue
         reports.append(_check(
             f"repr_{name}_mollified", analytic, moll.total, 0.05, "rel",

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,43 @@ def hv_path(tmp_path):
     return p
 
 
+@pytest.fixture
+def seq_path(tmp_path):
+    """A masked line field on seven cells of an interval."""
+    angles = np.deg2rad([0, 60, 120, 95, 10, 170, 181])
+    vals = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    p = tmp_path / "seq.fld"
+    write_field(GridField((7,), 1 / 7, (0.0,), "proj", vals,
+                          [1, 1, 0, 1, 1, 1, 0]), p)
+    return p
+
+
+def test_cli_imports_no_numpy_and_no_private_name():
+    # the CLI is a thin shell: fields and liftings come from public calls
+    tree = ast.parse(Path(cli.__file__).read_text())
+    modules = set()  # local names bound to bvlift modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] != "numpy", alias.name
+                if alias.name.startswith("bvlift"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "numpy", node.module
+            if node.level == 0 and not node.module.startswith("bvlift"):
+                continue
+            for alias in node.names:
+                assert not alias.name.startswith("_"), alias.name
+                if node.module is None or node.module == "bvlift":
+                    modules.add(alias.asname or alias.name)
+    assert {"consts", "verify"} <= modules
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            assert not node.attr.startswith("_"), \
+                f"{node.value.id}.{node.attr}"
+
+
 class TestMakeField:
     def test_halfvortex(self, tmp_path, capsys):
         out = tmp_path / "f.fld"
@@ -68,11 +107,29 @@ class TestMakeField:
 
     def test_output_in_missing_directory_exit_2(self, tmp_path, capfd,
                                                 monkeypatch):
-        monkeypatch.setattr(verify, "_angle_field", must_not_run)
+        monkeypatch.setattr(verify, "make_field", must_not_run)
         out = tmp_path / "nope" / "f.fld"
         assert run("make-field", "--kind", "constant", "--grid", "8",
                    "-o", out) == 2
         assert_one_error_line(capfd, out)
+
+    @pytest.mark.parametrize("kind, grid, extra", [
+        *((kind, 48, {}) for kind in verify.FIELD_KINDS),
+        ("constant", 40, {"d": 3}), ("smooth", 48, {"d": 3, "slope": 0.7}),
+        ("halfvortex", 64, {"d": 3, "N": 3})])
+    def test_output_is_the_library_field(self, tmp_path, capsys, kind, grid,
+                                         extra):
+        out = tmp_path / "f.fld"
+        flags = [x for key, val in extra.items() for x in (f"--{key}", val)]
+        assert run("make-field", "--kind", kind, "--grid", grid, *flags,
+                   "-o", out) == 0
+        got, want = read_field(out), verify.make_field(kind, grid, **extra)
+        assert (got.dims, got.spacing, got.origin, got.kind) == \
+            (want.dims, want.spacing, want.origin, want.kind)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.inside(), want.inside())
+        if extra.get("N") == 3:
+            assert got.dims == (64, 64, 32)
 
 
 class TestEnergy:
@@ -179,6 +236,17 @@ class TestEnergy:
         assert run("energy", hv_path, "--estimator", "mollified") == 2
         assert_one_error_line(capfd, "BVLIFT_THREADS")
 
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--estimator", "directional"],
+        ["lift", "--mode", "greedy1d"]])
+    def test_bad_thread_variable_on_an_interval_exit_2(
+            self, seq_path, tmp_path, capfd, monkeypatch, argv):
+        # one-dimensional fields skip the pool but not the count's check
+        monkeypatch.setenv("BVLIFT_THREADS", "abc")
+        assert run(argv[0], seq_path, *argv[1:]) == 2
+        assert_one_error_line(capfd, "BVLIFT_THREADS")
+        assert not (tmp_path / "seq.lifted.fld").exists()
+
     @pytest.mark.parametrize("flags", [
         ["--eps-over-h", "inf,8"], ["--eps-over-h", "nan,8,16"],
         ["--eps-over-h", "8"], ["--eps-over-h", "8,8"],
@@ -220,6 +288,16 @@ class TestLift:
 
     def test_greedy1d_rejects_2d(self, hv_path):
         assert run("lift", hv_path, "--mode", "greedy1d") == 2
+
+    def test_greedy1d_sidecar_is_the_library_result(self, seq_path, tmp_path,
+                                                    capsys):
+        out = tmp_path / "n.fld"
+        assert run("lift", seq_path, "--mode", "greedy1d", "-o", out) == 0
+        res = lifting.lift_greedy_1d(read_field(seq_path))
+        assert np.array_equal(read_field(out).values, res.field.values)
+        side = json.loads((tmp_path / "n.json").read_text())
+        assert side == {"mode": "greedy1d", "energy": res.energy.to_dict(),
+                        "rotation": None, "projection_check": 0.0}
 
     def test_boundary_mode(self, hv_path, tmp_path):
         from bvlift.verify import make_half_vortex_lifting
@@ -285,6 +363,16 @@ class TestConstants:
             assert entry["error_estimate"] > 0
             assert abs(entry["value"] - closed[name]) \
                 <= 4 * entry["error_estimate"]
+
+    def test_averages_bind_to_their_flags_by_name(self, capsys, monkeypatch):
+        argv = ["constants", "--psi", "1.0", "--avg-dist", "0.7",
+                "--avg-jump", "2.0", "--samples", "50000"]
+        assert run(*argv) == 0
+        table = capsys.readouterr().out
+        monkeypatch.setattr(constants, "AVERAGES",
+                            dict(reversed(constants.AVERAGES.items())))
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == table
 
     def test_no_request_exit_2(self):
         assert run("constants") == 2

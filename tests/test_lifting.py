@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvlift import lifting
 from bvlift.fields import (GridField, _face_energies, avg_directional_energy,
                            detect_jumps, embedded_tv)
 from bvlift.geometry import (canonicalize, chord, chord_distance,
                              eucl_jump_cost, haar_rotations, lift_sign,
                              random_unit_vectors)
 from bvlift.lifting import (BoundaryMismatchError, boundary_cells, lift_1d,
-                            lift_eps_regularized, lift_rotation_search,
-                            lift_with_boundary, solve_laplace)
+                            lift_eps_regularized, lift_greedy_1d,
+                            lift_rotation_search, lift_with_boundary,
+                            solve_laplace)
 from bvlift.verify import make_half_vortex, make_half_vortex_lifting
 
 
@@ -112,6 +114,31 @@ class TestLift1D:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             lift_1d(np.zeros((0, 2)))
+
+
+class TestLiftGreedy1D:
+    def field(self, mask=None):
+        angles = np.deg2rad([0, 60, 120, 95, 10, 170, 181])
+        return GridField((7,), 1 / 7, (0.0,), "proj", planar(angles), mask)
+
+    def test_energy_equals_projective_tv_and_projects_exactly(self):
+        for mask in (None, [1, 1, 0, 1, 1, 1, 0]):
+            u = self.field(mask)
+            res = lift_greedy_1d(u)
+            assert res.field.kind == "unit" and res.rotation is None
+            assert res.energy.total == res.energy.params["projective_tv"]
+            assert res.projection_check == 0.0
+
+    def test_rejects_fields_on_more_than_one_axis(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            lift_greedy_1d(make_half_vortex(32))
+
+    def test_projection_check_is_measured(self, monkeypatch):
+        # a lifting turned by a right angle does not project to the field
+        monkeypatch.setattr(lifting, "lift_1d", lambda seq: np.stack(
+            [-seq[..., 1], seq[..., 0]], axis=-1))
+        res = lift_greedy_1d(self.field())
+        assert res.projection_check == pytest.approx(np.pi / 2)
 
 
 class TestRotationSearch:

@@ -5,7 +5,7 @@ import pytest
 
 from bvlift.fields import directional_tv, embedded_tv
 from bvlift.geometry import dist_sphere
-from bvlift.verify import (DIMS_GRID, THETA_GRID, CheckReport,
+from bvlift.verify import (DIMS_GRID, THETA_GRID, CheckReport, make_field,
                            make_half_vortex, make_half_vortex_lifting,
                            run_diffuse_invariance_suite, run_identity_suite,
                            run_repr_formula_suite, write_report)
@@ -79,6 +79,35 @@ class TestMakeHalfVortex:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             make_half_vortex(16)
+
+
+class TestMakeField:
+    def test_half_vortex_kinds_are_the_half_vortex(self):
+        for kind, make in (("halfvortex", make_half_vortex),
+                           ("halfvortex-lift", make_half_vortex_lifting)):
+            f, g = make_field(kind, 32, d=3, N=3), make(32, d=3, N=3)
+            assert f.kind == g.kind and f.dims == g.dims == (32, 32, 16)
+            assert np.array_equal(f.values, g.values)
+
+    def test_planar_kinds(self):
+        for kind, angles in (("constant", [0.0]), ("jump", [0.0, np.pi / 2]),
+                             ("smooth", None)):
+            f = make_field(kind, 16, d=3, slope=0.7)
+            assert f.dims == (16, 16) and f.d == 3 and f.kind == "proj"
+            assert np.all(f.values[..., 2] == 0.0)
+            g = np.arctan2(f.values[..., 1], f.values[..., 0])
+            assert np.allclose(g, g[:, :1])  # the angle depends on x only
+            if angles is not None:
+                assert np.allclose(np.unique(np.round(g, 12)), angles)
+            else:
+                assert np.allclose(np.diff(g[:, 0]), 0.7 * f.spacing)
+
+    def test_rejects_unknown_kinds_and_planar_kinds_off_the_plane(self):
+        with pytest.raises(ValueError, match="unknown test field"):
+            make_field("vortex", 32)
+        for kind in ("constant", "jump", "smooth"):
+            with pytest.raises(ValueError, match="2D"):
+                make_field(kind, 32, N=3)
 
 
 class TestCheckReport:
