@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
@@ -47,6 +48,7 @@ __all__ = [
 METRICS = ("geodesic", "euclidean_sphere", "euclidean_tensor")
 _PAIRS_PER_BLOCK = 1 << 16  # line-bundle pairs evaluated at once
 _OFFSETS_PER_TASK = 32  # pair-kernel offsets per thread-pool task
+_ROWS_PER_WRITE = 4096  # field-file rows formatted at once
 
 
 @dataclass
@@ -198,9 +200,14 @@ def write_field(f, path):
     rows = f.values.reshape(-1, f.d)
     if f.mask is not None:
         rows = np.column_stack([rows, f.mask.reshape(-1)])
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",",
-               header=json.dumps(header, sort_keys=True, separators=(",", ":")),
-               comments="")
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":"))
+                 + "\n")
+        # one % format per chunk of rows, the row format of np.savetxt
+        for i in range(0, len(rows), _ROWS_PER_WRITE):
+            chunk = rows[i:i + _ROWS_PER_WRITE]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def read_field(path):
@@ -294,36 +301,58 @@ def _pair_sums(f, requests, rmax, threads=None):
     :func:`_chord_rule`).  Per offset the two squared chords |a - b|^2 and
     |a + b|^2 are computed once, on contiguous component planes, and every
     request picks its pair chords from them by
-    :func:`~bvlift.geometry._pick_chord`.
-    Every pair of the overlapping slices is evaluated and the pairs leaving
-    the mask are multiplied by 0, which is faster than gathering the in-mask
-    pairs; field values are finite, so those pairs add exactly 0.
+    :func:`~bvlift.geometry._pick_chord`.  Requests that read the same
+    chord (the projective one, |a - b|, or that of one sign array object)
+    share its pick and square root.
+    Every pair of the overlapping slices is evaluated, and the squared
+    chords of the pairs leaving the mask are set to 0 once per offset,
+    which is faster than gathering the in-mask pairs: chord 0 is at
+    distance exactly 0 in every metric, so those pairs add exactly 0.
 
-    The offsets run on ``_thread_count(threads)`` threads.  Each offset's
-    sum is computed by one thread alone, and the dicts are filled in the
-    order of :func:`_half_offsets`, so every sum and the key order are the
-    same bit for bit whatever the thread count.
+    The offsets run on ``_thread_count(threads)`` threads, each of which
+    writes every offset into its own reusable buffers.  Each offset's sum
+    is computed by one thread alone, over a C-contiguous array of the
+    overlap's shape, and the dicts are filled in the order of
+    :func:`_half_offsets`, so every sum and the key order are the same bit
+    for bit whatever the thread count.
     """
-    rules = [(metric, *_chord_rule(metric, f.kind, signs))
-             for metric, signs in requests]
-    plus = any(proj or pos is not None for _, proj, pos in rules)
+    picks = {}  # (proj, sign array id) -> [proj, pos, [(request, metric)]]
+    for i, (metric, signs) in enumerate(requests):
+        proj, pos = _chord_rule(metric, f.kind, signs)
+        key = (proj, None if pos is None else id(signs))
+        picks.setdefault(key, [proj, pos, []])[2].append((i, metric))
+    plus = any(proj or pos is not None for proj, pos, _ in picks.values())
     inside = f.inside()
     planes = [np.ascontiguousarray(f.values[..., k]) for k in range(f.d)]
+    local = threading.local()
 
-    def offset_sums(off):
+    def offset_sums(off, buf):
         src, dst = _offset_slices(off, f.dims)
-        ok = inside[src] & inside[dst]
-        minus2, plus2 = _squared_chords(
-            [p[src] for p in planes], [p[dst] for p in planes], plus)
-        vals = []
-        for metric, proj, pos in rules:
-            # only q2 outlives a request: more live arrays per offset make
-            # the worker heaps trim and fault their pages back in each offset
-            q2 = _pick_chord(minus2, plus2, proj,
-                             None if pos is None else pos[src] == pos[dst])
-            vals.append(
-                float((chord_distance(np.sqrt(q2), metric) * ok).sum()))
+        shape = tuple(max(0, n - abs(o)) for o, n in zip(off, f.dims))
+        m2, p2, q, dist, ok, same = (
+            None if b is None else b[:math.prod(shape)].reshape(shape)
+            for b in buf)
+        _squared_chords([p[src] for p in planes], [p[dst] for p in planes],
+                        plus, out=(m2, p2, q))  # q is their scratch
+        if f.mask is not None:
+            np.logical_and(inside[src], inside[dst], out=ok)
+            for c2 in (m2, p2) if plus else (m2,):
+                np.multiply(c2, ok, out=c2)
+        vals = [None] * len(requests)
+        for proj, pos, reqs in picks.values():
+            s = None if pos is None else np.equal(pos[src], pos[dst], out=same)
+            np.sqrt(_pick_chord(m2, p2, proj, s, out=q), out=q)
+            for i, metric in reqs:
+                vals[i] = float(chord_distance(q, metric, out=dist).sum())
         return vals
+
+    def run_sums(run):
+        if not hasattr(local, "buf"):  # this worker's first run
+            n = math.prod(f.dims)
+            local.buf = [np.empty(n), np.empty(n) if plus else None,
+                         np.empty(n), np.empty(n), np.empty(n, dtype=bool),
+                         np.empty(n, dtype=bool)]
+        return [offset_sums(off, local.buf) for off in run]
 
     offsets = _half_offsets(f.N, rmax)
     # runs of consecutive offsets per task keep the futures few (68 532
@@ -331,11 +360,8 @@ def _pair_sums(f, requests, rmax, threads=None):
     runs = [offsets[i:i + _OFFSETS_PER_TASK]
             for i in range(0, len(offsets), _OFFSETS_PER_TASK)]
     sums = [{} for _ in requests]
-    # the pool is used even with one worker: on the main thread, each
-    # offset's freed temporaries trim the main heap and the next offset
-    # faults its pages back in
     with ThreadPoolExecutor(max_workers=_thread_count(threads)) as ex:
-        done = ex.map(lambda run: [offset_sums(off) for off in run], runs)
+        done = ex.map(run_sums, runs)
         for off, row in zip(offsets, itertools.chain.from_iterable(done)):
             for out, v in zip(sums, row):
                 out[off] = v
@@ -562,10 +588,12 @@ def _face_data(f, requests):
     Yields ``(valid, dists, chords, metric, proj)`` per ``(metric, signs)``
     request (see :func:`_chord_rule`), arrays of shape ``dims + (N,)``.
     The face chords |a - b| and |a + b| of f are computed once and each
-    request picks its own from them.  A request's arrays are freed before
-    the next one's are built, and f's chords after the last, so a generator
-    of sign requests holds one candidate at a time.  Faces leaving the mask
-    have distance and chord exactly 0.
+    request picks its own from them; sign requests pick their distances
+    the same way, from the distances of f's two chords, computed once per
+    metric.  A request's arrays are freed before the next one's are built,
+    and f's chords and distances after the last, so a generator of sign
+    requests holds one candidate at a time.  Faces leaving the mask have
+    distance and chord exactly 0.
     """
     faces = None
     for (metric, signs), after in itertools.pairwise(
@@ -573,6 +601,7 @@ def _face_data(f, requests):
         proj, pos = _chord_rule(metric, f.kind, signs)
         if faces is None or (proj or pos is not None) and faces[2] is None:
             faces = _face_chords(f, proj or pos is not None)
+            face_dists = {}  # metric -> distances of f's chords
         valid, minus, plus = faces
         same = None
         if pos is not None:
@@ -580,10 +609,17 @@ def _face_data(f, requests):
             for a, src, dst in _forward_faces(f.dims):
                 np.equal(pos[src], pos[dst], out=same[src + (a,)])
         chords = _pick_chord(minus, plus, proj, same)
+        if same is None or metric == "euclidean_sphere":  # no pick to share
+            dists = chord_distance(chords, metric)
+        else:
+            if metric not in face_dists:
+                face_dists[metric] = [chord_distance(c, metric)
+                                      for c in (minus, plus)]
+            dists = _pick_chord(*face_dists[metric], same=same)
         if after is None:
-            faces = minus = plus = None  # free f's face chords after the last
-        yield valid, chord_distance(chords, metric), chords, metric, proj
-        del same, chords  # before the next request's arrays are built
+            faces = minus = plus = face_dists = None  # free f's face data
+        yield valid, dists, chords, metric, proj
+        del same, chords, dists  # before the next request's arrays are built
 
 
 def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
@@ -611,8 +647,10 @@ def _face_energies(f, requests, jump_threshold=None):
     if jump_threshold is not None:
         _check_jump_threshold(jump_threshold)
     h = f.spacing
-    inside = f.inside()
+    owner = None
     for valid, dists, chords, metric, proj in _face_data(f, requests):
+        if owner is None:  # the cells of a valid face, alike for all requests
+            owner = valid.any(axis=-1)
         # embedded step: the chord, or the step sin(theta) of the tensor
         # embedding (1/sqrt 2) n (x) n when the chord is projective
         steps = chord_distance(chords, "euclidean_tensor") if proj else chords
@@ -636,14 +674,13 @@ def _face_energies(f, requests, jump_threshold=None):
             near_jump[dst] |= ja
 
         frob = np.sqrt(np.einsum("...a,...a->...", steps, steps))
-        owner = inside & valid.any(axis=-1)
         ac = float((h ** (f.N - 1) * frob)[owner & ~near_jump].sum())
         jump = float((dists[isjump]).sum() * h ** (f.N - 1))
         yield EnergyReport(ac + jump, metric, "embedded_tv",
                            ac_part=ac, jump_part=jump,
                            params={"jump_threshold": float(threshold),
                                    "jump_faces": int(isjump.sum())})
-        del dists, chords, steps, isjump, near_jump, frob, owner
+        del dists, chords, steps, isjump, near_jump, frob
 
 
 def detect_jumps(f, metric="geodesic", threshold=None):

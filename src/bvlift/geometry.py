@@ -74,32 +74,44 @@ def _sum_of_squares(op, a, b, out, tmp):
     return out
 
 
-def _squared_chords(a, b, plus=False):
+def _squared_chords(a, b, plus=False, out=None):
     """Squared chords |a - b|^2 and, with ``plus``, |a + b|^2 of vector arrays.
 
     ``a`` and ``b`` are sequences of the d component planes of the vectors
     (arrays of any strides that broadcast together).  Both squares are
-    subtracted or added, squared and accumulated in place.  Returns
-    ``(minus, plus)``, with ``plus`` None unless requested.
+    subtracted or added, squared and accumulated in place, into the arrays
+    ``(minus, plus, scratch)`` of ``out`` if given (``plus`` may be None
+    without ``plus``).  Returns ``(minus, plus)``, with ``plus`` None unless
+    requested.
     """
-    shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
-    tmp = np.empty(shape)
-    minus = _sum_of_squares(np.subtract, a, b, np.empty(shape), tmp)
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
+        out = (np.empty(shape), np.empty(shape) if plus else None,
+               np.empty(shape))
+    minus, plus_out, tmp = out
+    _sum_of_squares(np.subtract, a, b, minus, tmp)
     if not plus:
         return minus, None
-    return minus, _sum_of_squares(np.add, a, b, np.empty(shape), tmp)
+    return minus, _sum_of_squares(np.add, a, b, plus_out, tmp)
 
 
 def _pick_chord(minus, plus, proj=False, same=None, out=None):
     """The chord of each pair from its chords |a - b| and |a + b| (or squares).
 
-    The smaller one with ``proj`` (into ``out`` if given); else |a - b|, or
-    with ``same`` the chord of the pair s_i a, s_j b: |a - b| where
-    s_i s_j = +1 and |a + b| where not.  Bit-exact, as multiplying by -1 is.
+    The smaller one with ``proj``; else |a - b|, or with ``same`` the chord
+    of the pair s_i a, s_j b: |a - b| where s_i s_j = +1 and |a + b| where
+    not.  A picked array is written into ``out`` if given; ``minus`` itself
+    is returned unpicked.  Bit-exact, as multiplying by -1 is.
     """
     if proj:
         return np.minimum(minus, plus, out=out)
-    return minus if same is None else np.where(same, minus, plus)
+    if same is None:
+        return minus
+    if out is None:
+        return np.where(same, minus, plus)
+    np.copyto(out, plus)
+    np.copyto(out, minus, where=same)
+    return out
 
 
 def chord(a, b, proj=False):
@@ -120,7 +132,7 @@ def chord(a, b, proj=False):
     return np.sqrt(_pick_chord(minus, plus, proj))
 
 
-def chord_distance(q, metric):
+def chord_distance(q, metric, out=None):
     """Distance of a pair of unit vectors at chord ``q`` in one of the metrics.
 
     * ``"geodesic"``: the angle 2 arcsin(q/2);
@@ -129,12 +141,17 @@ def chord_distance(q, metric):
       distance of the tensor embeddings when q is the projective chord.
 
     Unlike arccos of a dot product these stay well conditioned for nearly
-    parallel pairs and give exactly 0 at q = 0.
+    parallel pairs and give exactly 0 at q = 0.  ``out``, an array of the
+    shape of ``q`` other than ``q`` itself, receives the distance, except
+    in ``"euclidean_sphere"``, which returns ``q``.
     """
     if metric == "geodesic":
-        return 2.0 * np.arcsin(np.minimum(0.5 * q, 1.0))
+        r = np.minimum(np.multiply(q, 0.5, out=out), 1.0, out=out)
+        return np.multiply(np.arcsin(r, out=out), 2.0, out=out)
     if metric == "euclidean_tensor":
-        return q * np.sqrt(np.maximum(0.0, 1.0 - 0.25 * q * q))
+        r = np.multiply(np.multiply(q, 0.25, out=out), q, out=out)
+        r = np.maximum(0.0, np.subtract(1.0, r, out=out), out=out)
+        return np.multiply(q, np.sqrt(r, out=out), out=out)
     if metric == "euclidean_sphere":
         return q
     raise ValueError(f"unknown metric {metric!r}")

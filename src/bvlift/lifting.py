@@ -111,6 +111,8 @@ def lift_greedy_1d(u):
     """Greedy lifting (:func:`lift_1d`) of a line field on an interval.  Its
     energy is the geodesic TV, equal to that of u (``params["projective_tv"]``);
     both are exact direction averages that skip the masked cells."""
+    if u.kind != "proj":
+        raise ValueError("greedy1d lifting expects a proj field")
     if u.N != 1:
         raise ValueError("greedy1d requires a one-dimensional field")
     n = u.with_values(lift_1d(u.values), kind="unit")

@@ -327,7 +327,7 @@ def _repr_fields():
     m = 1024
     h1 = 1.0 / m
     x = (np.arange(m) + 0.5) * h1
-    g = 0.9 * x + np.where(x < 0.5, 0.0, np.pi / 2)
+    g = 0.9 * x + _step(x - 0.5)  # x - 0.5 is exact for these x
     vals = np.stack([np.cos(g), np.sin(g)], axis=-1)
     one_d = GridField((m,), h1, (0.0,), "proj", vals)
     return [("constant", make_field("constant", 96), 0.0),

@@ -289,6 +289,16 @@ class TestLift:
     def test_greedy1d_rejects_2d(self, hv_path):
         assert run("lift", hv_path, "--mode", "greedy1d") == 2
 
+    def test_greedy1d_rejects_a_unit_field(self, tmp_path, capfd):
+        angles = np.deg2rad([0, 170, 340, 150])
+        vals = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        p = tmp_path / "unit.fld"
+        write_field(GridField((4,), 0.25, (0.0,), "unit", vals), p)
+        capfd.readouterr()
+        assert run("lift", p, "--mode", "greedy1d") == 2
+        assert_one_error_line(capfd)
+        assert not (tmp_path / "unit.lifted.fld").exists()
+
     def test_greedy1d_sidecar_is_the_library_result(self, seq_path, tmp_path,
                                                     capsys):
         out = tmp_path / "n.fld"

@@ -133,6 +133,13 @@ class TestLiftGreedy1D:
         with pytest.raises(ValueError, match="one-dimensional"):
             lift_greedy_1d(make_half_vortex(32))
 
+    def test_rejects_fields_that_are_not_line_fields(self):
+        # a unit field's sphere TV is not a projective TV
+        u = self.field()
+        for kind in ("unit", "vector"):
+            with pytest.raises(ValueError, match="proj field"):
+                lift_greedy_1d(u.with_values(u.values, kind=kind))
+
     def test_projection_check_is_measured(self, monkeypatch):
         # a lifting turned by a right angle does not project to the field
         monkeypatch.setattr(lifting, "lift_1d", lambda seq: np.stack(

@@ -4,6 +4,7 @@ Each property holds exactly in floating point, so every comparison is
 bit for bit or an exact inequality, never a tolerance.
 """
 
+import json
 import math
 import os
 import tempfile
@@ -12,10 +13,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bvlift.fields import (_PAIRS_PER_BLOCK, METRICS, GridField, _face_data,
-                           _face_energies, _half_offsets, _pair_sums,
-                           avg_directional_energy, directional_tv,
-                           embedded_tv, mollified_energy,
+from bvlift.fields import (_PAIRS_PER_BLOCK, _ROWS_PER_WRITE, METRICS,
+                           GridField, _face_data, _face_energies,
+                           _half_offsets, _pair_sums, avg_directional_energy,
+                           directional_tv, embedded_tv, mollified_energy,
                            mollified_energy_extrapolated, read_field,
                            write_field)
 from bvlift.geometry import (canonicalize, chord, chord_distance, dist_proj,
@@ -293,6 +294,103 @@ def test_pair_sums_do_not_depend_on_the_thread_count(data):
                         _pair_sums(u, requests, rmax, threads)]
                        for threads in (1, 2, 3))
     assert one == two == three
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_requests_sharing_a_pick_equal_single_requests(data):
+    # requests that read one chord share its pick: the unsigned ones, the
+    # projective ones, one sign array object given twice, and equal sign
+    # arrays that are distinct objects
+    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    u = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=4))
+    rmax = data.draw(st.integers(1, 5))  # offsets past the grid too
+    signs = np.where(data.draw(hnp.arrays(bool, u.dims)), -1.0, 1.0)
+    requests = data.draw(st.permutations(
+        [(metric, s) for s in (None, signs, signs, signs.copy())
+         for metric in _metrics(kind, s is not None)]))
+    want = [list(_pair_sums(u, [r], rmax, 1)[0].items()) for r in requests]
+    for threads in (1, 3):
+        got = _pair_sums(u, requests, rmax, threads)
+        assert [list(sums.items()) for sums in got] == want, threads
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_face_energies_of_a_stream_of_sign_requests(data):
+    # sign requests of one metric pick their distances from those of f's
+    # two chords, computed once; unsigned or projective requests come
+    # before and after the stream
+    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    u = data.draw(grid_fields(kind, N_choices=(1, 2, 3)))
+    metric = data.draw(st.sampled_from(_metrics(kind, True)))
+    first, last = ((data.draw(st.sampled_from(_metrics(kind))), None)
+                   for _ in range(2))
+    stream = [(metric, np.where(data.draw(hnp.arrays(bool, u.dims)),
+                                -1.0, 1.0))
+              for _ in range(data.draw(st.integers(2, 6)))]
+    requests = [first, *stream, last]
+    lifted = "unit" if kind == "proj" else kind
+    want = [embedded_tv(u if signs is None else u.with_values(
+        u.values * signs[..., None], kind=lifted), metric).to_dict()
+        for metric, signs in requests]
+    got = [rep.to_dict() for rep in _face_energies(u, iter(requests))]
+    assert got == want
+
+
+def _savetxt_bytes(f, path):
+    """The field file of f as np.savetxt writes it."""
+    header = {"version": 1, "dims": list(f.dims), "spacing": f.spacing,
+              "origin": list(f.origin), "d": f.d, "kind": f.kind,
+              "mask": "none" if f.mask is None else "inline"}
+    rows = f.values.reshape(-1, f.d)
+    if f.mask is not None:
+        rows = np.column_stack([rows, f.mask.reshape(-1)])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", comments="",
+               header=json.dumps(header, sort_keys=True,
+                                 separators=(",", ":")))
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+# -0.0, subnormals and the 1e300 scale, next to ordinary components
+EXTREME = st.sampled_from((-0.0, 5e-324, -2.5e-310, 1e300,
+                           -1.7976931348623157e308, 1.0 / 3.0, -0.1))
+
+
+@SETTINGS
+@given(st.data())
+def test_field_files_are_the_bytes_of_savetxt(data):
+    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    f = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=4))
+    # the writer formats any double: values past the field checks too
+    f.values = data.draw(hnp.arrays(float, f.values.shape, elements=(
+        st.floats(allow_nan=False, allow_infinity=False) | EXTREME)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.fld")
+        write_field(f, path)
+        with open(path, "rb") as fh:
+            got = fh.read()
+        assert got == _savetxt_bytes(f, os.path.join(tmp, "ref.fld"))
+
+
+def test_field_files_across_write_chunks_are_the_bytes_of_savetxt():
+    # rows are formatted in chunks: exactly one, one and a row, and a
+    # masked 3D field of two chunks and a part
+    rng = np.random.default_rng(5)
+    for dims, masked in (((_ROWS_PER_WRITE,), False),
+                         ((_ROWS_PER_WRITE + 1,), True),
+                         ((17, 16, 31), True)):
+        vals = rng.standard_normal(dims + (3,))
+        vals /= np.linalg.norm(vals, axis=-1, keepdims=True)
+        mask = rng.random(dims) < 0.7 if masked else None
+        f = GridField(dims, 0.1, (0.0,) * len(dims), "unit", vals, mask)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.fld")
+            write_field(f, path)
+            with open(path, "rb") as fh:
+                got = fh.read()
+            assert got == _savetxt_bytes(f, os.path.join(tmp, "ref.fld"))
 
 
 @st.composite
