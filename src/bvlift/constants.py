@@ -149,6 +149,8 @@ def _pair_at_angle(d, theta):
     """Unit vectors (n, m) in R^d at geodesic angle theta (canonical frame)."""
     if not (0.0 <= theta <= np.pi):
         raise ValueError("theta must be in [0, pi]")
+    if d < 2:
+        raise ValueError("d must be >= 2")
     n = np.zeros(d)
     n[-1] = 1.0
     m = np.zeros(d)

@@ -142,20 +142,19 @@ class UnderResolvedError(ValueError):
 # ---------------------------------------------------------------------------
 # metric dispatch
 
-def _chord_rule(metric, kind, signs=None):
-    """How a ``(metric, signs)`` request compares a pair: ``(proj, pos)``.
-
-    ``signs`` None is the field itself, a sign array s of the grid's shape
-    the field s f; s u of a line field u is sphere valued.  ``proj`` says
-    the pair is compared by the projective chord (line fields always are;
-    the tensor metric sees only the lines of unit values); else ``pos`` =
-    s > 0 picks the chord by the sign product, or is None without signs.
-    Raises ValueError for a metric the kind does not support, which
-    includes ``euclidean_sphere``, the metric of liftings, on a line field.
+def _chord_rule(metric, kind, signed=False):
+    """Whether ``metric`` compares the pairs of a ``kind`` field f, or with
+    ``signed`` of a lifting s f (values s_i f_i, s_i = +-1), by the
+    projective chord: line fields always are, and the tensor metric sees
+    only the lines of unit values.  Else a pair of s f reads |a - b| or
+    |a + b| of f by its sign product s_i s_j; s u of a line field u is
+    sphere valued.  Raises ValueError for a metric the kind does not
+    support, which includes ``euclidean_sphere``, the metric of liftings,
+    on a line field.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    if signs is not None and kind == "proj":
+    if signed and kind == "proj":
         kind = "unit"
     if kind == "vector" and metric != "euclidean_sphere":
         raise ValueError(f"{metric} metric needs unit or proj values")
@@ -163,8 +162,7 @@ def _chord_rule(metric, kind, signs=None):
         raise ValueError(
             "euclidean_sphere embedding is sign-discontinuous on proj "
             "fields; use euclidean_tensor or geodesic")
-    proj = kind == "proj" or metric == "euclidean_tensor"
-    return proj, None if proj or signs is None else signs > 0
+    return kind == "proj" or metric == "euclidean_tensor"
 
 
 def default_jump_threshold(metric, angle=np.pi / 4):
@@ -247,7 +245,9 @@ def read_field(path):
         raise ValueError(
             f"field body has shape {data.shape}, expected {(ncells, want)}")
     values = data[:, :d].reshape((*dims, d))
-    mask = data[:, d].astype(bool).reshape(dims) if has_mask else None
+    mask = data[:, d].reshape(dims) if has_mask else None
+    if has_mask and (bad := mask[(mask != 0.0) & (mask != 1.0)]).size:
+        raise ValueError(f"field mask must be 0 or 1, got {bad[0]}")
     return GridField(dims, float(header["spacing"]), tuple(origin),
                      header["kind"], values, mask)
 
@@ -297,13 +297,13 @@ def _thread_count(threads):
 def _pair_sums(f, requests, rmax, threads=None):
     """Sums of pair distances for every half-lattice offset up to rmax cells.
 
-    Returns one ``{offset: sum}`` dict per ``(metric, signs)`` request (see
-    :func:`_chord_rule`).  Per offset the two squared chords |a - b|^2 and
-    |a + b|^2 are computed once, on contiguous component planes, and every
-    request picks its pair chords from them by
-    :func:`~bvlift.geometry._pick_chord`.  Requests that read the same
-    chord (the projective one, |a - b|, or that of one sign array object)
-    share its pick and square root.
+    Returns one ``{offset: sum}`` dict per ``(metric, signs)`` request, of
+    f for signs None, else of the lifting s f (see :func:`_chord_rule`).
+    Per offset the two squared chords |a - b|^2 and |a + b|^2 are computed
+    once, on contiguous component planes, and every request picks its pair
+    chords from them by :func:`~bvlift.geometry._pick_chord`.  Requests
+    that read the same chord (the projective one, |a - b|, or that of one
+    sign array object) share its pick and square root.
     Every pair of the overlapping slices is evaluated, and the squared
     chords of the pairs leaving the mask are set to 0 once per offset,
     which is faster than gathering the in-mask pairs: chord 0 is at
@@ -318,7 +318,8 @@ def _pair_sums(f, requests, rmax, threads=None):
     """
     picks = {}  # (proj, sign array id) -> [proj, pos, [(request, metric)]]
     for i, (metric, signs) in enumerate(requests):
-        proj, pos = _chord_rule(metric, f.kind, signs)
+        proj = _chord_rule(metric, f.kind, signs is not None)
+        pos = None if proj or signs is None else signs > 0
         key = (proj, None if pos is None else id(signs))
         picks.setdefault(key, [proj, pos, []])[2].append((i, metric))
     plus = any(proj or pos is not None for proj, pos, _ in picks.values())
@@ -467,13 +468,13 @@ def directional_tv(f, omega, metric="geodesic"):
     if not 0 < (norm := np.linalg.norm(omega)) < math.inf:  # or NaN
         raise ValueError(f"omega must be finite and nonzero, got {omega}")
     omega = omega / norm
-    proj, _ = _chord_rule(metric, f.kind)
+    proj = _chord_rule(metric, f.kind)
     inside = f.inside().ravel()  # read through the flat cell indices
     if not inside.any():
         raise ValueError("empty mask")
     h = f.spacing
     if f.N == 1:
-        return float(next(_face_data(f, [(metric, None)]))[1].sum())
+        return float(next(_face_data(f, metric))[1].sum())
 
     a = int(np.argmax(np.abs(omega)))
     others = [t for t in range(f.N) if t != a]
@@ -562,64 +563,52 @@ def _forward_faces(dims):
         yield (a, *_offset_slices(off, dims))
 
 
-def _face_chords(f, plus=False):
-    """Forward-face validity and chords |a - b| and, with ``plus``, |a + b|
-    (else None): arrays of shape ``dims + (N,)``, exactly 0 on faces leaving
-    the mask and on the entries past the last cell of an axis."""
+def _face_data(f, metric, signs=None):
+    """Forward-face validity, distances and chords of f, or lazily of each
+    lifting s f of an iterable ``signs`` of sign arrays.
+
+    Yields ``(valid, dists, chords, proj)`` (see :func:`_chord_rule`),
+    arrays of shape ``dims + (N,)``, exactly 0 on faces leaving the mask
+    or the grid.  f's face chords |a - b| and |a + b| and their distances
+    are computed once; each lifting picks its own by its sign products,
+    one lifting's arrays at a time.  Raises ValueError on an empty mask.
+    """
+    proj = _chord_rule(metric, f.kind, signs is not None)
     inside = f.inside()
+    if not inside.any():
+        raise ValueError("empty mask")
     comps = [f.values[..., k] for k in range(f.d)]
     valid = np.zeros(f.dims + (f.N,), dtype=bool)
-    q_minus = np.zeros(valid.shape)
-    q_plus = np.zeros(valid.shape) if plus else None
+    minus = np.zeros(valid.shape)
+    plus = np.zeros(valid.shape) if proj or signs is not None else None
     for a, src, dst in _forward_faces(f.dims):
         ok = inside[src] & inside[dst]
         valid[src + (a,)] = ok
         minus2, plus2 = _squared_chords(
-            [c[src] for c in comps], [c[dst] for c in comps], plus)
-        q_minus[src + (a,)] = np.sqrt(minus2) * ok
-        if plus:
-            q_plus[src + (a,)] = np.sqrt(plus2) * ok
-    return valid, q_minus, q_plus
-
-
-def _face_data(f, requests):
-    """Forward-face validity, distances and chords of each request, lazily.
-
-    Yields ``(valid, dists, chords, metric, proj)`` per ``(metric, signs)``
-    request (see :func:`_chord_rule`), arrays of shape ``dims + (N,)``.
-    The face chords |a - b| and |a + b| of f are computed once and each
-    request picks its own from them; sign requests pick their distances
-    the same way, from the distances of f's two chords, computed once per
-    metric.  A request's arrays are freed before the next one's are built,
-    and f's chords and distances after the last, so a generator of sign
-    requests holds one candidate at a time.  Faces leaving the mask have
-    distance and chord exactly 0.
-    """
-    faces = None
-    for (metric, signs), after in itertools.pairwise(
-            itertools.chain(requests, [None])):
-        proj, pos = _chord_rule(metric, f.kind, signs)
-        if faces is None or (proj or pos is not None) and faces[2] is None:
-            faces = _face_chords(f, proj or pos is not None)
-            face_dists = {}  # metric -> distances of f's chords
-        valid, minus, plus = faces
-        same = None
-        if pos is not None:
-            same = np.zeros(valid.shape, dtype=bool)
-            for a, src, dst in _forward_faces(f.dims):
-                np.equal(pos[src], pos[dst], out=same[src + (a,)])
-        chords = _pick_chord(minus, plus, proj, same)
-        if same is None or metric == "euclidean_sphere":  # no pick to share
-            dists = chord_distance(chords, metric)
-        else:
-            if metric not in face_dists:
-                face_dists[metric] = [chord_distance(c, metric)
-                                      for c in (minus, plus)]
-            dists = _pick_chord(*face_dists[metric], same=same)
-        if after is None:
-            faces = minus = plus = face_dists = None  # free f's face data
-        yield valid, dists, chords, metric, proj
-        del same, chords, dists  # before the next request's arrays are built
+            [c[src] for c in comps], [c[dst] for c in comps], plus is not None)
+        minus[src + (a,)] = np.sqrt(minus2) * ok
+        if plus is not None:
+            plus[src + (a,)] = np.sqrt(plus2) * ok
+    del inside, ok, minus2, plus2  # the last axis's temporaries
+    if signs is None or proj:  # f, or liftings that read f's projective chord
+        chords = _pick_chord(minus, plus, proj)
+        del minus, plus  # f's chords, before the energy's arrays are built
+        dists = chord_distance(chords, metric)
+        for _ in [None] if signs is None else signs:
+            yield valid, dists, chords, proj
+        return
+    face_dists = [chord_distance(c, metric) for c in (minus, plus)]
+    for s in signs:
+        pos = s > 0
+        same = np.zeros(valid.shape, dtype=bool)
+        for a, src, dst in _forward_faces(f.dims):
+            np.equal(pos[src], pos[dst], out=same[src + (a,)])
+        chords = _pick_chord(minus, plus, same=same)
+        # a euclidean_sphere distance is the chord itself: no second pick
+        dists = (chords if metric == "euclidean_sphere"
+                 else _pick_chord(*face_dists, same=same))
+        yield valid, dists, chords, proj
+        del pos, same, chords, dists  # before the next lifting's are built
 
 
 def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
@@ -637,19 +626,18 @@ def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
     distance sin(theta) falls again).  An explicit threshold must be finite
     and positive.
     """
-    return next(_face_energies(f, [(metric, None)], jump_threshold))
+    return next(_face_energies(f, metric, jump_threshold=jump_threshold))
 
 
-def _face_energies(f, requests, jump_threshold=None):
-    """:func:`embedded_tv` report of each ``(metric, signs)`` request of
-    :func:`_face_data`, lazily, one request's arrays at a time; a request
-    with signs s is the field s f."""
+def _face_energies(f, metric, signs=None, jump_threshold=None):
+    """:func:`embedded_tv` report of f, or lazily of each lifting s f of an
+    iterable ``signs`` of sign arrays, from :func:`_face_data`."""
     if jump_threshold is not None:
         _check_jump_threshold(jump_threshold)
     h = f.spacing
     owner = None
-    for valid, dists, chords, metric, proj in _face_data(f, requests):
-        if owner is None:  # the cells of a valid face, alike for all requests
+    for valid, dists, chords, proj in _face_data(f, metric, signs):
+        if owner is None:  # the cells of a valid face, alike for all liftings
             owner = valid.any(axis=-1)
         # embedded step: the chord, or the step sin(theta) of the tensor
         # embedding (1/sqrt 2) n (x) n when the chord is projective
@@ -694,7 +682,7 @@ def detect_jumps(f, metric="geodesic", threshold=None):
     if threshold is None:
         threshold = default_jump_threshold(metric)
     _check_jump_threshold(threshold)
-    valid, dists, *_ = next(_face_data(f, [(metric, None)]))
+    valid, dists, *_ = next(_face_data(f, metric))
     isjump = valid & (dists > threshold)
     out = []
     for flat in np.flatnonzero(isjump):

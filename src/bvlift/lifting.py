@@ -49,8 +49,6 @@ class LiftResult:
 
 def _projection_check(n_field, u_field):
     inside = u_field.inside()
-    if not inside.any():
-        return 0.0
     return float(dist_proj(n_field.values, u_field.values)[inside].max())
 
 
@@ -60,12 +58,12 @@ def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
     Each rotation R induces the cellwise lifting s u with s = sgn((R u).e_d).
     Candidates are ranked by the finite-difference energy
     (:func:`embedded_tv`) of the lifted field in the requested metric, one
-    at a time, as sign requests ``(metric, s)`` of the face kernel: the two
-    face chords |a - b| and |a + b| of u are computed once, and a
-    candidate's face chords are picked from them by its sign products
-    s_i s_j.  The first minimizer is built as a field and returned.  The
-    expected energy of a random candidate already satisfies the averaging
-    bound, so the sample minimum does with margin.
+    at a time, from a stream of their signs in one metric of the face
+    kernel: u's two face chords |a - b| and |a + b| and their distances
+    are computed once, and each candidate picks its own by its sign
+    products s_i s_j.  The first minimizer is built as a field and
+    returned.  The expected energy of a random candidate already satisfies
+    the averaging bound, so the sample minimum does with margin.
     """
     if u.kind != "proj":
         raise ValueError("rotation search expects a proj field")
@@ -75,7 +73,7 @@ def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
     # both Euclidean requests rank by the sphere chord energy: the tensor
     # energy of a lifting is that of its projection, the same for all
     rank = "geodesic" if metric == "geodesic" else "euclidean_sphere"
-    reports = _face_energies(u, ((rank, lift_sign(R, u.values)) for R in rots))
+    reports = _face_energies(u, rank, (lift_sign(R, u.values) for R in rots))
     rep, R = min(zip(reports, rots), key=lambda c: c[0].total)
     n = u.with_values(u.values * lift_sign(R, u.values)[..., None], kind="unit")
     return LiftResult(field=n, energy=rep, rotation=R,

@@ -187,6 +187,22 @@ class TestEnergy:
         p.write_text('{"d":2,"dims":[2],"kind":"proj","mask":"none",'
                      '"origin":[0],"spacing":0.5,"version":1}\n1,0\nnan,nan\n')
         assert run("energy", p) == 2
+        p.write_text('{"d":2,"dims":[2],"kind":"proj","mask":"inline",'
+                     '"origin":[0],"spacing":0.5,"version":1}\n'
+                     "1,0,1\n1,0,0.5\n")
+        assert run("energy", p) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--estimator", "embedded"],
+        ["energy", "--estimator", "mollified"],
+        ["lift", "--mode", "rotation"]], ids=["embedded", "mollified", "lift"])
+    def test_empty_mask_exit_2(self, tmp_path, capfd, argv):
+        p = tmp_path / "empty.fld"
+        write_field(GridField((8, 8), 1 / 8, (0.0, 0.0), "proj",
+                              np.tile([1.0, 0.0], (8, 8, 1)),
+                              np.zeros((8, 8), bool)), p)
+        assert run(argv[0], p, *argv[1:]) == 2
+        assert_one_error_line(capfd)
 
     @pytest.mark.parametrize("estimator", ["directional", "embedded",
                                            "mollified"])
@@ -388,6 +404,9 @@ class TestConstants:
         assert run("constants") == 2
         assert run("constants", "--psi", "1.0", "--samples", "0") == 2
         assert run("constants", "--avg-dist", "4.0") == 2
+        assert run("constants", "--psi", "1.0", "--d", "1") == 2
+        assert run("constants", "--avg-dist", "1.0", "--d", "1") == 2
+        assert run("constants", "--avg-jump", "1.0", "--d", "0") == 2
         assert run("constants", "--cj", "foo") == 2
 
 

@@ -12,6 +12,7 @@ from bvlift.fields import (GridField, UnderResolvedError, _chord_rule,
                            mollified_energy, mollified_energy_extrapolated,
                            read_field, write_field)
 from bvlift.geometry import chord, chord_distance
+from bvlift.lifting import lift_rotation_search
 from bvlift.verify import make_half_vortex, make_half_vortex_lifting
 
 K2 = k_const(2).value
@@ -132,6 +133,15 @@ class TestFieldFiles:
         with pytest.raises(ValueError, match=f"field {key}"):
             read_field(p)
 
+    @pytest.mark.parametrize("value", ["0.5", "2", "-3", "nan"])
+    def test_mask_column_other_than_0_or_1(self, tmp_path, value):
+        p = tmp_path / "mask.fld"
+        p.write_text('{"d":2,"dims":[2],"kind":"proj","mask":"inline",'
+                     f'"origin":[0],"spacing":0.5,"version":1}}\n'
+                     f"1,0,1\n1,0,{value}\n")
+        with pytest.raises(ValueError, match="field mask"):
+            read_field(p)
+
     def test_wrong_cell_count(self, tmp_path):
         p = tmp_path / "short.fld"
         p.write_text('{"d":2,"dims":[2,2],"kind":"proj","mask":"none",'
@@ -154,11 +164,16 @@ class TestMollified:
             mollified_energy_extrapolated(f, "geodesic", (1, 8))
 
     def test_empty_mask_raises(self):
+        # every estimator rejects a field without a cell inside the mask
         f = constant_field(8)
         g = GridField(f.dims, f.spacing, f.origin, "proj", f.values,
                       np.zeros(f.dims, bool))
-        with pytest.raises(ValueError, match="mask"):
-            mollified_energy(g, 2 * f.spacing, "geodesic")
+        for estimate in (lambda: mollified_energy(g, 2 * f.spacing),
+                         lambda: embedded_tv(g, "geodesic"),
+                         lambda: detect_jumps(g, "geodesic"),
+                         lambda: lift_rotation_search(g, trials=2)):
+            with pytest.raises(ValueError, match="empty mask"):
+                estimate()
 
     def test_radius_past_the_grid(self):
         # offsets reaching past the grid have no pairs: their sums are

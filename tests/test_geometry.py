@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from bvlift.fields import GridField
@@ -129,6 +130,21 @@ class TestTensorEmbedding:
         q = uniaxial_q(u, s_star=0.8)
         assert np.allclose(np.trace(q, axis1=-2, axis2=-1), 0.0, atol=1e-12)
         assert np.allclose(q, np.swapaxes(q, -1, -2), atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.01, 2.0))
+    def test_uniaxial_q_distance_is_the_tensor_distance(self, d, seed, s_star):
+        # |Q(n) - Q(m)|_F = sqrt(2) s* sin(theta): the paper's Q-tensor
+        # statement is its tensor-metric one, scaled
+        rng = np.random.default_rng(seed)
+        n, m = random_unit_vectors(d, 64, rng), random_unit_vectors(d, 64, rng)
+        m[:2] = n[:2] * [[1.0], [-1.0]]  # the same line, both signs
+        assert np.array_equal(uniaxial_q(-n, s_star), uniaxial_q(n, s_star))
+        dq = uniaxial_q(n, s_star) - uniaxial_q(m, s_star)
+        assert np.allclose(np.linalg.norm(dq, axis=(-2, -1)),
+                           np.sqrt(2.0) * s_star * eucl_jump_cost(n, m),
+                           rtol=1e-12, atol=1e-14)
 
 
 class TestJumpCost:

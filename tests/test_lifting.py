@@ -228,7 +228,7 @@ class TestRotationSearch:
             n = u.with_values(u.values * s[..., None], kind="unit")
             want.append(embedded_tv(n, rank).to_dict())
         got = [rep.to_dict() for rep in _face_energies(
-            u, ((rank, lift_sign(R, u.values)) for R in rots))]
+            u, rank, (lift_sign(R, u.values) for R in rots))]
         assert got == want
         best = int(np.argmin([w["total"] for w in want]))  # first minimum
         res = lift_rotation_search(u, trials=6, seed=seed, metric=metric)

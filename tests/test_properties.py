@@ -126,7 +126,7 @@ def test_lifting_distances_never_below_its_projection(data):
         assert np.all(_distance(metric, "unit")(a, b)
                       >= _distance(metric, "proj")(ca, cb)), metric
     for metric in _metrics("proj"):
-        dn, du = (next(_face_data(f, [(metric, None)]))[1] for f in (n, u))
+        dn, du = (next(_face_data(f, metric))[1] for f in (n, u))
         assert np.all(dn >= du), metric
         (sn,), (su,) = (_pair_sums(f, [(metric, None)], rmax)
                         for f in (n, u))
@@ -267,19 +267,30 @@ def test_mollified_energy_is_an_entry_of_the_extrapolation(data):
             for m in sorted(ms)], metric
 
 
+def _lifting(u, signs):
+    """The field s u, sphere valued for a line field u."""
+    return u.with_values(u.values * signs[..., None],
+                         kind="unit" if u.kind == "proj" else u.kind)
+
+
 @SETTINGS
 @given(st.data())
 def test_face_energies_equal_embedded_tv_of_each_request(data):
-    # one face pass serves mixed requests, each as its explicit field
+    # f itself and one lifting s f, each as its explicit field, in every
+    # metric the kind allows without and with signs
     kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
     u = data.draw(grid_fields(kind, N_choices=(1, 2, 3)))
-    requests = _requests(data, u)
-    lifted = "unit" if kind == "proj" else kind
-    want = [embedded_tv(u if signs is None else u.with_values(
-        u.values * signs[..., None], kind=lifted), metric).to_dict()
-        for metric, signs in requests]
-    got = [rep.to_dict() for rep in _face_energies(u, iter(requests))]
-    assert got == want
+    signs = np.where(data.draw(hnp.arrays(bool, u.dims)), -1.0, 1.0)
+    threshold = data.draw(st.one_of(st.none(), st.floats(0.01, 3.0)))
+    for metric in _metrics(kind):
+        got = [rep.to_dict() for rep in _face_energies(
+            u, metric, jump_threshold=threshold)]
+        assert got == [embedded_tv(u, metric, threshold).to_dict()], metric
+    for metric in _metrics(kind, True):
+        got = [rep.to_dict() for rep in _face_energies(
+            u, metric, [signs], threshold)]
+        assert got == [embedded_tv(_lifting(u, signs), metric,
+                                   threshold).to_dict()], metric
 
 
 @settings(max_examples=30, deadline=None)
@@ -318,24 +329,28 @@ def test_requests_sharing_a_pick_equal_single_requests(data):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_face_energies_of_a_stream_of_sign_requests(data):
-    # sign requests of one metric pick their distances from those of f's
-    # two chords, computed once; unsigned or projective requests come
-    # before and after the stream
+    # the liftings of one metric pick their chords and distances from
+    # those of f, computed once, and are drawn from the stream one at a time
     kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
     u = data.draw(grid_fields(kind, N_choices=(1, 2, 3)))
     metric = data.draw(st.sampled_from(_metrics(kind, True)))
-    first, last = ((data.draw(st.sampled_from(_metrics(kind))), None)
-                   for _ in range(2))
-    stream = [(metric, np.where(data.draw(hnp.arrays(bool, u.dims)),
-                                -1.0, 1.0))
+    stream = [np.where(data.draw(hnp.arrays(bool, u.dims)), -1.0, 1.0)
               for _ in range(data.draw(st.integers(2, 6)))]
-    requests = [first, *stream, last]
-    lifted = "unit" if kind == "proj" else kind
-    want = [embedded_tv(u if signs is None else u.with_values(
-        u.values * signs[..., None], kind=lifted), metric).to_dict()
-        for metric, signs in requests]
-    got = [rep.to_dict() for rep in _face_energies(u, iter(requests))]
-    assert got == want
+    # random fields jump by more than the default threshold's cap nowhere
+    threshold = data.draw(st.one_of(st.none(), st.floats(0.01, 3.0)))
+    drawn = []
+
+    def signs():
+        for s in stream:
+            drawn.append(s)
+            yield s
+
+    reports = _face_energies(u, metric, signs(), threshold)
+    for k, s in enumerate(stream):
+        assert next(reports).to_dict() == embedded_tv(
+            _lifting(u, s), metric, threshold).to_dict(), k
+        assert len(drawn) == k + 1
+    assert next(reports, None) is None
 
 
 def _savetxt_bytes(f, path):
