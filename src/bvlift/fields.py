@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 METRICS = ("geodesic", "euclidean_sphere", "euclidean_tensor")
-_PAIRS_PER_BLOCK = 1 << 16  # line-bundle pairs evaluated at once
 _OFFSETS_PER_TASK = 32  # pair-kernel offsets per thread-pool task
 _ROWS_PER_WRITE = 4096  # field-file rows formatted at once
 
@@ -453,101 +452,90 @@ def _extrapolated_energies(f, requests, multipliers=(8, 16, 32),
 # ---------------------------------------------------------------------------
 # directional total variation
 
+def _layer_sums(f, metric, proj, a, delta):
+    """Per-layer sums S[k] of the pair distances at lattice offset e_a +
+    ``delta`` (``delta`` over the axes other than a), by the layer k along
+    axis a of the pair's lower cell.  Pairs leaving the mask are set to
+    chord 0 as in :func:`_pair_sums`, so they add exactly 0; ``proj`` is
+    the chord rule of :func:`_chord_rule`."""
+    src, dst = _offset_slices([*delta[:a], 1, *delta[a:]], f.dims)
+    m2, p2 = _squared_chords(*([f.values[s + (k,)] for k in range(f.d)]
+                               for s in (src, dst)), proj)
+    q = _pick_chord(m2, p2, proj, out=m2)
+    if f.mask is not None:
+        q *= f.mask[src] & f.mask[dst]
+    return chord_distance(np.sqrt(q, out=q), metric).sum(
+        axis=tuple(t for t in range(f.N) if t != a))
+
+
+def _line_bundle_tvs(f, omegas, metric):
+    """:func:`directional_tv` of each direction of ``omegas``, all read from
+    one dict of the layer sums of :func:`_layer_sums` they share.
+
+    The line of intercept b visits the transverse cell b + rint(k s) in
+    layer k along the dominant axis a, s the slopes of omega over omega_a:
+    the lines are translates, so each cell of layer k starts one pair of
+    step k, at offset e_a + delta_k, delta_k = rint((k+1) s) - rint(k s).
+    """
+    proj = _chord_rule(metric, f.kind)
+    if not f.inside().any():
+        raise ValueError("empty mask")
+    sums = {}  # (a, delta) -> S
+    tvs = []
+    for omega in omegas:
+        omega = np.asarray(omega, dtype=float)
+        if omega.shape != (f.N,):
+            raise ValueError(f"omega must be a unit vector in R^{f.N}")
+        if not 0 < (norm := np.linalg.norm(omega)) < math.inf:  # or NaN
+            raise ValueError(f"omega must be finite and nonzero, got {omega}")
+        omega = omega / norm
+        a = int(np.argmax(np.abs(omega)))
+        slopes = np.delete(omega, a) / omega[a]
+        deltas = np.diff(np.rint(np.arange(f.dims[a])[:, None] * slopes),
+                         axis=0).astype(int)  # delta_k of each step k
+        tv = 0.0
+        for delta in sorted(set(map(tuple, deltas.tolist()))):
+            if (a, delta) not in sums:
+                sums[a, delta] = _layer_sums(f, metric, proj, a, delta)
+            tv += float(sums[a, delta][(deltas == delta).all(axis=1)].sum())
+        tvs.append(float(abs(omega[a]) * f.spacing ** (f.N - 1) * tv))
+    return tvs
+
+
 def directional_tv(f, omega, metric="geodesic"):
     """Total variation of the one-dimensional restrictions along direction omega.
 
     A bundle of grid-sampled lines parallel to omega (one per unit intercept
-    in the slab orthogonal to the dominant axis, nearest-cell traversal) is
-    summed with transverse weight |omega_a| h^{N-1}.  Pairs crossing the mask
-    are dropped.  Each line step is one flat cell index, through which the
-    mask and the component planes are read.
+    in the slab orthogonal to the dominant axis, nearest-cell traversal with
+    k s rounded once for all lines) is summed with transverse weight
+    |omega_a| h^{N-1}.  Pairs crossing the mask are dropped.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (f.N,):
-        raise ValueError(f"omega must be a unit vector in R^{f.N}")
-    if not 0 < (norm := np.linalg.norm(omega)) < math.inf:  # or NaN
-        raise ValueError(f"omega must be finite and nonzero, got {omega}")
-    omega = omega / norm
-    proj = _chord_rule(metric, f.kind)
-    inside = f.inside().ravel()  # read through the flat cell indices
-    if not inside.any():
-        raise ValueError("empty mask")
-    h = f.spacing
-    if f.N == 1:
-        return float(next(_face_data(f, metric))[1].sum())
-
-    a = int(np.argmax(np.abs(omega)))
-    others = [t for t in range(f.N) if t != a]
-    slopes = omega[others] / omega[a]
-    K = f.dims[a]
-    ks = np.arange(K)
-    # intercept ranges covering every line that meets the slab
-    axes_b = []
-    for t, s in zip(others, slopes):
-        drift = (K - 1) * s
-        lo = math.floor(min(0.0, -drift))
-        hi = math.ceil((f.dims[t] - 1) + max(0.0, -drift))
-        axes_b.append(np.arange(lo, hi + 1))
-    B = np.stack([b.ravel() for b in np.meshgrid(*axes_b, indexing="ij")],
-                 axis=-1)  # (L, N-1)
-    stride = [math.prod(f.dims[t + 1:]) for t in range(f.N)]  # in cells
-    planes = f.values.reshape(-1, f.d).T  # (d, cells) component views
-    tv = 0.0
-    # blocks of lines keep the (lines x K) arrays bounded on 3D grids
-    rows = max(1, _PAIRS_PER_BLOCK // K)
-    for b in (B[i:i + rows] for i in range(0, len(B), rows)):
-        flat = np.broadcast_to(ks * stride[a], (len(b), K)).copy()
-        ok, t = np.ones(flat.shape, dtype=bool), np.empty(flat.shape)
-        for j, ax in enumerate(others):
-            # nearest transverse cell of every line at every step
-            np.rint(np.add(b[:, j, None], ks * slopes[j], out=t), out=t)
-            ok &= (t >= 0) & (t < f.dims[ax])
-            np.multiply(np.clip(t, 0, f.dims[ax] - 1, out=t), stride[ax],
-                        out=t)
-            np.add(flat, t, out=flat, casting="unsafe")  # exact integers
-        ok &= inside[flat]
-        v = [p[flat] for p in planes]  # (lines, K) component planes
-        minus2, plus2 = _squared_chords([c[:, :-1] for c in v],
-                                        [c[:, 1:] for c in v], proj)
-        q = _pick_chord(minus2, plus2, proj, out=minus2)
-        tv += float((chord_distance(np.sqrt(q, out=q), metric)
-                     * (ok[:, :-1] & ok[:, 1:])).sum())
-    return abs(omega[a]) * h ** (f.N - 1) * tv
-
-
-def _sample_directions(N, directions, rng):
-    if N == 2:
-        # equispaced angles with one random offset: unbiased, low variance
-        phi = (np.arange(directions) + rng.random()) / directions * 2.0 * np.pi
-        return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    return random_unit_vectors(N, directions, rng)
+    return _line_bundle_tvs(f, [omega], metric)[0]
 
 
 def avg_directional_energy(f, directions=64, seed=0, metric="geodesic",
-                           omegas=None, threads=None):
+                           omegas=None):
     """Average of :func:`directional_tv` over sampled directions of S^{N-1}.
 
     For N = 1 both elements of S^0 give the same restriction, so the value is
     exact.  The sample standard error is reported in ``params`` (conservative
     for the stratified N = 2 sampling).  ``omegas`` replaces the sampled
-    directions.  They run on ``_thread_count(threads)`` threads, one thread
-    per direction, in order: the report does not depend on the thread count.
+    directions, which share their per-layer pair sums.
     """
-    threads = _thread_count(threads)
     if f.N == 1:
-        tv = directional_tv(f, np.array([1.0]), metric)
-        return EnergyReport(tv, metric, "directional_avg",
-                            params={"directions": 1, "stderr": 0.0})
-    if directions < 4:
+        omegas = [[1.0]]
+    elif directions < 4:
         raise ValueError("directions must be >= 4")
     rng = np.random.default_rng(seed)
-    if omegas is None:
-        omegas = _sample_directions(f.N, directions, rng)
+    if omegas is None and f.N == 2:
+        # equispaced angles with one random offset: unbiased, low variance
+        phi = (np.arange(directions) + rng.random()) / directions * 2.0 * np.pi
+        omegas = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    elif omegas is None:
+        omegas = random_unit_vectors(f.N, directions, rng)
     if len(omegas) == 0:
         raise ValueError("omegas must hold at least one direction")
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        tvs = np.array(list(
-            ex.map(lambda w: directional_tv(f, w, metric), omegas)))
+    tvs = np.array(_line_bundle_tvs(f, omegas, metric))
     stderr = float(tvs.std(ddof=1) / np.sqrt(len(tvs))) if len(tvs) > 1 else 0.0
     return EnergyReport(float(tvs.mean()), metric, "directional_avg",
                         params={"directions": len(tvs), "stderr": stderr})

@@ -252,17 +252,6 @@ class TestEnergy:
         assert run("energy", hv_path, "--estimator", "mollified") == 2
         assert_one_error_line(capfd, "BVLIFT_THREADS")
 
-    @pytest.mark.parametrize("argv", [
-        ["energy", "--estimator", "directional"],
-        ["lift", "--mode", "greedy1d"]])
-    def test_bad_thread_variable_on_an_interval_exit_2(
-            self, seq_path, tmp_path, capfd, monkeypatch, argv):
-        # one-dimensional fields skip the pool but not the count's check
-        monkeypatch.setenv("BVLIFT_THREADS", "abc")
-        assert run(argv[0], seq_path, *argv[1:]) == 2
-        assert_one_error_line(capfd, "BVLIFT_THREADS")
-        assert not (tmp_path / "seq.lifted.fld").exists()
-
     @pytest.mark.parametrize("flags", [
         ["--eps-over-h", "inf,8"], ["--eps-over-h", "nan,8,16"],
         ["--eps-over-h", "8"], ["--eps-over-h", "8,8"],
@@ -430,7 +419,7 @@ class TestVerifyCommand:
         assert (csvdir / "repr_fields.csv").exists()
 
     @pytest.mark.parametrize("flags", [
-        ["--grid", "128", "--samples", "10"], ["--threads", "0"],
+        ["--grid", "160", "--samples", "10"], ["--threads", "0"],
         ["--threads", "-3"], ["--trials", "0"], ["--grid", "64"]])
     def test_bad_settings_exit_2_before_any_suite(self, tmp_path, capfd,
                                                   monkeypatch, flags):
@@ -440,6 +429,16 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "run_half_vortex_suite", ran)
         out = tmp_path / "r.json"
         assert run("verify", "--suite", "all", *flags, "--report", out) == 2
+        assert_one_error_line(capfd)
+        assert not out.exists()
+
+    def test_grid_below_the_tensor_energy_minimum_exit_2(self, tmp_path,
+                                                         capfd, monkeypatch):
+        # grid 159 misses the 3% of halfvortex_tensor_energy (exit 1)
+        monkeypatch.setattr(verify, "make_half_vortex", must_not_run)
+        out = tmp_path / "r.json"
+        assert run("verify", "--suite", "halfvortex", "--grid", "159",
+                   "--report", out) == 2
         assert_one_error_line(capfd)
         assert not out.exists()
 

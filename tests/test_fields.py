@@ -463,16 +463,4 @@ class TestMetricDispatch:
         f = jump_field(16)
         for threads in (0, -2):
             with pytest.raises(ValueError, match="threads must be >= 1"):
-                avg_directional_energy(f, threads=threads)
-            with pytest.raises(ValueError, match="threads must be >= 1"):
                 _pair_sums(f, [("geodesic", None)], 2, threads)
-
-    def test_thread_count_checked_on_an_interval(self, monkeypatch):
-        # N = 1 needs no pool, but the count is checked as for every N
-        vals = np.tile([1.0, 0.0], (8, 1))
-        f = GridField((8,), 1 / 8, (0.0,), "proj", vals)
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            avg_directional_energy(f, threads=0)
-        monkeypatch.setenv("BVLIFT_THREADS", "abc")
-        with pytest.raises(ValueError, match="BVLIFT_THREADS"):
-            avg_directional_energy(f)

@@ -222,14 +222,18 @@ class TestRotationSearch:
             ("geodesic", "euclidean_sphere", "euclidean_tensor")))
         rank = "geodesic" if metric == "geodesic" else "euclidean_sphere"
         rots = haar_rotations(d, 6, seed)
-        want = []
-        for R in rots:
-            s = lift_sign(R, u.values)
-            n = u.with_values(u.values * s[..., None], kind="unit")
-            want.append(embedded_tv(n, rank).to_dict())
-        got = [rep.to_dict() for rep in _face_energies(
-            u, rank, (lift_sign(R, u.values) for R in rots))]
-        assert got == want
+        # rough fields jump nowhere at the default threshold, so only a
+        # drawn one brings the candidates' distances into their reports
+        t = data.draw(st.floats(0.01, 3.0))
+        for threshold in (t, None):  # the search ranks at the default, last
+            want = []
+            for R in rots:
+                s = lift_sign(R, u.values)
+                n = u.with_values(u.values * s[..., None], kind="unit")
+                want.append(embedded_tv(n, rank, threshold).to_dict())
+            got = [rep.to_dict() for rep in _face_energies(
+                u, rank, (lift_sign(R, u.values) for R in rots), threshold)]
+            assert got == want, threshold
         best = int(np.argmin([w["total"] for w in want]))  # first minimum
         res = lift_rotation_search(u, trials=6, seed=seed, metric=metric)
         assert np.array_equal(res.rotation, rots[best])

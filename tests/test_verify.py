@@ -151,7 +151,7 @@ class TestGridRefinement:
         # discretization error of the optimality ratios shrinks monotonically
         from bvlift.verify import run_half_vortex_suite
         errs = {}
-        for grid in (128, 256):
+        for grid in (160, 256):
             checks = {c.name: c for c in
                       run_half_vortex_suite(grid=grid, trials=16, seed=0)}
             errs[grid] = (
@@ -160,14 +160,14 @@ class TestGridRefinement:
                     - (1 + 2 / np.pi)),
                 abs(checks["halfvortex_tensor_energy"].measured - np.pi),
             )
-        for fine, coarse in zip(errs[256], errs[128]):
+        for fine, coarse in zip(errs[256], errs[160]):
             assert fine <= coarse
 
 
 class TestSuites:
     def test_half_vortex_suite_does_not_depend_on_the_thread_count(self):
         from bvlift.verify import run_half_vortex_suite
-        one, three = (run_half_vortex_suite(grid=128, trials=4, threads=t)
+        one, three = (run_half_vortex_suite(grid=160, trials=4, threads=t)
                       for t in (1, 3))
         assert [r.to_dict() for r in one] == [r.to_dict() for r in three]
 
