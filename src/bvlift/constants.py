@@ -110,39 +110,45 @@ def k_const(N):
     return ConstantResult(num / den, "quadrature", error_estimate=err)
 
 
-def _mc_over_sphere(fn, n, m, theta, samples, seed):
-    """Monte Carlo mean of fn(r.n, r.m), r uniform on S^{d-1}, with its stderr.
+def _mc_over_sphere(n, ms, samples, seed):
+    """Rotation averages of the pairs (n, m), m in ``ms``, from one Monte
+    Carlo draw: per m, the :data:`AVERAGES` names mapped to their estimates.
 
-    The rotation averages of this module depend on a Haar rotation R only
-    through its last row r = R^T e_d, which is uniform on S^{d-1}: the folded
-    lifting F sees (Rn).e_d = r.n, and since R is orthogonal
-    |F(Rn) - F(Rm)| = |s_n n - s_m m| with s = sgn(r.n).  So r is sampled
-    directly and ``fn`` maps the projections a = r.n, b = r.m of a chunk to
-    as many scalars.  At most ``_MC_CHUNK`` points are held at once; every
-    chunk draws from one generator seeded by ``seed`` and chunks are reduced
-    in order, so the result is deterministic given the seed.  ``theta`` is
-    the angle of (n, m), recorded in the result's params.
+    A Haar rotation R enters only through r = R^T e_d, uniform on S^{d-1}:
+    F sees (Rn).e_d = r.n, and |F(Rn) - F(Rm)| = |s_n n - s_m m| with
+    s = sgn(r.n).  So each integrand is x on a sign pattern of (r.n, r.m)
+    and y off it: the distance theta or pi - theta and the jump |n - m| or
+    |n + m| as the signs agree or not, the split indicator 1 or 0 as
+    r.n > 0 > r.m or not.  With p the share of samples on the pattern, the
+    mean is x p + y (1 - p) and the standard error |x - y| sqrt(p (1 - p) /
+    samples), the sample variance written exactly.  Chunks of at most
+    ``_MC_CHUNK`` points draw in order from one generator seeded by
+    ``seed``, so each m gets the counts of a draw of its pair alone.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    nm = np.stack([n, m], axis=1)
+    n, *ms = np.array([n, *ms], dtype=float)
     rng = np.random.default_rng(seed)
-    tot = 0.0
-    tot2 = 0.0
-    left = samples
-    while left > 0:
-        k = min(left, _MC_CHUNK)
-        a, b = (random_unit_vectors(len(n), k, rng) @ nm).T
-        vals = fn(a, b)
-        tot += vals.sum()
-        tot2 += (vals * vals).sum()
-        left -= k
-    mean = tot / samples
-    var = max(0.0, tot2 / samples - mean * mean)
-    return ConstantResult(mean, "monte_carlo",
-                          error_estimate=np.sqrt(var / samples),
-                          samples_or_nodes=samples,
-                          params={"theta": float(theta), "d": len(n)})
+    same, split = np.zeros((2, len(ms)), dtype=np.int64)
+    for start in range(0, samples, _MC_CHUNK):
+        r = random_unit_vectors(len(n), min(samples - start, _MC_CHUNK), rng)
+        up = r @ n > 0
+        for j, m in enumerate(ms):
+            b = r @ m
+            same[j] += np.count_nonzero((b > 0) == up)
+            split[j] += np.count_nonzero((b < 0) & up)
+
+    def estimate(count, x, y):
+        p, q = count / samples, (samples - count) / samples
+        return ConstantResult(x * p + y * q, "monte_carlo",
+                              abs(x - y) * np.sqrt(p * q / samples), samples)
+
+    thetas = [float(np.arccos(np.clip(n @ m, -1.0, 1.0))) for m in ms]
+    return [{"avg_lifted_dist": estimate(s, theta, np.pi - theta),
+             "psi": estimate(c, 1.0, 0.0),
+             "avg_eucl_jump": estimate(s, float(chord(n, m)),
+                                       float(chord(n, -m)))}
+            for m, theta, s, c in zip(ms, thetas, same, split)]
 
 
 def _pair_at_angle(d, theta):
@@ -161,14 +167,7 @@ def _pair_at_angle(d, theta):
 
 def avg_lifted_dist(n, m, samples, seed=0):
     """Monte Carlo average of dist(F(Rn), F(Rm)) over Haar rotations."""
-    n = np.asarray(n, dtype=float)
-    m = np.asarray(m, dtype=float)
-    theta = np.arccos(np.clip(n @ m, -1.0, 1.0))
-    # F flips the sign of the vector; dist(F(Rn), F(Rm)) is theta when the
-    # hemisphere signs agree and pi - theta when they differ.
-    return _mc_over_sphere(
-        lambda a, b: np.where((a > 0) == (b > 0), theta, np.pi - theta),
-        n, m, theta, samples, seed)
+    return _mc_over_sphere(n, [m], samples, seed)[0]["avg_lifted_dist"]
 
 
 def avg_lifted_dist_closed(theta):
@@ -179,8 +178,7 @@ def avg_lifted_dist_closed(theta):
 def psi_estimate(theta, d, samples, seed=0):
     """Monte Carlo estimate of mu({R : Rn.e_d > 0 and Rm.e_d < 0}) at angle theta."""
     n, m = _pair_at_angle(d, theta)
-    return _mc_over_sphere(lambda a, b: ((a > 0) & (b < 0)).astype(float),
-                           n, m, theta, samples, seed)
+    return _mc_over_sphere(n, [m], samples, seed)[0]["psi"]
 
 
 def psi_closed(theta):
@@ -191,11 +189,7 @@ def psi_closed(theta):
 def avg_eucl_jump(theta, samples, seed=0, d=3):
     """Monte Carlo average of |F(Rn) - F(Rm)| over Haar rotations."""
     n, m = _pair_at_angle(d, theta)
-    # |F(Rn) - F(Rm)| is |n - m| when the hemisphere signs agree, else |n + m|
-    same, flip = float(chord(n, m)), float(chord(n, -m))
-    return _mc_over_sphere(
-        lambda a, b: np.where((a > 0) == (b > 0), same, flip),
-        n, m, theta, samples, seed)
+    return _mc_over_sphere(n, [m], samples, seed)[0]["avg_eucl_jump"]
 
 
 def _jump_numerator(theta):

@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .constants import AVERAGES, k_const, psi_estimate
+from .constants import (AVERAGES, _mc_over_sphere, _pair_at_angle, k_const,
+                        psi_estimate)
 from .fields import (GridField, _extrapolated_energies, _face_data,
                      _thread_count, avg_directional_energy, embedded_tv)
 from .geometry import lift_sign
@@ -267,48 +268,53 @@ def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
 
     Each estimate must fall within 4 standard errors of its closed form on a
     theta grid and d in {2, 3, 4}; the averaged Euclidean jump must also stay
-    below (1 + 2/pi) sin(theta).
+    below (1 + 2/pi) sin(theta).  One draw per d serves its 12 checks, which
+    are thus correlated and report its runtime; the right-angle quarter has
+    a draw of its own.
     """
     _check_settings(samples=samples)
     threads = _thread_count(threads)
-    # job j = 12 f + i is family f of AVERAGES at combo i and draws seeds[j]
-    jobs = [(name, theta, d) for name in AVERAGES
-            for d in DIMS_GRID for theta in THETA_GRID]
-    seeds = np.random.SeedSequence(seed).spawn(len(jobs) + 1)
+    seeds = np.random.SeedSequence(seed).spawn(len(DIMS_GRID) + 1)
 
-    def job(j):
+    def draw(d, seed):  # the checks of one d, one list per average
         t0 = time.perf_counter()
-        name, theta, d = jobs[j]
-        estimate, closed, identity = AVERAGES[name]
-        res = estimate(theta, d, samples, seeds[j])
-        checks = [_check(
-            f"{name}_theta={theta:.4f}_d={d}", closed(theta), res.value,
-            max(4.0 * res.error_estimate, 1e-12), "abs", identity, t0,
-            stderr=res.error_estimate, theta=theta, d=d)]
-        if name == "avg_eucl_jump":
-            checks.append(_check(
-                f"avg_eucl_jump_bound_theta={theta:.4f}_d={d}",
-                (1.0 + 2.0 / np.pi) * np.sin(theta), res.value,
-                4.0 * res.error_estimate, "le",
-                "mean |F(Rn) - F(Rm)| <= (1 + 2/pi) sin(theta)", t0,
-                stderr=res.error_estimate, theta=theta, d=d))
-        return checks
+        ms = [_pair_at_angle(d, theta)[1] for theta in THETA_GRID]
+        per_m = _mc_over_sphere(np.eye(d)[-1], ms, samples, seed)  # n = e_d
+        groups = {name: [] for name in AVERAGES}
+        for theta, results in zip(THETA_GRID, per_m):
+            for name, (_, closed, identity) in AVERAGES.items():
+                res = results[name]
+                info = dict(stderr=res.error_estimate, theta=theta, d=d)
+                groups[name].append(_check(
+                    f"{name}_theta={theta:.4f}_d={d}", closed(theta),
+                    res.value, max(4.0 * res.error_estimate, 1e-12), "abs",
+                    identity, t0, **info))
+                if name == "avg_eucl_jump":
+                    groups[name].append(_check(
+                        f"avg_eucl_jump_bound_theta={theta:.4f}_d={d}",
+                        (1.0 + 2.0 / np.pi) * np.sin(theta), res.value,
+                        4.0 * res.error_estimate, "le",
+                        "mean |F(Rn) - F(Rm)| <= (1 + 2/pi) sin(theta)", t0,
+                        **info))
+        return groups.values()
+
+    def right_angle_quarter(seed):
+        t0 = time.perf_counter()
+        res = psi_estimate(np.pi / 2, 3, samples, seed)
+        return _check("psi_right_angle_quarter", 0.25, res.value, 0.002,
+                      "abs", "hemisphere-split measure at pi/2 equals 1/4",
+                      t0, stderr=res.error_estimate)
 
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        checks = [c for group in ex.map(job, range(len(jobs))) for c in group]
-
-    # the pinned quarter value at a right angle
-    t0 = time.perf_counter()
-    res = psi_estimate(np.pi / 2, 3, samples, seeds[-1])
-    quarter = _check("psi_right_angle_quarter", 0.25, res.value, 0.002, "abs",
-                     "hemisphere-split measure at pi/2 equals 1/4", t0,
-                     stderr=res.error_estimate)
+        by_d = ex.map(draw, DIMS_GRID, seeds)
+        quarter = ex.submit(right_angle_quarter, seeds[-1])
+        checks = [c for groups in zip(*by_d) for g in groups for c in g]
 
     rows = [[c.name, c.extra["theta"], c.extra["d"], c.measured, c.claimed,
              c.extra["stderr"]] for c in checks]
     _write_csv(csv_dir, "identities.csv",
                ["check", "theta", "d", "measured", "claimed", "stderr"], rows)
-    return checks + [quarter]
+    return checks + [quarter.result()]
 
 
 # ---------------------------------------------------------------------------

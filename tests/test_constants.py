@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -195,20 +198,8 @@ class TestAverages:
 
 
 class TestSphereSampler:
-    """The estimators sample r = R^T e_d on the sphere, not rotations R."""
-
-    def _integrand(self, monkeypatch, estimate):
-        """Run ``estimate`` and return the integrand it hands the sampler."""
-        seen = []
-        sampler = constants._mc_over_sphere
-
-        def spy(fn, *args):
-            seen.append(fn)
-            return sampler(fn, *args)
-
-        monkeypatch.setattr(constants, "_mc_over_sphere", spy)
-        estimate()
-        return seen[0]
+    """The estimators sample r = R^T e_d on the sphere, not rotations R, and
+    count sign patterns of (r.n, r.m) in place of evaluating integrands."""
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_integrands_match_rotation_definitions(self, monkeypatch, d):
@@ -217,23 +208,77 @@ class TestSphereSampler:
         R = haar_rotations(d, 20_000, np.random.default_rng(d))
         wn, wm = R @ n, R @ m
         Fn, Fm = lift_map_F(wn), lift_map_F(wm)
-        a, b = R[:, -1, :] @ n, R[:, -1, :] @ m  # the last row r = R^T e_d
+        r = R[:, -1, :]  # the last row r = R^T e_d
+        a, b = r @ n, r @ m
         assert np.allclose(a, wn[:, -1], rtol=0, atol=1e-15)
         off = (np.abs(a) > 1e-9) & (np.abs(b) > 1e-9)
         assert off.mean() > 0.99
-        definitions = [
-            (lambda: avg_lifted_dist(n, m, 10, seed=0), dist_sphere(Fn, Fm)),
-            (lambda: psi_estimate(theta, d, 10, seed=0),
-             (np.all(Fn == wn, axis=-1)
-              & np.all(Fm == -wm, axis=-1)).astype(float)),
-            (lambda: avg_eucl_jump(theta, 10, seed=0, d=d),
-             np.linalg.norm(Fn - Fm, axis=-1)),
-        ]
-        for estimate, reference in definitions:
-            fn = self._integrand(monkeypatch, estimate)
-            monkeypatch.undo()
-            got = fn(a, b)
-            assert np.max(np.abs(got[off] - reference[off])) <= 1e-12
+        definitions = {
+            "avg_lifted_dist": dist_sphere(Fn, Fm),
+            "psi": (np.all(Fn == wn, axis=-1)
+                    & np.all(Fm == -wm, axis=-1)).astype(float),
+            "avg_eucl_jump": np.linalg.norm(Fn - Fm, axis=-1),
+        }
+        # a draw of the rotations of one sign class of (a, b) is on or off
+        # each average's pattern throughout, so its estimate is the
+        # integrand's value there, which every rotation of the class must take
+        for sa in (True, False):
+            for sb in (True, False):
+                cls = off & ((a > 0) == sa) & ((b > 0) == sb)
+                monkeypatch.setattr(constants, "random_unit_vectors",
+                                    lambda d_, k, rng: r[cls])
+                (got,) = constants._mc_over_sphere(n, [m], int(cls.sum()), 0)
+                for name, reference in definitions.items():
+                    assert got[name].error_estimate == 0.0
+                    assert np.max(np.abs(reference[cls] - got[name].value)) \
+                        <= 1e-12
+
+    def test_shared_draw_equals_single_draws(self, monkeypatch):
+        monkeypatch.setattr(constants, "_MC_CHUNK", 1000)
+        rng = np.random.default_rng(11)
+        for k in range(6):
+            d = int(rng.integers(2, 5))
+            thetas = rng.uniform(0.0, np.pi, int(rng.integers(2, 6)))
+            n = pair_at_angle(d, 0.0)[0]
+            ms = [pair_at_angle(d, t)[1] for t in thetas]
+            shared = constants._mc_over_sphere(n, ms, 2500, 40 + k)
+            for theta, m, res in zip(thetas, ms, shared):
+                (single,) = constants._mc_over_sphere(n, [m], 2500, 40 + k)
+                assert res == single  # value, stderr and samples, bit for bit
+                assert res["psi"] == psi_estimate(theta, d, 2500, 40 + k)
+                assert res["avg_eucl_jump"] == avg_eucl_jump(
+                    theta, 2500, 40 + k, d)
+
+    def test_counts_equal_the_integrand_sums(self):
+        # the count form x p + y (1 - p) and |x - y| sqrt(p (1 - p) / S)
+        # against sum(v) / S and sqrt((sum(v^2) / S - mean^2) / S) of the
+        # integrand values v on the same draw, evaluated in exact rationals
+        # (in floats that form cancels to ~2e-15 relative on its own)
+        samples = 2000
+        for d in (2, 3, 4):
+            for seed, theta in enumerate((0.3, np.pi / 3, 2.0, 2.9)):
+                n, m = pair_at_angle(d, theta)
+                r = random_unit_vectors(d, samples,
+                                        np.random.default_rng(seed))
+                a, b = r @ n, r @ m
+                same = (a > 0) == (b > 0)
+                t = float(np.arccos(np.clip(n @ m, -1.0, 1.0)))
+                values = {
+                    "avg_lifted_dist": np.where(same, t, np.pi - t),
+                    "psi": ((a > 0) & (b < 0)).astype(float),
+                    "avg_eucl_jump": np.where(same, np.linalg.norm(n - m),
+                                              np.linalg.norm(n + m)),
+                }
+                (got,) = constants._mc_over_sphere(n, [m], samples, seed)
+                for name, v in values.items():
+                    v = [Fraction(x) for x in v.tolist()]
+                    mean = sum(v) / samples
+                    var = sum(x * x for x in v) / samples - mean * mean
+                    stderr = math.sqrt(var / samples)
+                    assert abs(got[name].value - float(mean)) \
+                        <= 1e-15 * float(mean)
+                    assert abs(got[name].error_estimate - stderr) \
+                        <= 1e-15 * stderr
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_no_samples_rejected(self, samples):

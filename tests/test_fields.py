@@ -1,5 +1,4 @@
 import filecmp
-import os
 
 import numpy as np
 import pytest
