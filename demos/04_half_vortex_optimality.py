@@ -14,8 +14,8 @@ The rotation search reproduces both ratios on a 256^2 disk grid.
 
 import numpy as np
 
-from bvlift import (detect_jumps, embedded_tv, lift_rotation_search,
-                    make_half_vortex, mollified_energy_extrapolated)
+from bvlift import (embedded_tv, lift_rotation_search, make_half_vortex,
+                    mollified_energy_extrapolated)
 
 grid, trials, seed = 256, 64, 0
 u = make_half_vortex(grid)
@@ -41,11 +41,11 @@ print(f"lifting / tensor energy ratio: {e_ne.total / e_ut.total:.4f}   "
       f"(claim 1 + 2/pi = {1 + 2 / np.pi:.4f})\n")
 
 print("== the unavoidable seam ==")
-faces = detect_jumps(best.field, "euclidean_sphere")
-costs = np.array([c for _, _, c in faces])
-print(f"{len(faces)} jump faces; costs in [{costs.min():.3f}, "
-      f"{costs.max():.3f}] (antipodal traces cost 2)")
-print(f"seam length x h ~ {len(faces) * u.spacing:.3f} "
+seam = embedded_tv(best.field, "euclidean_sphere")
+faces = seam.params["jump_faces"]
+print(f"{faces} jump faces; mean cost {seam.jump_part / (faces * u.spacing):.3f}"
+      f" (antipodal traces cost 2)")
+print(f"seam length ~ faces x h = {faces * u.spacing:.3f} "
       f"(one radius of the disk)")
 print(f"projection check (max line distance to the input): "
       f"{best.projection_check}")

@@ -11,14 +11,12 @@ from .constants import (ConstantResult, avg_eucl_jump, avg_eucl_jump_closed,
                         c1d_const, ca_const, cj_estimate, k_const, m_const,
                         psi_closed, psi_estimate, sphere_area, sphere_quad)
 from .fields import (EnergyReport, GridField, avg_directional_energy,
-                     detect_jumps, directional_tv, embedded_tv,
-                     mollified_energy, mollified_energy_extrapolated,
-                     read_field, write_field)
+                     directional_tv, embedded_tv, mollified_energy,
+                     mollified_energy_extrapolated, read_field, write_field)
 from .geometry import (canonicalize, dist_proj, dist_sphere, embed_tensor,
                        eucl_jump_cost, haar_rotations, lift_map_F, lift_sign,
                        random_unit_vectors, uniaxial_q)
-from .lifting import (LiftResult, boundary_cells, lift_1d,
-                      lift_eps_regularized, lift_greedy_1d,
+from .lifting import (LiftResult, boundary_cells, lift_1d, lift_greedy_1d,
                       lift_rotation_search, lift_with_boundary, solve_laplace)
 from .verify import (FIELD_KINDS, CheckReport, make_field, make_half_vortex,
                      make_half_vortex_lifting, run_all_suites,

@@ -5,8 +5,9 @@ ValueError or OSError, a missing or unwritable file included), 3 boundary
 data that is not a lifting of the field (BoundaryMismatchError), 4
 under-resolved mollifier (UnderResolvedError).  Only :func:`main` turns an
 exception into an exit code, by its type, and prints one ``error:`` line.
-Outputs are written atomically (temp file + rename) and are byte
-identical for identical (command, config, seed).
+Outputs are written atomically (temp file + rename), with the mode the
+umask gives a new file, and are byte identical for identical (command,
+config, seed).
 """
 
 import argparse
@@ -38,10 +39,9 @@ DEFAULT_CONFIG = {
     "jump_threshold": None,
     "metric": "geodesic",
     "output_dir": ".",
-    "threads": None,
 }
 # the types of the config values whose default is None
-_NULLABLE_TYPES = {"jump_threshold": float, "threads": int}
+_NULLABLE_TYPES = {"jump_threshold": float}
 
 
 def _is_a(val, want):
@@ -97,12 +97,16 @@ def _check_output(path):
 
 
 def _atomic_write(path, write):
-    """Call ``write(tmp)`` on a temp file beside ``path``, then rename it."""
+    """Call ``write(tmp)`` on a temp file beside ``path``, then rename it,
+    with the mode ``open(path, "w")`` would create under the umask."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".bvlift-")
     os.close(fd)
     try:
         write(tmp)
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -146,6 +150,9 @@ def cmd_lift(args):
     cfg = _load_config(args.config, args)
     out = args.output or (os.path.splitext(args.input)[0] + ".lifted.fld")
     sidecar = os.path.splitext(out)[0] + ".json"
+    if sidecar == out:
+        raise ValueError(f"output {out} is its own sidecar path; "
+                         "name the lifted field other than *.json")
     _check_output(out)  # the sidecar goes beside the output
     u = read_field(args.input)
 
@@ -203,8 +210,7 @@ def cmd_constants(args):
 def cmd_verify(args):
     cfg = _load_config(args.config, args)
     settings = dict(grid=args.grid, trials=cfg["trials"], samples=args.samples,
-                    seed=cfg["seed"], csv_dir=args.csv_dir,
-                    threads=cfg["threads"])
+                    seed=cfg["seed"], csv_dir=args.csv_dir)
     out = args.report or os.path.join(cfg["output_dir"], "report.json")
     _check_output(out)
     if args.csv_dir is not None:
@@ -292,7 +298,6 @@ def build_parser():
     ve.add_argument("--trials", type=int)
     ve.add_argument("--samples", type=int, default=1_000_000)
     ve.add_argument("--seed", type=int)
-    ve.add_argument("--threads", type=int)
     ve.add_argument("--report", help="report path (default report.json)")
     ve.add_argument("--csv-dir", dest="csv_dir", help="directory for CSV traces")
     ve.set_defaults(fn=cmd_verify)

@@ -1,11 +1,11 @@
 """Grid fields and the discrete BV-energy estimators.
 
-A :class:`GridField` holds values of one of three kinds on a regular
-N-dimensional grid over a box, optionally masked:
+A :class:`GridField` holds values of one of two kinds on a regular
+N-dimensional grid over a box, optionally masked, with at least one cell
+inside:
 
-* ``"proj"``   -- line fields; values are canonical unit representatives,
-* ``"unit"``   -- sphere-valued fields (liftings),
-* ``"vector"`` -- R^d-valued fields of norm <= 1 (regularized liftings).
+* ``"proj"`` -- line fields; values are canonical unit representatives,
+* ``"unit"`` -- sphere-valued fields (liftings).
 
 Three estimators of the BV energy are provided: the mollified double
 integral (:func:`mollified_energy`), the direction-averaged seminorm built
@@ -13,7 +13,8 @@ from one-dimensional restrictions (:func:`directional_tv`,
 :func:`avg_directional_energy`), and an anisotropy-corrected finite
 difference total variation (:func:`embedded_tv`).  The first two estimate
 the same continuum quantity; the third estimates the plain embedded
-seminorm, whose absolutely continuous part they share.
+seminorm, whose absolutely continuous part they share, and counts its
+jump faces.
 """
 
 import itertools
@@ -41,7 +42,6 @@ __all__ = [
     "directional_tv",
     "avg_directional_energy",
     "embedded_tv",
-    "detect_jumps",
     "default_jump_threshold",
 ]
 
@@ -56,14 +56,15 @@ class GridField:
 
     ``values`` has shape ``dims + (d,)``; cell centers sit at
     ``origin[a] + (i + 1/2) * spacing`` along each axis.  ``mask`` marks the
-    cells belonging to the domain (None means all).  Fields are treated as
-    immutable after construction.
+    cells belonging to the domain (None means all); a field has at least one
+    cell inside, so no estimator meets an empty domain.  Fields are treated
+    as immutable after construction.
     """
 
     dims: tuple
     spacing: float
     origin: tuple
-    kind: str  # proj | unit | vector
+    kind: str  # proj | unit
     values: np.ndarray
     mask: np.ndarray = None
 
@@ -77,26 +78,24 @@ class GridField:
                 and self.spacing > 0):
             raise ValueError("spacing must be finite and positive, and origin "
                              f"finite, got {self.spacing} and {self.origin}")
-        if self.kind not in ("proj", "unit", "vector"):
+        if self.kind not in ("proj", "unit"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.values.shape[:-1] != self.dims:
             raise ValueError(
                 f"values shape {self.values.shape} does not match dims {self.dims}")
         if len(self.origin) != len(self.dims):
             raise ValueError("origin length must match dims")
-        norms = np.linalg.norm(self.values, axis=-1)
-        if self.kind in ("proj", "unit"):
-            if np.max(np.abs(norms - 1.0)) > 1e-9:
-                raise ValueError("unit/proj values must have norm 1")
-        else:
-            if np.max(norms) > 1.0 + 1e-9:
-                raise ValueError("vector values must have norm <= 1")
-        if self.kind == "proj":
-            self.values = canonicalize(self.values)
         if self.mask is not None:
             self.mask = np.asarray(self.mask, dtype=bool)
             if self.mask.shape != self.dims:
                 raise ValueError("mask shape must match dims")
+        if not self.inside().any():  # also a grid without cells
+            raise ValueError("empty mask: no cell inside the domain")
+        norms = np.linalg.norm(self.values, axis=-1)
+        if np.max(np.abs(norms - 1.0)) > 1e-9:
+            raise ValueError("unit/proj values must have norm 1")
+        if self.kind == "proj":
+            self.values = canonicalize(self.values)
 
     @property
     def N(self):
@@ -147,16 +146,13 @@ def _chord_rule(metric, kind, signed=False):
     projective chord: line fields always are, and the tensor metric sees
     only the lines of unit values.  Else a pair of s f reads |a - b| or
     |a + b| of f by its sign product s_i s_j; s u of a line field u is
-    sphere valued.  Raises ValueError for a metric the kind does not
-    support, which includes ``euclidean_sphere``, the metric of liftings,
-    on a line field.
+    sphere valued.  Raises ValueError for an unknown metric, and for
+    ``euclidean_sphere``, the metric of liftings, on a line field.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if signed and kind == "proj":
         kind = "unit"
-    if kind == "vector" and metric != "euclidean_sphere":
-        raise ValueError(f"{metric} metric needs unit or proj values")
     if kind == "proj" and metric == "euclidean_sphere":
         raise ValueError(
             "euclidean_sphere embedding is sign-discontinuous on proj "
@@ -167,12 +163,6 @@ def _chord_rule(metric, kind, signed=False):
 def default_jump_threshold(metric, angle=np.pi / 4):
     """Metric distance of a step of the given angle, at chord 2 sin(angle/2)."""
     return chord_distance(2.0 * np.sin(angle / 2.0), metric)
-
-
-def _check_jump_threshold(threshold):
-    if not (np.isfinite(threshold) and threshold > 0):
-        raise ValueError(
-            f"jump threshold must be finite and positive, got {threshold}")
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +366,6 @@ def _energy_from_pair_sums(sums, eps, h, N):
         if r <= eps:
             tot += 2.0 * s / r
             count += 2
-    if count == 0:
-        return 0.0
     # kernel mass normalized exactly on the lattice ball (the center cell,
     # whose integrand vanishes, is excluded)
     rho = 1.0 / (count * h ** N)
@@ -394,8 +382,6 @@ def _mollifier_pair_sums(f, requests, eps, threads=None):
     if min(eps) < 2.0 * h:
         raise UnderResolvedError(
             f"mollifier eps {min(eps)} under-resolved by grid spacing {h}")
-    if not f.inside().any():
-        raise ValueError("empty mask")
     # all |k| <= eps/h; m h / h may round up
     return _pair_sums(f, requests, math.ceil(max(eps) / h - 1e-9), threads)
 
@@ -478,8 +464,6 @@ def _line_bundle_tvs(f, omegas, metric):
     step k, at offset e_a + delta_k, delta_k = rint((k+1) s) - rint(k s).
     """
     proj = _chord_rule(metric, f.kind)
-    if not f.inside().any():
-        raise ValueError("empty mask")
     sums = {}  # (a, delta) -> S
     tvs = []
     for omega in omegas:
@@ -559,12 +543,10 @@ def _face_data(f, metric, signs=None):
     arrays of shape ``dims + (N,)``, exactly 0 on faces leaving the mask
     or the grid.  f's face chords |a - b| and |a + b| and their distances
     are computed once; each lifting picks its own by its sign products,
-    one lifting's arrays at a time.  Raises ValueError on an empty mask.
+    one lifting's arrays at a time.
     """
     proj = _chord_rule(metric, f.kind, signs is not None)
     inside = f.inside()
-    if not inside.any():
-        raise ValueError("empty mask")
     comps = [f.values[..., k] for k in range(f.d)]
     valid = np.zeros(f.dims + (f.N,), dtype=bool)
     minus = np.zeros(valid.shape)
@@ -606,9 +588,10 @@ def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
     matrix whose Frobenius norm sqrt(sum over axes of step^2), summed with
     weight h^{N-1}, estimates the absolutely continuous part; faces whose
     metric step exceeds the jump threshold are counted separately as jump
-    faces with cost = metric distance x face area, and the cells touching
-    them are left out of the smooth sum.  Unless given explicitly as a metric
-    distance, the threshold is the distance of a step of angle
+    faces with cost = metric distance x face area (their number is
+    ``params["jump_faces"]``), and the cells touching them are left out of
+    the smooth sum.  Unless given explicitly as a metric distance, the
+    threshold is the distance of a step of angle
     ``max(pi/4, 8 x median step angle)``, capped at the top of the metric's
     range: pi, or pi/2 when the chord is projective (beyond pi/2 the tensor
     distance sin(theta) falls again).  An explicit threshold must be finite
@@ -620,8 +603,10 @@ def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
 def _face_energies(f, metric, signs=None, jump_threshold=None):
     """:func:`embedded_tv` report of f, or lazily of each lifting s f of an
     iterable ``signs`` of sign arrays, from :func:`_face_data`."""
-    if jump_threshold is not None:
-        _check_jump_threshold(jump_threshold)
+    if jump_threshold is not None and not (
+            np.isfinite(jump_threshold) and jump_threshold > 0):
+        raise ValueError("jump threshold must be finite and positive, "
+                         f"got {jump_threshold}")
     h = f.spacing
     owner = None
     for valid, dists, chords, proj in _face_data(f, metric, signs):
@@ -657,24 +642,3 @@ def _face_energies(f, metric, signs=None, jump_threshold=None):
                            params={"jump_threshold": float(threshold),
                                    "jump_faces": int(isjump.sum())})
         del dists, chords, steps, isjump, near_jump, frob
-
-
-def detect_jumps(f, metric="geodesic", threshold=None):
-    """Faces between adjacent cells whose metric distance exceeds the threshold.
-
-    Returns a list of ``(cell_index, axis, cost)`` records where ``cell_index``
-    is the lower cell of the face along ``axis`` and ``cost`` the metric
-    distance of the traces.  The threshold is an absolute metric distance,
-    by default the equivalent of a step angle pi/4.
-    """
-    if threshold is None:
-        threshold = default_jump_threshold(metric)
-    _check_jump_threshold(threshold)
-    valid, dists, *_ = next(_face_data(f, metric))
-    isjump = valid & (dists > threshold)
-    out = []
-    for flat in np.flatnonzero(isjump):
-        idx = np.unravel_index(flat, isjump.shape)
-        out.append((tuple(int(i) for i in idx[:-1]), int(idx[-1]),
-                    float(dists[idx])))
-    return out

@@ -7,6 +7,8 @@ makes the existential bound algorithmic (:func:`lift_rotation_search`), the
 greedy one-dimensional lifting that never creates extra jumps
 (:func:`lift_1d`; :func:`lift_greedy_1d` on fields), and a boundary-prescribed
 lifting through a thresholded harmonic extension (:func:`lift_with_boundary`).
+Each returns a :class:`LiftResult`: the lifting as a ``"unit"`` field, its
+energy, and the measured distance of its projection to u.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,6 @@ __all__ = [
     "lift_1d",
     "lift_greedy_1d",
     "lift_with_boundary",
-    "lift_eps_regularized",
     "boundary_cells",
     "solve_laplace",
 ]
@@ -178,9 +179,7 @@ def lift_with_boundary(u, n0, trials=64, seed=0):
     if n0.kind != "unit" or n0.dims != u.dims:
         raise ValueError("boundary data must be a unit field on the same grid")
     inside = u.inside()
-    bnd = boundary_cells(inside)
-    if not bnd.any():
-        raise ValueError("empty mask")
+    bnd = boundary_cells(inside)  # not empty: u has a cell inside
     # the prescribed trace must be a lifting of u on the boundary
     rep_diff = np.linalg.norm(canonicalize(n0.values) - u.values, axis=-1)
     bad = bnd & (rep_diff > 1e-10)
@@ -207,22 +206,3 @@ def lift_with_boundary(u, n0, trials=64, seed=0):
                       energy=embedded_tv(n, "euclidean_sphere"),
                       rotation=None,
                       projection_check=_projection_check(n, u))
-
-
-def lift_eps_regularized(u, R, eps):
-    """Cellwise regularized lifting: values scaled through the equator band.
-
-    Applies the Lipschitz map n -> clip((Rn).e_d / eps, -1, 1) n, which equals
-    the rotated regularized folding map R^{-1} F_eps(R n) exactly; F_eps(w) is
-    w where w.e_d >= eps, -w where w.e_d <= -eps and (w.e_d / eps) w in the
-    band.  It converges cellwise to the sharp rotation lifting off the
-    equator set as eps -> 0.  The result is vector valued with norms <= 1.
-    """
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must be in (0, 1]")
-    if u.kind != "proj":
-        raise ValueError("expects a proj field")
-    R = np.asarray(R, dtype=float)
-    w_last = np.einsum("k,...k->...", R[-1, :], u.values)
-    scale = np.clip(w_last / eps, -1.0, 1.0)
-    return u.with_values(u.values * scale[..., None], kind="vector")

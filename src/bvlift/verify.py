@@ -470,11 +470,11 @@ def run_diffuse_invariance_suite(seed=0, csv_dir=None, grids=(128, 256),
 # name -> runner; each runner takes the keyword arguments of run_all_suites
 # and uses its own
 SUITES = {
-    "halfvortex": lambda grid, trials, seed, csv_dir, threads, **_:
+    "halfvortex": lambda grid, trials, seed, csv_dir, threads=None, **_:
         run_half_vortex_suite(grid, trials, seed, csv_dir, threads),
-    "identities": lambda samples, seed, csv_dir, threads, **_:
+    "identities": lambda samples, seed, csv_dir, threads=None, **_:
         run_identity_suite(samples, seed, csv_dir, threads),
-    "repr": lambda seed, csv_dir, threads, **_:
+    "repr": lambda seed, csv_dir, threads=None, **_:
         run_repr_formula_suite(seed, csv_dir, threads),
     "diffuse": lambda seed, csv_dir, **_:
         run_diffuse_invariance_suite(seed, csv_dir),

@@ -1,5 +1,7 @@
 import ast
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from bvlift import cli, constants, lifting, verify
 from bvlift.cli import main
 from bvlift.constants import avg_eucl_jump_closed, avg_lifted_dist_closed
-from bvlift.fields import (GridField, avg_directional_energy, detect_jumps,
+from bvlift.fields import (GridField, _face_data, avg_directional_energy,
                            embedded_tv, mollified_energy,
                            mollified_energy_extrapolated, read_field,
                            write_field)
@@ -75,6 +77,27 @@ def test_cli_imports_no_numpy_and_no_private_name():
                 and node.value.id in modules):
             assert not node.attr.startswith("_"), \
                 f"{node.value.id}.{node.attr}"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_outputs_take_the_mode_the_umask_gives(tmp_path, capsys, monkeypatch,
+                                               umask):
+    # outputs are renamed temp files: they get the mode of open(path, "w")
+    monkeypatch.setattr(verify, "run_diffuse_invariance_suite",
+                        lambda *args: [])
+    old = os.umask(umask)
+    try:
+        assert run("make-field", "--kind", "jump", "--grid", "16",
+                   "-o", tmp_path / "f.fld") == 0
+        assert run("lift", tmp_path / "f.fld", "--trials", "2",
+                   "-o", tmp_path / "n.fld") == 0
+        assert run("verify", "--suite", "diffuse",
+                   "--report", tmp_path / "r.json") == 0
+    finally:
+        os.umask(old)
+    for name in ("f.fld", "n.fld", "n.json", "r.json"):
+        mode = stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+        assert mode == 0o666 & ~umask, (name, oct(mode))
 
 
 class TestMakeField:
@@ -191,18 +214,24 @@ class TestEnergy:
                      '"origin":[0],"spacing":0.5,"version":1}\n'
                      "1,0,1\n1,0,0.5\n")
         assert run("energy", p) == 2
+        p.write_text('{"d":2,"dims":[2],"kind":"vector","mask":"none",'
+                     '"origin":[0],"spacing":0.5,"version":1}\n1,0\n0,1\n')
+        assert run("energy", p) == 2  # an unknown kind
 
     @pytest.mark.parametrize("argv", [
         ["energy", "--estimator", "embedded"],
         ["energy", "--estimator", "mollified"],
-        ["lift", "--mode", "rotation"]], ids=["embedded", "mollified", "lift"])
+        ["energy", "--estimator", "directional"],
+        ["lift", "--mode", "rotation"]],
+        ids=["embedded", "mollified", "directional", "lift"])
     def test_empty_mask_exit_2(self, tmp_path, capfd, argv):
+        # read_field rejects the file: no GridField has an empty mask
         p = tmp_path / "empty.fld"
-        write_field(GridField((8, 8), 1 / 8, (0.0, 0.0), "proj",
-                              np.tile([1.0, 0.0], (8, 8, 1)),
-                              np.zeros((8, 8), bool)), p)
+        p.write_text('{"d":2,"dims":[8,8],"kind":"proj","mask":"inline",'
+                     '"origin":[0,0],"spacing":0.125,"version":1}\n'
+                     + "1,0,0\n" * 64)
         assert run(argv[0], p, *argv[1:]) == 2
-        assert_one_error_line(capfd)
+        assert_one_error_line(capfd, "empty mask")
 
     @pytest.mark.parametrize("estimator", ["directional", "embedded",
                                            "mollified"])
@@ -220,7 +249,7 @@ class TestEnergy:
         ("mollified", [mollified_energy_extrapolated,
                        lambda f, m: mollified_energy(f, 8 * f.spacing, m)]),
         ("directional", [lambda f, m: avg_directional_energy(f, metric=m)]),
-        ("embedded", [embedded_tv, detect_jumps])],
+        ("embedded", [embedded_tv, lambda f, m: next(_face_data(f, m))])],
         ids=["mollified", "directional", "embedded"])
     def test_sphere_metric_on_a_line_field_exit_2(self, hv_path, capfd,
                                                   estimator, kernels):
@@ -337,6 +366,15 @@ class TestLift:
     def test_boundary_requires_file(self, hv_path):
         assert run("lift", hv_path, "--mode", "boundary") == 2
 
+    def test_output_that_is_its_own_sidecar_exit_2(self, hv_path, tmp_path,
+                                                   capfd, monkeypatch):
+        # the sidecar of out.json is out.json: it would replace the lifting
+        monkeypatch.setattr(cli, "read_field", must_not_run)
+        out = tmp_path / "out.json"
+        assert run("lift", hv_path, "-o", out) == 2
+        assert_one_error_line(capfd, out)
+        assert not out.exists()
+
     def test_output_in_missing_directory_exit_2(self, hv_path, tmp_path,
                                                 capfd, monkeypatch):
         # cmd_lift holds its own binding of the search
@@ -419,8 +457,8 @@ class TestVerifyCommand:
         assert (csvdir / "repr_fields.csv").exists()
 
     @pytest.mark.parametrize("flags", [
-        ["--grid", "160", "--samples", "10"], ["--threads", "0"],
-        ["--threads", "-3"], ["--trials", "0"], ["--grid", "64"]])
+        ["--grid", "160", "--samples", "10"], ["--trials", "0"],
+        ["--grid", "64"]])
     def test_bad_settings_exit_2_before_any_suite(self, tmp_path, capfd,
                                                   monkeypatch, flags):
         def ran(*args, **kwargs):
@@ -463,7 +501,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("value", ["0", "abc"])
     def test_bad_thread_variable_exit_2(self, tmp_path, capfd, monkeypatch,
                                         value):
-        monkeypatch.setattr(constants, "avg_lifted_dist", must_not_run)
+        # the identity suite draws through these two
+        monkeypatch.setattr(verify, "_mc_over_sphere", must_not_run)
+        monkeypatch.setattr(verify, "psi_estimate", must_not_run)
         monkeypatch.setenv("BVLIFT_THREADS", value)
         out = tmp_path / "r.json"
         assert run("verify", "--suite", "identities", "--samples", "100000",
@@ -493,7 +533,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("user", [
         {"trials": "x"}, {"trials": 1.5}, {"trials": True}, {"seed": None},
-        {"threads": 2.0}, {"jump_threshold": "1"}, {"metric": 3},
+        {"jump_threshold": "1"}, {"metric": 3},
         {"mollifier_eps_over_h": 8}, {"mollifier_eps_over_h": [8, "16"]},
         [1, 2], {"mollifier_eps_over_h": []}])
     def test_config_value_of_wrong_type_exit_2(self, hv_path, tmp_path,
@@ -507,11 +547,12 @@ class TestConfig:
     def test_config_int_as_float_and_null_where_default_is_null(
             self, hv_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"jump_threshold": 1, "threads": None,
-                                   "mollifier_eps_over_h": [8, 16.0]}))
-        assert run("--config", cfg, "energy", hv_path) == 0
-        rep = json.loads(capsys.readouterr().out)
-        assert rep["params"]["jump_threshold"] == 1.0
+        for threshold, want in ((1, 1.0), (None, np.pi / 4)):
+            cfg.write_text(json.dumps({"jump_threshold": threshold,
+                                       "mollifier_eps_over_h": [8, 16.0]}))
+            assert run("--config", cfg, "energy", hv_path) == 0
+            rep = json.loads(capsys.readouterr().out)
+            assert rep["params"]["jump_threshold"] == pytest.approx(want)
 
     def test_unknown_config_key_rejected(self, hv_path, tmp_path):
         cfg = tmp_path / "cfg.json"

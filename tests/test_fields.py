@@ -7,7 +7,7 @@ from bvlift.constants import k_const
 from bvlift.fields import (GridField, UnderResolvedError, _chord_rule,
                            _energy_from_pair_sums, _pair_sums,
                            avg_directional_energy, default_jump_threshold,
-                           detect_jumps, directional_tv, embedded_tv,
+                           directional_tv, embedded_tv,
                            mollified_energy, mollified_energy_extrapolated,
                            read_field, write_field)
 from bvlift.geometry import chord, chord_distance
@@ -45,8 +45,9 @@ class TestGridField:
     def test_validation(self):
         with pytest.raises(ValueError):
             GridField((4, 4), 0.0, (0, 0), "proj", np.zeros((4, 4, 2)))
-        with pytest.raises(ValueError):
-            GridField((4, 4), 0.1, (0, 0), "nope", np.zeros((4, 4, 2)))
+        for kind in ("nope", "vector"):
+            with pytest.raises(ValueError, match="unknown field kind"):
+                GridField((4, 4), 0.1, (0, 0), kind, np.ones((4, 4, 1)))
         with pytest.raises(ValueError):
             GridField((4, 4), 0.1, (0, 0), "unit", np.zeros((4, 4, 2)))
         with pytest.raises(ValueError):
@@ -54,7 +55,7 @@ class TestGridField:
         nan = np.zeros((4, 4, 2))
         nan[..., 0] = 1.0
         nan[1, 2] = np.nan
-        for kind in ("proj", "unit", "vector"):
+        for kind in ("proj", "unit"):
             with pytest.raises(ValueError, match="finite"):
                 GridField((4, 4), 0.1, (0, 0), kind, nan)
 
@@ -163,16 +164,19 @@ class TestMollified:
             mollified_energy_extrapolated(f, "geodesic", (1, 8))
 
     def test_empty_mask_raises(self):
-        # every estimator rejects a field without a cell inside the mask
+        # no field has an empty domain, so no estimator or lifting meets one
         f = constant_field(8)
-        g = GridField(f.dims, f.spacing, f.origin, "proj", f.values,
+        with pytest.raises(ValueError, match="empty mask"):
+            GridField(f.dims, f.spacing, f.origin, "proj", f.values,
                       np.zeros(f.dims, bool))
-        for estimate in (lambda: mollified_energy(g, 2 * f.spacing),
-                         lambda: embedded_tv(g, "geodesic"),
-                         lambda: detect_jumps(g, "geodesic"),
-                         lambda: lift_rotation_search(g, trials=2)):
-            with pytest.raises(ValueError, match="empty mask"):
-                estimate()
+        with pytest.raises(ValueError, match="empty mask"):  # no cells
+            GridField((0, 8), f.spacing, f.origin, "proj", np.zeros((0, 8, 2)))
+        one = np.zeros(f.dims, bool)
+        one[3, 5] = True
+        g = GridField(f.dims, f.spacing, f.origin, "proj", f.values, one)
+        assert mollified_energy(g, 2 * f.spacing).total == 0.0
+        assert embedded_tv(g, "geodesic").total == 0.0
+        assert lift_rotation_search(g, trials=2).projection_check == 0.0
 
     def test_radius_past_the_grid(self):
         # offsets reaching past the grid have no pairs: their sums are
@@ -290,12 +294,14 @@ class TestDirectional:
             tv_n = directional_tv(n, w, "geodesic")
             assert tv_u <= tv_n + 1e-12
 
-    def test_empty_mask_raises(self):
-        f = constant_field(8)
-        g = GridField(f.dims, f.spacing, f.origin, "proj", f.values,
-                      np.zeros(f.dims, bool))
-        with pytest.raises(ValueError):
-            directional_tv(g, np.array([1.0, 0.0]), "geodesic")
+    def test_empty_mask_raises(self, tmp_path):
+        # a field file whose mask column is all 0 is rejected on reading
+        p = tmp_path / "empty.fld"
+        p.write_text('{"d":2,"dims":[2],"kind":"proj","mask":"inline",'
+                     '"origin":[0],"spacing":0.5,"version":1}\n'
+                     "1,0,0\n0,1,0\n")
+        with pytest.raises(ValueError, match="empty mask"):
+            read_field(p)
 
     @pytest.mark.parametrize("omega", [
         [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]])
@@ -368,31 +374,10 @@ class TestEmbedded:
 
 
 class TestDetectJumps:
-    def test_constant_empty(self):
-        assert detect_jumps(constant_field(16), "geodesic") == []
-
-    def test_smooth_below_threshold_empty(self):
-        f = angle_field(64, lambda X, Y: 0.5 * X)
-        assert detect_jumps(f, "geodesic") == []
-
-    def test_half_vortex_lifting_seam(self):
-        # the canonical lifting jumps between antipodes across theta = 0
-        n = make_half_vortex_lifting(128)
-        faces = detect_jumps(n, "euclidean_sphere")
-        assert len(faces) > 0
-        costs = np.array([c for _, _, c in faces])
-        h = n.spacing
-        assert np.all(costs >= 2.0 - 8 * h)
-        # seam sits along the positive x axis: y-index just below center
-        for (i, j), axis, _ in faces:
-            assert axis == 1
-            assert j in (63, 64)
-            assert i >= 64
+    """The jump threshold by which embedded_tv counts its jump faces."""
 
     def test_threshold_validation(self):
         for threshold in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite and positive"):
-                detect_jumps(constant_field(8), "geodesic", threshold=threshold)
             with pytest.raises(ValueError, match="finite and positive"):
                 embedded_tv(constant_field(8), "geodesic", threshold)
 

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from bvlift.fields import GridField
 from bvlift.geometry import (canonicalize, dist_proj, dist_sphere,
                              embed_tensor, eucl_jump_cost, haar_rotations,
                              lift_map_F, lift_sign, random_unit_vectors,
                              uniaxial_q)
-from bvlift.lifting import lift_eps_regularized
 
 
 def e(i, d):
@@ -198,43 +196,6 @@ class TestFoldingMap:
 def lift_rot(R, u):
     """The rotated lifting R^{-1} F(R u) through its sign."""
     return lift_sign(R, u)[..., None] * u
-
-
-def fold_eps(eps, n):
-    """The regularized folding map F_eps: the eps-lifting at R = I."""
-    n = np.atleast_2d(n)
-    u = GridField((len(n),), 1.0, (0.0,), "proj", n)
-    return lift_eps_regularized(u, np.eye(n.shape[-1]), eps).values
-
-
-class TestFoldingMapRegularized:
-    def test_above_threshold(self):
-        assert np.array_equal(fold_eps(0.1, e(2, 3)), [e(2, 3)])
-
-    def test_band_scaling(self):
-        n = np.array([np.sqrt(1 - 0.25**2), 0.0, 0.25])
-        out = fold_eps(0.5, n)
-        assert np.allclose(out, [0.5 * n], atol=1e-15)
-
-    def test_equator_maps_to_zero(self):
-        n = np.array([1.0, 0.0, 0.0])
-        assert np.array_equal(fold_eps(0.5, n), np.zeros((1, 3)))
-
-    def test_eps_out_of_range(self):
-        with pytest.raises(ValueError):
-            fold_eps(0.0, e(0, 2))
-        with pytest.raises(ValueError):
-            fold_eps(1.5, e(0, 2))
-
-    def test_norm_bounded_and_pointwise_limit(self):
-        rng = np.random.default_rng(10)
-        n = canonicalize(random_unit_vectors(3, 2000, rng))
-        off = np.abs(n[:, -1]) > 1e-3
-        for eps in (0.5, 0.1, 1e-4):
-            out = fold_eps(eps, n)
-            assert np.all(np.linalg.norm(out, axis=-1) <= 1 + 1e-12)
-        out = fold_eps(1e-4, n)
-        assert np.array_equal(out[off], lift_map_F(n)[off])
 
 
 class TestRotatedLifting:

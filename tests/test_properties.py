@@ -54,9 +54,6 @@ def grid_fields(draw, kind, dims_max=5, N_choices=(1, 2), masked=None):
     d = draw(st.sampled_from((2, 3)))
     cells = int(np.prod(dims))
     vals = draw(unit_vectors(cells, d)).reshape(dims + (d,))
-    if kind == "vector":
-        scale = draw(hnp.arrays(float, dims, elements=st.floats(0.0, 1.0)))
-        vals = vals * scale[..., None]
     mask = None
     if masked or masked is None and draw(st.booleans()):
         mask = draw(hnp.arrays(bool, dims))
@@ -69,9 +66,7 @@ def grid_fields(draw, kind, dims_max=5, N_choices=(1, 2), masked=None):
 def _metrics(kind, signed=False):
     """The metrics a request without (or with) signs may ask of a field of
     the kind: euclidean_sphere, the metric of liftings, needs signs on a
-    line field, and vector fields have no other."""
-    if kind == "vector":
-        return ("euclidean_sphere",)
+    line field."""
     if kind == "proj" and not signed:
         return ("geodesic", "euclidean_tensor")
     return METRICS
@@ -109,7 +104,6 @@ def test_identical_representatives_are_at_distance_zero(a):
         for kind in ("unit", "proj"):
             got = _distance(metric, kind)(a, a.copy())
             assert np.all(got == 0.0), (metric, kind, got.max())
-    assert np.all(_distance("euclidean_sphere", "vector")(a, a) == 0.0)
     assert np.all(dist_sphere(a, a) == 0.0)
     assert np.all(dist_proj(a, a) == 0.0)
     assert np.all(dist_proj(a, -a) == 0.0)
@@ -146,7 +140,7 @@ def test_lifting_distances_never_below_its_projection(data):
 @SETTINGS
 @given(st.data())
 def test_field_files_round_trip_bit_for_bit(data):
-    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    kind = data.draw(st.sampled_from(("proj", "unit")))
     f = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=4))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "f.fld")
@@ -247,7 +241,7 @@ def test_signed_pair_sums_equal_the_explicit_lifting(data):
 @SETTINGS
 @given(st.data())
 def test_multi_request_pair_sums_equal_single_requests(data):
-    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    kind = data.draw(st.sampled_from(("proj", "unit")))
     u = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=4))
     rmax = data.draw(st.integers(1, 5))
     requests = _requests(data, u)
@@ -264,7 +258,7 @@ def test_multi_request_pair_sums_equal_single_requests(data):
 @given(st.data())
 def test_mollified_energy_is_an_entry_of_the_extrapolation(data):
     # both entry points share one radius check and one pair pass
-    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    kind = data.draw(st.sampled_from(("proj", "unit")))
     f = data.draw(grid_fields(kind, N_choices=(1, 2, 3), masked=True))
     ms = data.draw(st.lists(st.floats(2.0, 5.0), min_size=2, max_size=3,
                             unique=True))
@@ -286,7 +280,7 @@ def _lifting(u, signs):
 def test_face_energies_equal_embedded_tv_of_each_request(data):
     # f itself and one lifting s f, each as its explicit field, in every
     # metric the kind allows without and with signs
-    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    kind = data.draw(st.sampled_from(("proj", "unit")))
     u = data.draw(grid_fields(kind, N_choices=(1, 2, 3)))
     signs = np.where(data.draw(hnp.arrays(bool, u.dims)), -1.0, 1.0)
     threshold = data.draw(st.one_of(st.none(), st.floats(0.01, 3.0)))
@@ -304,7 +298,7 @@ def test_face_energies_equal_embedded_tv_of_each_request(data):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_pair_sums_do_not_depend_on_the_thread_count(data):
-    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    kind = data.draw(st.sampled_from(("proj", "unit")))
     u = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=8))
     rmax = data.draw(st.integers(1, 6))
     requests = _requests(data, u)
@@ -321,7 +315,7 @@ def test_requests_sharing_a_pick_equal_single_requests(data):
     # requests that read one chord share its pick: the unsigned ones, the
     # projective ones, one sign array object given twice, and equal sign
     # arrays that are distinct objects
-    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    kind = data.draw(st.sampled_from(("proj", "unit")))
     u = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=4))
     rmax = data.draw(st.integers(1, 5))  # offsets past the grid too
     signs = np.where(data.draw(hnp.arrays(bool, u.dims)), -1.0, 1.0)
@@ -339,7 +333,7 @@ def test_requests_sharing_a_pick_equal_single_requests(data):
 def test_face_energies_of_a_stream_of_sign_requests(data):
     # the liftings of one metric pick their chords and distances from
     # those of f, computed once, and are drawn from the stream one at a time
-    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    kind = data.draw(st.sampled_from(("proj", "unit")))
     u = data.draw(grid_fields(kind, N_choices=(1, 2, 3)))
     metric = data.draw(st.sampled_from(_metrics(kind, True)))
     stream = [np.where(data.draw(hnp.arrays(bool, u.dims)), -1.0, 1.0)
@@ -384,7 +378,7 @@ EXTREME = st.sampled_from((-0.0, 5e-324, -2.5e-310, 1e300,
 @SETTINGS
 @given(st.data())
 def test_field_files_are_the_bytes_of_savetxt(data):
-    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    kind = data.draw(st.sampled_from(("proj", "unit")))
     f = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=4))
     # the writer formats any double: values past the field checks too
     f.values = data.draw(hnp.arrays(float, f.values.shape, elements=(
@@ -470,7 +464,7 @@ def test_directional_tv_equals_the_reference_loop(data):
     # the kernel sums the pairs by layer, in another order than fsum: each
     # of the n rounded additions and the two products err by at most one
     # unit roundoff of the sum of the nonnegative distances
-    kind = data.draw(st.sampled_from(("proj", "unit", "vector")))
+    kind = data.draw(st.sampled_from(("proj", "unit")))
     f = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=7))
     for _ in range(3):
         omega = data.draw(directions(f.N))
