@@ -153,6 +153,10 @@ def cmd_lift(args):
     if sidecar == out:
         raise ValueError(f"output {out} is its own sidecar path; "
                          "name the lifted field other than *.json")
+    for path in (out, sidecar):
+        for src in (args.input, args.boundary):
+            if src and os.path.realpath(path) == os.path.realpath(src):
+                raise ValueError(f"output {path} would replace an input")
     _check_output(out)  # the sidecar goes beside the output
     u = read_field(args.input)
 

@@ -7,14 +7,14 @@ inside:
 * ``"proj"`` -- line fields; values are canonical unit representatives,
 * ``"unit"`` -- sphere-valued fields (liftings).
 
-Three estimators of the BV energy are provided: the mollified double
-integral (:func:`mollified_energy`), the direction-averaged seminorm built
-from one-dimensional restrictions (:func:`directional_tv`,
-:func:`avg_directional_energy`), and an anisotropy-corrected finite
-difference total variation (:func:`embedded_tv`).  The first two estimate
-the same continuum quantity; the third estimates the plain embedded
-seminorm, whose absolutely continuous part they share, and counts its
-jump faces.
+Three estimators of the BV energy are provided.  The mollified double
+integral (:func:`mollified_energy`) and the direction-averaged seminorm
+built from one-dimensional restrictions (:func:`directional_tv`,
+:func:`avg_directional_energy`) estimate the same continuum quantity, both
+from the lattice-offset pair sums of one kernel (:func:`_lattice_sums`).
+An anisotropy-corrected finite difference total variation
+(:func:`embedded_tv`) estimates the plain embedded seminorm, whose
+absolutely continuous part they share, and counts its jump faces.
 """
 
 import itertools
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 METRICS = ("geodesic", "euclidean_sphere", "euclidean_tensor")
-_OFFSETS_PER_TASK = 32  # pair-kernel offsets per thread-pool task
+_OFFSETS_PER_TASK = 32  # most pair-kernel offsets per thread-pool task
 _ROWS_PER_WRITE = 4096  # field-file rows formatted at once
 
 
@@ -260,7 +260,7 @@ def _offset_slices(off, dims):
                        for o, n in zip(off, dims)) for s in (-1, 1))
 
 
-def _thread_count(threads):
+def _thread_count(threads=None):
     """Worker threads: ``threads`` if given, else ``BVLIFT_THREADS``, else
     the CPUs this process may run on.  Raises ValueError for a count
     below 1, or a ``BVLIFT_THREADS`` that is not an integer >= 1."""
@@ -283,11 +283,13 @@ def _thread_count(threads):
     return n
 
 
-def _pair_sums(f, requests, rmax, threads=None):
-    """Sums of pair distances for every half-lattice offset up to rmax cells.
+def _lattice_sums(f, requests, offsets, axis=None):
+    """The pair kernel: sums of pair distances at each of ``offsets``.
 
-    Returns one ``{offset: sum}`` dict per ``(metric, signs)`` request, of
-    f for signs None, else of the lifting s f (see :func:`_chord_rule`).
+    Returns one row per offset of one value per ``(metric, signs)``
+    request, of f for signs None, else of the lifting s f (see
+    :func:`_chord_rule`): the offset's sum, or with ``axis`` the new array
+    of its sums S[k] by the layer k along ``axis`` of the lower cell.
     Per offset the two squared chords |a - b|^2 and |a + b|^2 are computed
     once, on contiguous component planes, and every request picks its pair
     chords from them by :func:`~bvlift.geometry._pick_chord`.  Requests
@@ -298,12 +300,10 @@ def _pair_sums(f, requests, rmax, threads=None):
     which is faster than gathering the in-mask pairs: chord 0 is at
     distance exactly 0 in every metric, so those pairs add exactly 0.
 
-    The offsets run on ``_thread_count(threads)`` threads, each of which
-    writes every offset into its own reusable buffers.  Each offset's sum
-    is computed by one thread alone, over a C-contiguous array of the
-    overlap's shape, and the dicts are filled in the order of
-    :func:`_half_offsets`, so every sum and the key order are the same bit
-    for bit whatever the thread count.
+    The offsets run on the threads of :func:`_thread_count`, each writing
+    every offset into its own reusable buffers; each offset's sums are
+    computed by one thread alone, over a C-contiguous array of the
+    overlap's shape, so they are the same bit for bit whatever the count.
     """
     picks = {}  # (proj, sign array id) -> [proj, pos, [(request, metric)]]
     for i, (metric, signs) in enumerate(requests):
@@ -312,6 +312,7 @@ def _pair_sums(f, requests, rmax, threads=None):
         key = (proj, None if pos is None else id(signs))
         picks.setdefault(key, [proj, pos, []])[2].append((i, metric))
     plus = any(proj or pos is not None for proj, pos, _ in picks.values())
+    across = tuple(t for t in range(f.N) if t != axis)  # a layer's axes
     inside = f.inside()
     planes = [np.ascontiguousarray(f.values[..., k]) for k in range(f.d)]
     local = threading.local()
@@ -333,7 +334,9 @@ def _pair_sums(f, requests, rmax, threads=None):
             s = None if pos is None else np.equal(pos[src], pos[dst], out=same)
             np.sqrt(_pick_chord(m2, p2, proj, s, out=q), out=q)
             for i, metric in reqs:
-                vals[i] = float(chord_distance(q, metric, out=dist).sum())
+                dists = chord_distance(q, metric, out=dist)
+                vals[i] = (float(dists.sum()) if axis is None
+                           else dists.sum(axis=across))
         return vals
 
     def run_sums(run):
@@ -344,18 +347,22 @@ def _pair_sums(f, requests, rmax, threads=None):
                          np.empty(n, dtype=bool)]
         return [offset_sums(off, local.buf) for off in run]
 
+    # runs of consecutive offsets keep the futures few (68 532 offsets in
+    # 3D at rmax = 32), while a few offsets still spread over every thread
+    threads = _thread_count()
+    size = max(1, min(_OFFSETS_PER_TASK, -(-len(offsets) // threads)))
+    runs = [offsets[i:i + size] for i in range(0, len(offsets), size)]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        return list(itertools.chain.from_iterable(ex.map(run_sums, runs)))
+
+
+def _pair_sums(f, requests, rmax):
+    """Sums of pair distances for every half-lattice offset up to rmax
+    cells: :func:`_lattice_sums` over :func:`_half_offsets`, as one
+    ``{offset: sum}`` dict per ``(metric, signs)`` request."""
     offsets = _half_offsets(f.N, rmax)
-    # runs of consecutive offsets per task keep the futures few (68 532
-    # offsets in 3D at rmax = 32)
-    runs = [offsets[i:i + _OFFSETS_PER_TASK]
-            for i in range(0, len(offsets), _OFFSETS_PER_TASK)]
-    sums = [{} for _ in requests]
-    with ThreadPoolExecutor(max_workers=_thread_count(threads)) as ex:
-        done = ex.map(run_sums, runs)
-        for off, row in zip(offsets, itertools.chain.from_iterable(done)):
-            for out, v in zip(sums, row):
-                out[off] = v
-    return sums
+    rows = _lattice_sums(f, requests, offsets)  # rmax >= 1: never empty
+    return [dict(zip(offsets, sums)) for sums in zip(*rows)]
 
 
 def _energy_from_pair_sums(sums, eps, h, N):
@@ -372,7 +379,7 @@ def _energy_from_pair_sums(sums, eps, h, N):
     return tot * rho * h ** (2 * N)
 
 
-def _mollifier_pair_sums(f, requests, eps, threads=None):
+def _mollifier_pair_sums(f, requests, eps):
     """:func:`_pair_sums` of the requests out to the largest radius in
     ``eps``.  A radius below two cells (which includes eps <= 0) is rejected
     as under-resolved, a non-finite radius as malformed."""
@@ -383,7 +390,7 @@ def _mollifier_pair_sums(f, requests, eps, threads=None):
         raise UnderResolvedError(
             f"mollifier eps {min(eps)} under-resolved by grid spacing {h}")
     # all |k| <= eps/h; m h / h may round up
-    return _pair_sums(f, requests, math.ceil(max(eps) / h - 1e-9), threads)
+    return _pair_sums(f, requests, math.ceil(max(eps) / h - 1e-9))
 
 
 def mollified_energy(f, eps, metric="geodesic"):
@@ -411,10 +418,9 @@ def mollified_energy_extrapolated(f, metric="geodesic", multipliers=(8, 16, 32))
     return _extrapolated_energies(f, [(metric, None)], multipliers)[0]
 
 
-def _extrapolated_energies(f, requests, multipliers=(8, 16, 32),
-                           threads=None):
+def _extrapolated_energies(f, requests, multipliers=(8, 16, 32)):
     """:func:`mollified_energy_extrapolated` of each ``(metric, signs)``
-    request of :func:`_pair_sums`, all from one pair pass on ``threads``."""
+    request of :func:`_pair_sums`, all from one pair pass."""
     multipliers = sorted(multipliers)
     if len(set(multipliers)) < 2:
         raise ValueError("extrapolation needs two distinct mollifier "
@@ -424,7 +430,7 @@ def _extrapolated_energies(f, requests, multipliers=(8, 16, 32),
     A = np.vstack([np.ones_like(eps), eps]).T
     reports = []
     for (metric, _), sums in zip(requests, _mollifier_pair_sums(
-            f, requests, eps, threads)):
+            f, requests, eps)):
         es = np.array([_energy_from_pair_sums(sums, e, h, f.N) for e in eps])
         coef, *_ = np.linalg.lstsq(A, es, rcond=None)
         reports.append(EnergyReport(
@@ -438,34 +444,17 @@ def _extrapolated_energies(f, requests, multipliers=(8, 16, 32),
 # ---------------------------------------------------------------------------
 # directional total variation
 
-def _layer_sums(f, metric, proj, a, delta):
-    """Per-layer sums S[k] of the pair distances at lattice offset e_a +
-    ``delta`` (``delta`` over the axes other than a), by the layer k along
-    axis a of the pair's lower cell.  Pairs leaving the mask are set to
-    chord 0 as in :func:`_pair_sums`, so they add exactly 0; ``proj`` is
-    the chord rule of :func:`_chord_rule`."""
-    src, dst = _offset_slices([*delta[:a], 1, *delta[a:]], f.dims)
-    m2, p2 = _squared_chords(*([f.values[s + (k,)] for k in range(f.d)]
-                               for s in (src, dst)), proj)
-    q = _pick_chord(m2, p2, proj, out=m2)
-    if f.mask is not None:
-        q *= f.mask[src] & f.mask[dst]
-    return chord_distance(np.sqrt(q, out=q), metric).sum(
-        axis=tuple(t for t in range(f.N) if t != a))
-
-
 def _line_bundle_tvs(f, omegas, metric):
-    """:func:`directional_tv` of each direction of ``omegas``, all read from
-    one dict of the layer sums of :func:`_layer_sums` they share.
+    """:func:`directional_tv` of each direction of ``omegas``.
 
     The line of intercept b visits the transverse cell b + rint(k s) in
     layer k along the dominant axis a, s the slopes of omega over omega_a:
     the lines are translates, so each cell of layer k starts one pair of
     step k, at offset e_a + delta_k, delta_k = rint((k+1) s) - rint(k s).
+    The directions of one dominant axis read the per-layer sums along it
+    from one :func:`_lattice_sums` call over the step offsets they use.
     """
-    proj = _chord_rule(metric, f.kind)
-    sums = {}  # (a, delta) -> S
-    tvs = []
+    bundles = []  # (a, |omega_a|, deltas, sorted distinct deltas)
     for omega in omegas:
         omega = np.asarray(omega, dtype=float)
         if omega.shape != (f.N,):
@@ -477,12 +466,20 @@ def _line_bundle_tvs(f, omegas, metric):
         slopes = np.delete(omega, a) / omega[a]
         deltas = np.diff(np.rint(np.arange(f.dims[a])[:, None] * slopes),
                          axis=0).astype(int)  # delta_k of each step k
+        bundles.append((a, abs(omega[a]), deltas,
+                        sorted(set(map(tuple, deltas.tolist())))))
+    layers = {}  # (a, delta) -> S
+    for a in sorted({bundle[0] for bundle in bundles}):
+        steps = sorted({d for b, _, _, ds in bundles if b == a for d in ds})
+        rows = _lattice_sums(f, [(metric, None)],
+                             [(*d[:a], 1, *d[a:]) for d in steps], axis=a)
+        layers.update(((a, d), S) for d, (S,) in zip(steps, rows))
+    tvs = []
+    for a, weight, deltas, steps in bundles:
         tv = 0.0
-        for delta in sorted(set(map(tuple, deltas.tolist()))):
-            if (a, delta) not in sums:
-                sums[a, delta] = _layer_sums(f, metric, proj, a, delta)
-            tv += float(sums[a, delta][(deltas == delta).all(axis=1)].sum())
-        tvs.append(float(abs(omega[a]) * f.spacing ** (f.N - 1) * tv))
+        for delta in steps:
+            tv += float(layers[a, delta][(deltas == delta).all(axis=1)].sum())
+        tvs.append(float(weight * f.spacing ** (f.N - 1) * tv))
     return tvs
 
 

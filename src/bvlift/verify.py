@@ -191,20 +191,19 @@ def make_field(kind, grid, d=2, N=2, slope=1.2):
 # ---------------------------------------------------------------------------
 # half-vortex optimality suite
 
-def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None,
-                          threads=None):
+def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
     """Optimality ratios of the half-vortex: geodesic factor 2, Euclidean 1 + 2/pi.
 
     The energy of the line field and of the best rotation lifting are
     measured with the mollified estimator (extrapolated in eps), whose jump
     accounting is isotropic, so the measured ratios do not depend on where
     the lifting seam falls.  The plain tensor seminorm is measured with the
-    finite-difference estimator.  The pair pass runs on ``threads``
-    (default :func:`bvlift.fields._thread_count`); the results do not
-    depend on it.
+    finite-difference estimator.  The pair pass runs on the threads of
+    :func:`bvlift.fields._thread_count`, whose ``BVLIFT_THREADS`` is
+    checked before anything is computed; the results do not depend on it.
     """
     _check_settings(grid=grid, trials=trials)
-    threads = _thread_count(threads)
+    _thread_count()
     reports = []
     rows = []
     u = make_half_vortex(grid)
@@ -219,8 +218,7 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None,
     e_u_geo, e_u_tens_m, e_n_geo, e_n_euc = _extrapolated_energies(u, [
         ("geodesic", None), ("euclidean_tensor", None),
         ("geodesic", lift_sign(lift_geo.rotation, u.values)),
-        ("euclidean_sphere", lift_sign(lift_euc.rotation, u.values))],
-        threads=threads)
+        ("euclidean_sphere", lift_sign(lift_euc.rotation, u.values))])
     reports.append(_check(
         "halfvortex_geodesic_energy", 2.0, e_u_geo.total, 0.05, "rel",
         "intrinsic energy of the half vortex = K_2 pi = 2", t0,
@@ -343,16 +341,16 @@ def _repr_fields():
             ("one_dimensional", one_d, 0.9 + np.pi / 2)]  # K_1 = 1
 
 
-def run_repr_formula_suite(seed=0, csv_dir=None, threads=None):
+def run_repr_formula_suite(seed=0, csv_dir=None):
     """Mollified, direction-averaged and analytic energies agree within 5%;
-    the mollified pair passes run on ``threads``."""
-    threads = _thread_count(threads)
+    both run on the pair kernel, whose ``BVLIFT_THREADS`` (see
+    :func:`bvlift.fields._thread_count`) is checked before they do."""
+    _thread_count()
     reports = []
     rows = []
     for name, f, analytic in _repr_fields():
         t0 = time.perf_counter()
-        (moll,) = _extrapolated_energies(f, [("geodesic", None)],
-                                         threads=threads)
+        (moll,) = _extrapolated_energies(f, [("geodesic", None)])
         direc = avg_directional_energy(f, directions=96, seed=seed,
                                        metric="geodesic")
         rows.append([name, analytic, moll.total, direc.total])
@@ -470,12 +468,12 @@ def run_diffuse_invariance_suite(seed=0, csv_dir=None, grids=(128, 256),
 # name -> runner; each runner takes the keyword arguments of run_all_suites
 # and uses its own
 SUITES = {
-    "halfvortex": lambda grid, trials, seed, csv_dir, threads=None, **_:
-        run_half_vortex_suite(grid, trials, seed, csv_dir, threads),
-    "identities": lambda samples, seed, csv_dir, threads=None, **_:
-        run_identity_suite(samples, seed, csv_dir, threads),
-    "repr": lambda seed, csv_dir, threads=None, **_:
-        run_repr_formula_suite(seed, csv_dir, threads),
+    "halfvortex": lambda grid, trials, seed, csv_dir, **_:
+        run_half_vortex_suite(grid, trials, seed, csv_dir),
+    "identities": lambda samples, seed, csv_dir, **_:
+        run_identity_suite(samples, seed, csv_dir),
+    "repr": lambda seed, csv_dir, **_:
+        run_repr_formula_suite(seed, csv_dir),
     "diffuse": lambda seed, csv_dir, **_:
         run_diffuse_invariance_suite(seed, csv_dir),
 }
@@ -494,10 +492,10 @@ def _check_settings(grid=256, trials=64, samples=1_000_000):
 
 
 def run_all_suites(grid=256, trials=64, samples=1_000_000, seed=0,
-                   csv_dir=None, threads=None):
+                   csv_dir=None):
     """All suites of :data:`SUITES` in declaration order."""
     _check_settings(grid=grid, trials=trials, samples=samples)
-    threads = _thread_count(threads)
+    _thread_count()
     settings = dict(grid=grid, trials=trials, samples=samples, seed=seed,
-                    csv_dir=csv_dir, threads=threads)
+                    csv_dir=csv_dir)
     return [r for run in SUITES.values() for r in run(**settings)]

@@ -277,9 +277,11 @@ class TestEnergy:
     @pytest.mark.parametrize("value", ["0", "abc"])
     def test_bad_thread_variable_exit_2(self, hv_path, capfd, monkeypatch,
                                         value):
+        # both estimators read it through the pair kernel
         monkeypatch.setenv("BVLIFT_THREADS", value)
-        assert run("energy", hv_path, "--estimator", "mollified") == 2
-        assert_one_error_line(capfd, "BVLIFT_THREADS")
+        for estimator in ("mollified", "directional"):
+            assert run("energy", hv_path, "--estimator", estimator) == 2
+            assert_one_error_line(capfd, "BVLIFT_THREADS")
 
     @pytest.mark.parametrize("flags", [
         ["--eps-over-h", "inf,8"], ["--eps-over-h", "nan,8,16"],
@@ -373,6 +375,40 @@ class TestLift:
         out = tmp_path / "out.json"
         assert run("lift", hv_path, "-o", out) == 2
         assert_one_error_line(capfd, out)
+        assert not out.exists()
+
+    def test_sidecar_that_is_the_input_exit_2(self, hv_path, tmp_path, capfd,
+                                              monkeypatch):
+        # the sidecar of in.fld is in.json, the input
+        monkeypatch.setattr(cli, "read_field", must_not_run)
+        src = tmp_path / "in.json"
+        src.write_bytes(hv_path.read_bytes())
+        assert run("lift", src, "--trials", "2",
+                   "-o", tmp_path / "in.fld") == 2
+        assert_one_error_line(capfd, src)
+        assert src.read_bytes() == hv_path.read_bytes()
+
+    def test_sidecar_that_is_the_boundary_file_exit_2(self, hv_path,
+                                                      tmp_path, capfd,
+                                                      monkeypatch):
+        from bvlift.verify import make_half_vortex_lifting
+        monkeypatch.setattr(cli, "read_field", must_not_run)
+        b = tmp_path / "b.json"
+        write_field(make_half_vortex_lifting(64), b)
+        before = b.read_bytes()
+        assert run("lift", hv_path, "--mode", "boundary", "--boundary", b,
+                   "-o", tmp_path / "b.fld") == 2
+        assert_one_error_line(capfd, b)
+        assert b.read_bytes() == before
+
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_greedy1d_bad_thread_variable_exit_2(self, seq_path, tmp_path,
+                                                 capfd, monkeypatch, value):
+        # its energy is a directional one, on the pair kernel
+        monkeypatch.setenv("BVLIFT_THREADS", value)
+        out = tmp_path / "n.fld"
+        assert run("lift", seq_path, "--mode", "greedy1d", "-o", out) == 2
+        assert_one_error_line(capfd, "BVLIFT_THREADS")
         assert not out.exists()
 
     def test_output_in_missing_directory_exit_2(self, hv_path, tmp_path,
@@ -501,15 +537,19 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("value", ["0", "abc"])
     def test_bad_thread_variable_exit_2(self, tmp_path, capfd, monkeypatch,
                                         value):
-        # the identity suite draws through these two
-        monkeypatch.setattr(verify, "_mc_over_sphere", must_not_run)
-        monkeypatch.setattr(verify, "psi_estimate", must_not_run)
+        # every suite that reads it checks it before its first computation:
+        # the identity suite draws through the first two, the half-vortex
+        # suite starts from its field, the repr suite from its fields
+        for name in ("_mc_over_sphere", "psi_estimate", "make_half_vortex",
+                     "_repr_fields"):
+            monkeypatch.setattr(verify, name, must_not_run)
         monkeypatch.setenv("BVLIFT_THREADS", value)
         out = tmp_path / "r.json"
-        assert run("verify", "--suite", "identities", "--samples", "100000",
-                   "--report", out) == 2
-        assert_one_error_line(capfd, "BVLIFT_THREADS")
-        assert not out.exists()
+        for suite in ("identities", "halfvortex", "repr", "all"):
+            assert run("verify", "--suite", suite, "--samples", "100000",
+                       "--report", out) == 2, suite
+            assert_one_error_line(capfd, "BVLIFT_THREADS")
+            assert not out.exists()
 
     def test_unknown_suite_exit_2(self, tmp_path):
         assert run("verify", "--suite", "bogus",

@@ -5,7 +5,7 @@ import pytest
 
 from bvlift.constants import k_const
 from bvlift.fields import (GridField, UnderResolvedError, _chord_rule,
-                           _energy_from_pair_sums, _pair_sums,
+                           _energy_from_pair_sums, _pair_sums, _thread_count,
                            avg_directional_energy, default_jump_threshold,
                            directional_tv, embedded_tv,
                            mollified_energy, mollified_energy_extrapolated,
@@ -443,8 +443,13 @@ class TestMetricDispatch:
                             np.linalg.norm(a + b, axis=-1))
         assert np.allclose(q, direct, atol=1e-12)
 
-    def test_thread_count_below_one_rejected(self):
+    def test_thread_count_below_one_rejected(self, monkeypatch):
+        # the kernel reads the variable; run_identity_suite passes a count
         f = jump_field(16)
         for threads in (0, -2):
             with pytest.raises(ValueError, match="threads must be >= 1"):
-                _pair_sums(f, [("geodesic", None)], 2, threads)
+                _thread_count(threads)
+            monkeypatch.setenv("BVLIFT_THREADS", str(threads))
+            with pytest.raises(ValueError, match="BVLIFT_THREADS must be an "
+                               "integer >= 1"):
+                _pair_sums(f, [("geodesic", None)], 2)

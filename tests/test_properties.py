@@ -11,6 +11,7 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -298,15 +299,20 @@ def test_face_energies_equal_embedded_tv_of_each_request(data):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_pair_sums_do_not_depend_on_the_thread_count(data):
+    # the mollified pair sums, values and key order alike, and the
+    # directional energies, whose line bundles run on the same kernel
     kind = data.draw(st.sampled_from(("proj", "unit")))
     u = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=8))
     rmax = data.draw(st.integers(1, 6))
     requests = _requests(data, u)
-    # values and key order alike
-    one, two, three = ([list(sums.items()) for sums in
-                        _pair_sums(u, requests, rmax, threads)]
-                       for threads in (1, 2, 3))
-    assert one == two == three
+    runs = []
+    for threads in ("1", "2", "3"):
+        with mock.patch.dict(os.environ, {"BVLIFT_THREADS": threads}):
+            runs.append((
+                [list(sums.items()) for sums in _pair_sums(u, requests, rmax)],
+                [avg_directional_energy(u, directions=8, metric=m).to_dict()
+                 for m in _metrics(kind)]))
+    assert runs[0] == runs[1] == runs[2]
 
 
 @settings(max_examples=30, deadline=None)
@@ -322,9 +328,11 @@ def test_requests_sharing_a_pick_equal_single_requests(data):
     requests = data.draw(st.permutations(
         [(metric, s) for s in (None, signs, signs, signs.copy())
          for metric in _metrics(kind, s is not None)]))
-    want = [list(_pair_sums(u, [r], rmax, 1)[0].items()) for r in requests]
-    for threads in (1, 3):
-        got = _pair_sums(u, requests, rmax, threads)
+    with mock.patch.dict(os.environ, {"BVLIFT_THREADS": "1"}):
+        want = [list(_pair_sums(u, [r], rmax)[0].items()) for r in requests]
+    for threads in ("1", "3"):
+        with mock.patch.dict(os.environ, {"BVLIFT_THREADS": threads}):
+            got = _pair_sums(u, requests, rmax)
         assert [list(sums.items()) for sums in got] == want, threads
 
 

@@ -165,11 +165,15 @@ class TestGridRefinement:
 
 
 class TestSuites:
-    def test_half_vortex_suite_does_not_depend_on_the_thread_count(self):
+    def test_half_vortex_suite_does_not_depend_on_the_thread_count(
+            self, monkeypatch):
         from bvlift.verify import run_half_vortex_suite
-        one, three = (run_half_vortex_suite(grid=160, trials=4, threads=t)
-                      for t in (1, 3))
-        assert [r.to_dict() for r in one] == [r.to_dict() for r in three]
+        runs = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("BVLIFT_THREADS", threads)
+            runs.append([r.to_dict() for r in run_half_vortex_suite(
+                grid=160, trials=4)])
+        assert runs[0] == runs[1]
 
     def test_identity_suite_does_not_depend_on_the_thread_count(self):
         one, two = ([r.to_dict() for r in run_identity_suite(
@@ -184,10 +188,13 @@ class TestSuites:
                for part in ("", "_bound")]
             + ["psi_right_angle_quarter"])
 
-    def test_repr_suite_does_not_depend_on_the_thread_count(self):
-        one, two = ([r.to_dict() for r in run_repr_formula_suite(
-            seed=5, threads=t)] for t in (1, 2))
-        assert one == two
+    def test_repr_suite_does_not_depend_on_the_thread_count(self,
+                                                             monkeypatch):
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BVLIFT_THREADS", threads)
+            runs.append([r.to_dict() for r in run_repr_formula_suite(seed=5)])
+        assert runs[0] == runs[1]
 
     def test_repr_suite_passes_and_is_deterministic(self):
         a = run_repr_formula_suite(seed=3)
