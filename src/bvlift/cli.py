@@ -147,6 +147,9 @@ def cmd_energy(args):
 
 
 def cmd_lift(args):
+    if (args.mode == "boundary") != bool(args.boundary):
+        raise ValueError("--boundary FILE is required for boundary mode "
+                         "and taken by no other mode")
     cfg = _load_config(args.config, args)
     out = args.output or (os.path.splitext(args.input)[0] + ".lifted.fld")
     sidecar = os.path.splitext(out)[0] + ".json"
@@ -166,8 +169,6 @@ def cmd_lift(args):
         res = lift_rotation_search(u, trials=cfg["trials"], seed=cfg["seed"],
                                    metric=cfg["metric"])
     else:
-        if not args.boundary:
-            raise ValueError("--boundary FILE is required for boundary mode")
         res = lift_with_boundary(u, read_field(args.boundary),
                                  trials=cfg["trials"], seed=cfg["seed"])
     side = {"mode": args.mode, "energy": res.energy.to_dict(),

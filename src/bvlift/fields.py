@@ -17,11 +17,9 @@ An anisotropy-corrected finite difference total variation
 absolutely continuous part they share, and counts its jump faces.
 """
 
-import itertools
 import json
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
@@ -46,7 +44,6 @@ __all__ = [
 ]
 
 METRICS = ("geodesic", "euclidean_sphere", "euclidean_tensor")
-_OFFSETS_PER_TASK = 32  # most pair-kernel offsets per thread-pool task
 _ROWS_PER_WRITE = 4096  # field-file rows formatted at once
 
 
@@ -283,13 +280,14 @@ def _thread_count(threads=None):
     return n
 
 
-def _lattice_sums(f, requests, offsets, axis=None):
+def _lattice_sums(f, requests, offsets, axes=None):
     """The pair kernel: sums of pair distances at each of ``offsets``.
 
     Returns one row per offset of one value per ``(metric, signs)``
     request, of f for signs None, else of the lifting s f (see
-    :func:`_chord_rule`): the offset's sum, or with ``axis`` the new array
-    of its sums S[k] by the layer k along ``axis`` of the lower cell.
+    :func:`_chord_rule`): the offset's sum, or with ``axes`` (one layer
+    axis per offset) the new array of its sums S[k] by the layer k along
+    its axis of the lower cell.
     Per offset the two squared chords |a - b|^2 and |a + b|^2 are computed
     once, on contiguous component planes, and every request picks its pair
     chords from them by :func:`~bvlift.geometry._pick_chord`.  Requests
@@ -300,9 +298,10 @@ def _lattice_sums(f, requests, offsets, axis=None):
     which is faster than gathering the in-mask pairs: chord 0 is at
     distance exactly 0 in every metric, so those pairs add exactly 0.
 
-    The offsets run on the threads of :func:`_thread_count`, each writing
-    every offset into its own reusable buffers; each offset's sums are
-    computed by one thread alone, over a C-contiguous array of the
+    Thread i of t = min(:func:`_thread_count`, offsets) threads sums the
+    offsets i, i + t, i + 2t, ... into six buffers it allocates once; for
+    t <= 1 the calling thread does, and no pool starts.  Each offset's
+    sums are computed by one thread alone, over a C-contiguous array of the
     overlap's shape, so they are the same bit for bit whatever the count.
     """
     picks = {}  # (proj, sign array id) -> [proj, pos, [(request, metric)]]
@@ -312,12 +311,10 @@ def _lattice_sums(f, requests, offsets, axis=None):
         key = (proj, None if pos is None else id(signs))
         picks.setdefault(key, [proj, pos, []])[2].append((i, metric))
     plus = any(proj or pos is not None for proj, pos, _ in picks.values())
-    across = tuple(t for t in range(f.N) if t != axis)  # a layer's axes
     inside = f.inside()
     planes = [np.ascontiguousarray(f.values[..., k]) for k in range(f.d)]
-    local = threading.local()
 
-    def offset_sums(off, buf):
+    def offset_sums(off, axis, buf):
         src, dst = _offset_slices(off, f.dims)
         shape = tuple(max(0, n - abs(o)) for o, n in zip(off, f.dims))
         m2, p2, q, dist, ok, same = (
@@ -329,6 +326,7 @@ def _lattice_sums(f, requests, offsets, axis=None):
             np.logical_and(inside[src], inside[dst], out=ok)
             for c2 in (m2, p2) if plus else (m2,):
                 np.multiply(c2, ok, out=c2)
+        across = tuple(c for c in range(f.N) if c != axis)  # a layer's axes
         vals = [None] * len(requests)
         for proj, pos, reqs in picks.values():
             s = None if pos is None else np.equal(pos[src], pos[dst], out=same)
@@ -339,21 +337,19 @@ def _lattice_sums(f, requests, offsets, axis=None):
                            else dists.sum(axis=across))
         return vals
 
-    def run_sums(run):
-        if not hasattr(local, "buf"):  # this worker's first run
-            n = math.prod(f.dims)
-            local.buf = [np.empty(n), np.empty(n) if plus else None,
-                         np.empty(n), np.empty(n), np.empty(n, dtype=bool),
-                         np.empty(n, dtype=bool)]
-        return [offset_sums(off, local.buf) for off in run]
+    def part_sums(part):
+        n = math.prod(f.dims)
+        buf = [np.empty(n), np.empty(n) if plus else None, np.empty(n),
+               np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=bool)]
+        return [offset_sums(off, axis, buf) for off, axis in part]
 
-    # runs of consecutive offsets keep the futures few (68 532 offsets in
-    # 3D at rmax = 32), while a few offsets still spread over every thread
-    threads = _thread_count()
-    size = max(1, min(_OFFSETS_PER_TASK, -(-len(offsets) // threads)))
-    runs = [offsets[i:i + size] for i in range(0, len(offsets), size)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(itertools.chain.from_iterable(ex.map(run_sums, runs)))
+    jobs = list(zip(offsets, axes or [None] * len(offsets)))
+    t = min(_thread_count(), len(jobs))
+    if t <= 1:
+        return part_sums(jobs)
+    with ThreadPoolExecutor(max_workers=t) as ex:
+        parts = list(ex.map(part_sums, [jobs[i::t] for i in range(t)]))
+    return [parts[i % t][i // t] for i in range(len(jobs))]
 
 
 def _pair_sums(f, requests, rmax):
@@ -451,7 +447,7 @@ def _line_bundle_tvs(f, omegas, metric):
     layer k along the dominant axis a, s the slopes of omega over omega_a:
     the lines are translates, so each cell of layer k starts one pair of
     step k, at offset e_a + delta_k, delta_k = rint((k+1) s) - rint(k s).
-    The directions of one dominant axis read the per-layer sums along it
+    All directions read their per-layer sums along their dominant axes
     from one :func:`_lattice_sums` call over the step offsets they use.
     """
     bundles = []  # (a, |omega_a|, deltas, sorted distinct deltas)
@@ -468,12 +464,11 @@ def _line_bundle_tvs(f, omegas, metric):
                          axis=0).astype(int)  # delta_k of each step k
         bundles.append((a, abs(omega[a]), deltas,
                         sorted(set(map(tuple, deltas.tolist())))))
-    layers = {}  # (a, delta) -> S
-    for a in sorted({bundle[0] for bundle in bundles}):
-        steps = sorted({d for b, _, _, ds in bundles if b == a for d in ds})
-        rows = _lattice_sums(f, [(metric, None)],
-                             [(*d[:a], 1, *d[a:]) for d in steps], axis=a)
-        layers.update(((a, d), S) for d, (S,) in zip(steps, rows))
+    used = sorted({(a, d) for a, _, _, ds in bundles for d in ds})
+    rows = _lattice_sums(f, [(metric, None)],
+                         [(*d[:a], 1, *d[a:]) for a, d in used],
+                         axes=[a for a, _ in used])
+    layers = {key: S for key, (S,) in zip(used, rows)}  # (a, delta) -> S
     tvs = []
     for a, weight, deltas, steps in bundles:
         tv = 0.0

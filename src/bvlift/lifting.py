@@ -170,14 +170,17 @@ def lift_with_boundary(u, n0, trials=64, seed=0):
     (iii) extend f harmonically into the interior; (iv) threshold the
     extension at 0 to a sign field; (v) flip the lifting by it.  The output
     carries ``n0`` verbatim on every boundary cell and projects to u
-    everywhere.
+    everywhere; ``n0`` must be a unit field on u's grid.
     """
     if u.kind != "proj":
         raise ValueError("expects a proj field")
     if u.N != 2:
         raise ValueError("boundary lifting is implemented for N = 2 grids")
-    if n0.kind != "unit" or n0.dims != u.dims:
-        raise ValueError("boundary data must be a unit field on the same grid")
+    for key, want in [("kind", "unit"), ("dims", u.dims), ("d", u.d),
+                      ("spacing", u.spacing), ("origin", u.origin)]:
+        if getattr(n0, key) != want:
+            raise ValueError(f"boundary data {key} must be {want!r}, "
+                             f"got {getattr(n0, key)!r}")
     inside = u.inside()
     bnd = boundary_cells(inside)  # not empty: u has a cell inside
     # the prescribed trace must be a lifting of u on the boundary

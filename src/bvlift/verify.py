@@ -203,7 +203,6 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
     checked before anything is computed; the results do not depend on it.
     """
     _check_settings(grid=grid, trials=trials)
-    _thread_count()
     reports = []
     rows = []
     u = make_half_vortex(grid)
@@ -270,8 +269,7 @@ def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
     are thus correlated and report its runtime; the right-angle quarter has
     a draw of its own.
     """
-    _check_settings(samples=samples)
-    threads = _thread_count(threads)
+    threads = _check_settings(samples=samples, threads=threads)
     seeds = np.random.SeedSequence(seed).spawn(len(DIMS_GRID) + 1)
 
     def draw(d, seed):  # the checks of one d, one list per average
@@ -345,7 +343,7 @@ def run_repr_formula_suite(seed=0, csv_dir=None):
     """Mollified, direction-averaged and analytic energies agree within 5%;
     both run on the pair kernel, whose ``BVLIFT_THREADS`` (see
     :func:`bvlift.fields._thread_count`) is checked before they do."""
-    _thread_count()
+    _check_settings()
     reports = []
     rows = []
     for name, f, analytic in _repr_fields():
@@ -479,23 +477,24 @@ SUITES = {
 }
 
 
-def _check_settings(grid=256, trials=64, samples=1_000_000):
+def _check_settings(grid=256, trials=64, samples=1_000_000, threads=None):
     """Raise ValueError for settings a suite does not run at; each runner
-    checks its own, :func:`run_all_suites` all of them before any suite runs
-    (and the thread count by :func:`bvlift.fields._thread_count`)."""
+    checks its own, :func:`run_all_suites` all of them before any suite runs.
+    Returns ``fields._thread_count(threads)``, so a malformed
+    ``BVLIFT_THREADS`` is rejected here too."""
     if grid < 160:  # the tensor energy misses its 3% on some grids below
         raise ValueError("grid must be >= 160")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if samples < 100_000:
         raise ValueError("samples must be >= 1e5")
+    return _thread_count(threads)
 
 
 def run_all_suites(grid=256, trials=64, samples=1_000_000, seed=0,
                    csv_dir=None):
     """All suites of :data:`SUITES` in declaration order."""
     _check_settings(grid=grid, trials=trials, samples=samples)
-    _thread_count()
     settings = dict(grid=grid, trials=trials, samples=samples, seed=seed,
                     csv_dir=csv_dir)
     return [r for run in SUITES.values() for r in run(**settings)]

@@ -368,6 +368,31 @@ class TestLift:
     def test_boundary_requires_file(self, hv_path):
         assert run("lift", hv_path, "--mode", "boundary") == 2
 
+    @pytest.mark.parametrize("mode", ["rotation", "greedy1d"])
+    def test_boundary_file_in_another_mode_exit_2(self, hv_path, tmp_path,
+                                                  capfd, monkeypatch, mode):
+        monkeypatch.setattr(cli, "read_field", must_not_run)
+        out = tmp_path / "n.fld"
+        assert run("lift", hv_path, "--mode", mode, "--boundary", hv_path,
+                   "-o", out) == 2
+        assert_one_error_line(capfd, "--boundary")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["d", "spacing"])
+    def test_boundary_on_another_grid_exit_2(self, hv_path, tmp_path, capfd,
+                                             key):
+        from bvlift.verify import make_half_vortex_lifting
+        n0 = make_half_vortex_lifting(64, d=3 if key == "d" else 2)
+        if key == "spacing":
+            n0 = GridField(n0.dims, 0.5, n0.origin, "unit", n0.values)
+        b = tmp_path / "trace.fld"
+        write_field(n0, b)
+        out = tmp_path / "nb.fld"
+        assert run("lift", hv_path, "--mode", "boundary", "--boundary", b,
+                   "--trials", "2", "-o", out) == 2
+        assert_one_error_line(capfd, f"boundary data {key} ")
+        assert not out.exists()
+
     def test_output_that_is_its_own_sidecar_exit_2(self, hv_path, tmp_path,
                                                    capfd, monkeypatch):
         # the sidecar of out.json is out.json: it would replace the lifting

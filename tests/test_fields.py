@@ -1,8 +1,10 @@
 import filecmp
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from bvlift import fields
 from bvlift.constants import k_const
 from bvlift.fields import (GridField, UnderResolvedError, _chord_rule,
                            _energy_from_pair_sums, _pair_sums, _thread_count,
@@ -11,7 +13,7 @@ from bvlift.fields import (GridField, UnderResolvedError, _chord_rule,
                            mollified_energy, mollified_energy_extrapolated,
                            read_field, write_field)
 from bvlift.geometry import chord, chord_distance
-from bvlift.lifting import lift_rotation_search
+from bvlift.lifting import lift_greedy_1d, lift_rotation_search
 from bvlift.verify import make_half_vortex, make_half_vortex_lifting
 
 K2 = k_const(2).value
@@ -423,6 +425,38 @@ class TestScaling:
         e1 = mollified_energy(f1, 8 * f1.spacing, "geodesic").total
         e2 = mollified_energy(f2, 8 * f2.spacing, "geodesic").total
         assert e2 == pytest.approx(lam * e1, rel=1e-12)
+
+
+class TestPairKernelThreads:
+    def test_one_thread_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setenv("BVLIFT_THREADS", "1")
+        monkeypatch.setattr(fields, "ThreadPoolExecutor", no_pool)
+        f = jump_field(16)
+        assert directional_tv(f, np.array([0.6, 0.8])) > 0.0
+        assert avg_directional_energy(f, directions=8).total > 0.0
+        assert mollified_energy(f, 4 * f.spacing).total > 0.0
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_one_cell_interval_has_no_offsets(self, monkeypatch, threads):
+        # no line step exists, so the kernel gets an empty offset list
+        monkeypatch.setenv("BVLIFT_THREADS", threads)
+        u = GridField((1,), 1.0, (0.0,), "proj", [[0.6, 0.8]])
+        assert avg_directional_energy(u).total == 0.0
+        assert lift_greedy_1d(u).energy.total == 0.0
+
+    def test_directions_of_every_dominant_axis_share_one_kernel_call(self):
+        u = make_half_vortex(32, d=3, N=3)
+        omegas = np.eye(3) + 0.3  # dominant axes 0, 1 and 2
+        with mock.patch.object(fields, "_lattice_sums",
+                               wraps=fields._lattice_sums) as kernel:
+            rep = avg_directional_energy(u, omegas=omegas)
+        assert kernel.call_count == 1
+        assert sorted(set(kernel.call_args.kwargs["axes"])) == [0, 1, 2]
+        assert rep.total == pytest.approx(np.mean(
+            [directional_tv(u, w) for w in omegas]), rel=1e-15)
 
 
 class TestMetricDispatch:

@@ -351,6 +351,23 @@ class TestLiftWithBoundary:
         with pytest.raises(BoundaryMismatchError, match="not a lifting"):
             lift_with_boundary(u, n0, trials=2, seed=0)
 
+    @pytest.mark.parametrize("key", ["dims", "d", "spacing", "origin"])
+    def test_rejects_boundary_on_another_grid(self, key):
+        u = self._constant()
+        grid = dict(dims=u.dims, spacing=u.spacing, origin=u.origin)
+        vals = u.values
+        if key == "dims":
+            grid["dims"], vals = (48, 40), u.values[:, :40]
+        elif key == "d":
+            vals = np.concatenate([vals, np.zeros(u.dims + (1,))], axis=-1)
+        elif key == "spacing":
+            grid["spacing"] = 2 * u.spacing
+        else:
+            grid["origin"] = (u.spacing, 0.0)
+        n0 = GridField(kind="unit", values=vals, **grid)
+        with pytest.raises(ValueError, match=f"boundary data {key} "):
+            lift_with_boundary(u, n0, trials=2, seed=0)
+
     def test_rejects_one_dimensional(self):
         vals = np.zeros((8, 2))
         vals[:, 0] = 1.0
