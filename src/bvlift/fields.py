@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .geometry import (_pick_chord, _squared_chords, canonicalize,
+from .geometry import (_lane_sum, _squared_chords, canonicalize,
                        chord_distance, random_unit_vectors)
 
 __all__ = [
@@ -287,60 +287,80 @@ def _lattice_sums(f, requests, offsets, axes=None):
     request, of f for signs None, else of the lifting s f (see
     :func:`_chord_rule`): the offset's sum, or with ``axes`` (one layer
     axis per offset) the new array of its sums S[k] by the layer k along
-    its axis of the lower cell.
-    Per offset the two squared chords |a - b|^2 and |a + b|^2 are computed
-    once, on contiguous component planes, and every request picks its pair
-    chords from them by :func:`~bvlift.geometry._pick_chord`.  Requests
-    that read the same chord (the projective one, |a - b|, or that of one
-    sign array object) share its pick and square root.
-    Every pair of the overlapping slices is evaluated, and the squared
-    chords of the pairs leaving the mask are set to 0 once per offset,
-    which is faster than gathering the in-mask pairs: chord 0 is at
-    distance exactly 0 in every metric, so those pairs add exactly 0.
+    its axis of the lower cell.  An offset past the grid gets its row of
+    zeros without a pass.
+    Per offset the squared chords |a - b|^2 and |a + b|^2 are computed
+    once, on contiguous component planes, then the projective chord (the
+    smaller; |a - b| if every request reads that), set to 0 on the pairs
+    leaving the mask (chord 0 is at distance exactly 0 in every metric),
+    and its distances, one metric at a time in one buffer.  A request that
+    reads |a - b| or |a + b| by its sign product s_i s_j (+1 without signs)
+    copies them and overwrites the in-mask pairs it flips, where s_i s_j is
+    not the sign of the smaller chord, gathered by index, with the
+    distances of the larger chord.
 
     Thread i of t = min(:func:`_thread_count`, offsets) threads sums the
-    offsets i, i + t, i + 2t, ... into six buffers it allocates once; for
+    offsets i, i + t, i + 2t, ... into buffers it allocates once; for
     t <= 1 the calling thread does, and no pool starts.  Each offset's
     sums are computed by one thread alone, over a C-contiguous array of the
     overlap's shape, so they are the same bit for bit whatever the count.
     """
-    picks = {}  # (proj, sign array id) -> [proj, pos, [(request, metric)]]
-    for i, (metric, signs) in enumerate(requests):
-        proj = _chord_rule(metric, f.kind, signs is not None)
-        pos = None if proj or signs is None else signs > 0
-        key = (proj, None if pos is None else id(signs))
-        picks.setdefault(key, [proj, pos, []])[2].append((i, metric))
-    plus = any(proj or pos is not None for proj, pos, _ in picks.values())
+    # per request: None if it reads the projective chord, else where it
+    # reads |a - b|: everywhere (True) or where s_i s_j = +1 (s > 0)
+    rules = [None if _chord_rule(metric, f.kind, signs is not None)
+             else True if signs is None else signs > 0
+             for metric, signs in requests]
+    plus = any(rule is not True for rule in rules)  # else all read |a - b|
+    patched = plus and any(rule is not None for rule in rules)
+    by_metric = {}  # metric -> [(request index, rule)]
+    for i, ((metric, _), rule) in enumerate(zip(requests, rules)):
+        by_metric.setdefault(metric, []).append((i, rule if plus else None))
     inside = f.inside()
     planes = [np.ascontiguousarray(f.values[..., k]) for k in range(f.d)]
 
     def offset_sums(off, axis, buf):
-        src, dst = _offset_slices(off, f.dims)
         shape = tuple(max(0, n - abs(o)) for o, n in zip(off, f.dims))
-        m2, p2, q, dist, ok, same = (
+        if 0 in shape:
+            return [0.0 if axis is None else np.zeros(shape[axis])
+                    for _ in requests]
+        src, dst = _offset_slices(off, f.dims)
+        m2, p2, q, dist, copy, ok, pref, flip = (
             None if b is None else b[:math.prod(shape)].reshape(shape)
             for b in buf)
         _squared_chords([p[src] for p in planes], [p[dst] for p in planes],
                         plus, out=(m2, p2, q))  # q is their scratch
+        np.sqrt(np.minimum(m2, p2, out=q) if plus else m2, out=q)
         if f.mask is not None:
             np.logical_and(inside[src], inside[dst], out=ok)
-            for c2 in (m2, p2) if plus else (m2,):
-                np.multiply(c2, ok, out=c2)
+            np.multiply(q, ok, out=q)
+        if patched:
+            np.less_equal(m2, p2, out=pref)
         across = tuple(c for c in range(f.N) if c != axis)  # a layer's axes
         vals = [None] * len(requests)
-        for proj, pos, reqs in picks.values():
-            s = None if pos is None else np.equal(pos[src], pos[dst], out=same)
-            np.sqrt(_pick_chord(m2, p2, proj, s, out=q), out=q)
-            for i, metric in reqs:
-                dists = chord_distance(q, metric, out=dist)
-                vals[i] = (float(dists.sum()) if axis is None
-                           else dists.sum(axis=across))
+        for metric, reqs in by_metric.items():
+            dists = chord_distance(q, metric, out=dist)
+            for i, rule in reqs:
+                if rule is not None:
+                    same = (rule if rule is True
+                            else np.equal(rule[src], rule[dst], out=flip))
+                    np.not_equal(same, pref, out=flip)
+                    if f.mask is not None:
+                        np.logical_and(flip, ok, out=flip)
+                    idx = np.flatnonzero(flip)
+                    larger = np.sqrt(np.maximum(m2.reshape(-1)[idx],
+                                                p2.reshape(-1)[idx]))
+                    np.copyto(copy, dists)
+                    copy.reshape(-1)[idx] = chord_distance(larger, metric)
+                row = dists if rule is None else copy
+                vals[i] = (float(row.sum()) if axis is None
+                           else row.sum(axis=across))
         return vals
 
     def part_sums(part):
         n = math.prod(f.dims)
-        buf = [np.empty(n), np.empty(n) if plus else None, np.empty(n),
-               np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=bool)]
+        buf = [np.empty(n) if need else None for need in (
+            True, plus, True, True, patched)] + [
+                np.empty(n, bool) for _ in range(3)]  # ok, pref, flip
         return [offset_sums(off, axis, buf) for off, axis in part]
 
     jobs = list(zip(offsets, axes or [None] * len(offsets)))
@@ -533,9 +553,11 @@ def _face_data(f, metric, signs=None):
 
     Yields ``(valid, dists, chords, proj)`` (see :func:`_chord_rule`),
     arrays of shape ``dims + (N,)``, exactly 0 on faces leaving the mask
-    or the grid.  f's face chords |a - b| and |a + b| and their distances
-    are computed once; each lifting picks its own by its sign products,
-    one lifting's arrays at a time.
+    or the grid.  f's face chords and distances are computed once: the
+    projective ones (|a - b| for f in a metric that reads it), and for
+    liftings the larger ones too.  Each lifting copies the projective
+    arrays and overwrites the faces it flips as :func:`_lattice_sums`
+    does, one lifting's arrays at a time.
     """
     proj = _chord_rule(metric, f.kind, signs is not None)
     inside = f.inside()
@@ -552,25 +574,31 @@ def _face_data(f, metric, signs=None):
         if plus is not None:
             plus[src + (a,)] = np.sqrt(plus2) * ok
     del inside, ok, minus2, plus2  # the last axis's temporaries
-    if signs is None or proj:  # f, or liftings that read f's projective chord
-        chords = _pick_chord(minus, plus, proj)
-        del minus, plus  # f's chords, before the energy's arrays are built
-        dists = chord_distance(chords, metric)
+    chords = minus if plus is None else np.minimum(minus, plus)
+    flips = signs is not None and not proj  # else f's chord is read as is
+    if flips:
+        pref = minus <= plus
+        larger = np.maximum(minus, plus, out=plus).reshape(-1)
+    del minus, plus  # f's chords, before the distances are built
+    dists = chord_distance(chords, metric)
+    if not flips:
         for _ in [None] if signs is None else signs:
             yield valid, dists, chords, proj
         return
-    face_dists = [chord_distance(c, metric) for c in (minus, plus)]
+    larger_dists = chord_distance(larger, metric)
     for s in signs:
         pos = s > 0
-        same = np.zeros(valid.shape, dtype=bool)
+        flip = np.zeros(valid.shape, dtype=bool)
         for a, src, dst in _forward_faces(f.dims):
-            np.equal(pos[src], pos[dst], out=same[src + (a,)])
-        chords = _pick_chord(minus, plus, same=same)
-        # a euclidean_sphere distance is the chord itself: no second pick
-        dists = (chords if metric == "euclidean_sphere"
-                 else _pick_chord(*face_dists, same=same))
-        yield valid, dists, chords, proj
-        del pos, same, chords, dists  # before the next lifting's are built
+            np.equal(pos[src], pos[dst], out=flip[src + (a,)])
+        idx = np.flatnonzero(np.not_equal(flip, pref, out=flip))
+        s_chords = chords.copy()
+        s_chords.reshape(-1)[idx] = larger[idx]
+        # a euclidean_sphere distance is the chord itself
+        s_dists = s_chords if dists is chords else dists.copy()
+        s_dists.reshape(-1)[idx] = larger_dists[idx]
+        yield valid, s_dists, s_chords, proj
+        del pos, flip, idx, s_chords, s_dists  # before the next lifting's
 
 
 def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
@@ -626,7 +654,8 @@ def _face_energies(f, metric, signs=None, jump_threshold=None):
             near_jump[src] |= ja
             near_jump[dst] |= ja
 
-        frob = np.sqrt(np.einsum("...a,...a->...", steps, steps))
+        frob = np.sqrt(_lane_sum(lambda a, buf: np.square(
+            steps[..., a], out=buf), f.N, np.empty(f.dims), np.empty(f.dims)))
         ac = float((h ** (f.N - 1) * frob)[owner & ~near_jump].sum())
         jump = float((dists[isjump]).sum() * h ** (f.N - 1))
         yield EnergyReport(ac + jump, metric, "embedded_tv",

@@ -56,20 +56,21 @@ def _check_same_dim(n, m):
             f"dimension mismatch: {n.shape[-1]} vs {m.shape[-1]}")
 
 
-def _sum_of_squares(op, a, b, out, tmp):
-    """``out`` = sum over k of op(a_k, b_k)^2, accumulated in place.
+def _lane_sum(term, n, out, tmp):
+    """``out`` = the sum over k < n of ``term(k, buf)``, which writes term k
+    into the array ``buf`` and returns it; ``tmp`` is scratch.
 
-    The even and the odd components are summed in two lanes that are added
-    last, the order of numpy's two-lane ``einsum``.
+    The even and the odd terms are summed in two lanes that are added last,
+    the order of numpy's ``einsum`` over a last axis of length 1 to 7.
     """
-    np.square(op(a[0], b[0], out=out), out=out)
-    for k in range(2, len(a), 2):
-        out += np.square(op(a[k], b[k], out=tmp), out=tmp)
-    if len(a) > 1:
-        odd = np.square(op(a[1], b[1], out=tmp), out=tmp)
-        for k in range(3, len(a), 2):
+    term(0, out)
+    for k in range(2, n, 2):
+        out += term(k, tmp)
+    if n > 1:
+        odd = term(1, tmp)
+        for k in range(3, n, 2):
             odd = odd.copy() if odd is tmp else odd
-            odd += np.square(op(a[k], b[k], out=tmp), out=tmp)
+            odd += term(k, tmp)
         out += odd
     return out
 
@@ -89,29 +90,10 @@ def _squared_chords(a, b, plus=False, out=None):
         out = (np.empty(shape), np.empty(shape) if plus else None,
                np.empty(shape))
     minus, plus_out, tmp = out
-    _sum_of_squares(np.subtract, a, b, minus, tmp)
-    if not plus:
-        return minus, None
-    return minus, _sum_of_squares(np.add, a, b, plus_out, tmp)
-
-
-def _pick_chord(minus, plus, proj=False, same=None, out=None):
-    """The chord of each pair from its chords |a - b| and |a + b| (or squares).
-
-    The smaller one with ``proj``; else |a - b|, or with ``same`` the chord
-    of the pair s_i a, s_j b: |a - b| where s_i s_j = +1 and |a + b| where
-    not.  A picked array is written into ``out`` if given; ``minus`` itself
-    is returned unpicked.  Bit-exact, as multiplying by -1 is.
-    """
-    if proj:
-        return np.minimum(minus, plus, out=out)
-    if same is None:
-        return minus
-    if out is None:
-        return np.where(same, minus, plus)
-    np.copyto(out, plus)
-    np.copyto(out, minus, where=same)
-    return out
+    for op, c2 in [(np.subtract, minus), (np.add, plus_out)][:2 if plus else 1]:
+        _lane_sum(lambda k, buf: np.square(op(a[k], b[k], out=buf), out=buf),
+                  len(a), c2, tmp)
+    return minus, plus_out if plus else None
 
 
 def chord(a, b, proj=False):
@@ -129,7 +111,7 @@ def chord(a, b, proj=False):
     d = a.shape[-1]
     minus, plus = _squared_chords([a[..., k] for k in range(d)],
                                  [b[..., k] for k in range(d)], proj)
-    return np.sqrt(_pick_chord(minus, plus, proj))
+    return np.sqrt(np.minimum(minus, plus) if proj else minus)
 
 
 def chord_distance(q, metric, out=None):
@@ -220,10 +202,14 @@ def lift_sign(R, u):
     projective point u is ``s[..., None] * u``, which reproduces the input
     class bit for bit.  The sign is +1 where (R u).e_d > 0, -1 where it is
     < 0, and on the equator the one that yields the canonical representative.
+    (R u).e_d is summed over the d components by :func:`_lane_sum`, in the
+    order of numpy's ``einsum``, which is slow over a last axis this short.
     """
     R = np.asarray(R, dtype=float)
     u = np.asarray(u, dtype=float)
-    w_last = np.einsum("k,...k->...", R[-1, :], u)
+    w_last = _lane_sum(lambda k, buf: np.multiply(u[..., k], R[-1, k], out=buf),
+                       u.shape[-1], np.empty(u.shape[:-1]),
+                       np.empty(u.shape[:-1]))
     s = np.where(w_last > 0, 1.0, -1.0)
     eq = w_last == 0
     if np.any(eq):

@@ -60,11 +60,12 @@ def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
     Candidates are ranked by the finite-difference energy
     (:func:`embedded_tv`) of the lifted field in the requested metric, one
     at a time, from a stream of their signs in one metric of the face
-    kernel: u's two face chords |a - b| and |a + b| and their distances
-    are computed once, and each candidate picks its own by its sign
-    products s_i s_j.  The first minimizer is built as a field and
-    returned.  The expected energy of a random candidate already satisfies
-    the averaging bound, so the sample minimum does with margin.
+    kernel: u's projective face chords, the larger ones and their
+    distances are computed once, and each candidate copies the projective
+    ones and overwrites the faces its sign products s_i s_j flip.  The
+    first minimizer is built as a field and returned.  The expected energy
+    of a random candidate already satisfies the averaging bound, so the
+    sample minimum does with margin.
     """
     if u.kind != "proj":
         raise ValueError("rotation search expects a proj field")

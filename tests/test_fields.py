@@ -7,7 +7,7 @@ import pytest
 from bvlift import fields
 from bvlift.constants import k_const
 from bvlift.fields import (GridField, UnderResolvedError, _chord_rule,
-                           _energy_from_pair_sums, _pair_sums, _thread_count,
+                           _energy_from_pair_sums, _face_data, _pair_sums, _thread_count,
                            avg_directional_energy, default_jump_threshold,
                            directional_tv, embedded_tv,
                            mollified_energy, mollified_energy_extrapolated,
@@ -373,6 +373,60 @@ class TestEmbedded:
         e_n = embedded_tv(n, "euclidean_sphere")
         e_u = embedded_tv(u, "euclidean_tensor")
         assert e_n.total / e_u.total == pytest.approx(1 + 2 / np.pi, rel=0.02)
+
+
+def einsum_ac_part(f, metric, threshold):
+    """The smooth part of :func:`embedded_tv` with its Frobenius norms summed
+    by ``np.einsum``, from the face data of f."""
+    valid, dists, chords, proj = next(_face_data(f, metric))
+    steps = chord_distance(chords, "euclidean_tensor") if proj else chords
+    isjump = valid & (dists > threshold)
+    near_jump = np.zeros(f.dims, dtype=bool)
+    for a in range(f.N):
+        lo = tuple(slice(0, -1) if c == a else slice(None)
+                   for c in range(f.N))
+        hi = tuple(slice(1, None) if c == a else slice(None)
+                   for c in range(f.N))
+        near_jump[lo] |= isjump[lo + (a,)]
+        near_jump[hi] |= isjump[lo + (a,)]
+    frob = np.sqrt(np.einsum("...a,...a->...", steps, steps))
+    keep = valid.any(axis=-1) & ~near_jump
+    return float((f.spacing ** (f.N - 1) * frob)[keep].sum())
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_ac_part_equals_an_einsum_reference(N):
+    rng = np.random.default_rng(50 + N)
+    dims = (40, 9, 7)[:N]
+    # smooth: a sum of one random walk along each axis
+    g = sum(np.cumsum(0.1 * rng.standard_normal(n), axis=0).reshape(
+        [n if c == a else 1 for c in range(N)]) for a, n in enumerate(dims))
+    g = g + 1.4 * (rng.random(dims) < 0.05)  # cells across jump faces
+    vals = np.stack([np.cos(g), np.sin(g), 0.0 * g], axis=-1)
+    mask = rng.random(dims) < 0.9
+    mask.flat[0] = True
+    for kind, metric in (("proj", "geodesic"), ("proj", "euclidean_tensor"),
+                         ("unit", "euclidean_sphere")):
+        f = GridField(dims, 0.1, (0.0,) * N, kind, vals, mask)
+        rep = embedded_tv(f, metric)
+        assert rep.params["jump_faces"] > 0, (kind, metric)  # cells left out
+        assert rep.ac_part == einsum_ac_part(
+            f, metric, rep.params["jump_threshold"]), (kind, metric)
+
+
+def test_ac_part_of_one_corner_cell_equals_its_einsum_norm():
+    # the corner cell is the one owner of a valid face, so the smooth part
+    # is its Frobenius norm alone, where a summation order of the three
+    # squares other than einsum's shows
+    rng = np.random.default_rng(60)
+    mask = np.zeros((2, 2, 2), dtype=bool)
+    mask[0, 0, 0] = mask[1, 0, 0] = mask[0, 1, 0] = mask[0, 0, 1] = True
+    for _ in range(100):
+        vals = [1.0, 0.0, 0.0] + 0.3 * rng.standard_normal((2, 2, 2, 3))
+        vals /= np.linalg.norm(vals, axis=-1, keepdims=True)
+        f = GridField((2, 2, 2), 1.0, (0.0,) * 3, "unit", vals, mask)
+        rep = embedded_tv(f, "euclidean_sphere", jump_threshold=3.0)
+        assert rep.ac_part == einsum_ac_part(f, "euclidean_sphere", 3.0)
 
 
 class TestDetectJumps:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from bvlift.geometry import (canonicalize, dist_proj, dist_sphere,
-                             embed_tensor, eucl_jump_cost, haar_rotations,
+from bvlift.geometry import (_lane_sum, _lead_sign, canonicalize, dist_proj,
+                             dist_sphere, embed_tensor, eucl_jump_cost, haar_rotations,
                              lift_map_F, lift_sign, random_unit_vectors,
                              uniaxial_q)
 
@@ -234,6 +234,51 @@ class TestRotatedLifting:
             off = np.abs(w[:, -1]) > 1e-6
             direct = lift_map_F(w) @ R  # R^{-1} F(R u), R^{-1} = R^T
             assert np.allclose(lift_rot(R, u)[off], direct[off], atol=1e-12)
+
+
+class TestEinsumFreeSums:
+    """The two-lane sums that replace ``np.einsum`` over a short last axis
+    give its values bit for bit."""
+
+    @staticmethod
+    def near_equator(R, u):
+        """u with its component along R[-1] removed: (R u).e_d is of the
+        order of rounding, so its sign rides on the summation order."""
+        v = u - (u @ R[-1])[:, None] * R[-1]
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_lane_sum_is_in_einsum_order(self, d):
+        rng = np.random.default_rng(30 + d)
+        a = rng.standard_normal((4000, d))
+        r = rng.standard_normal(d)
+        out, tmp = np.empty(len(a)), np.empty(len(a))
+        dots = _lane_sum(lambda k, buf: np.multiply(a[:, k], r[k], out=buf),
+                         d, out, tmp)
+        assert np.array_equal(dots, np.einsum("k,...k->...", r, a))
+        squares = _lane_sum(lambda k, buf: np.square(a[:, k], out=buf),
+                            d, np.empty(len(a)), tmp)
+        assert np.array_equal(squares, np.einsum("...a,...a->...", a, a))
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_lift_sign_equals_the_einsum_formula(self, d):
+        rng = np.random.default_rng(40 + d)
+        # a Haar rotation, and one turning the (e_1, e_d) plane whose
+        # equator holds +-(0.8, 0, ..., 0, -0.6) and e_2, ..., e_{d-1}
+        # exactly; and the near-equator rows of random points
+        turn = np.eye(d)
+        turn[np.ix_([0, -1], [0, -1])] = [[0.8, -0.6], [0.6, 0.8]]
+        tie = np.zeros(d)
+        tie[[0, -1]] = 0.8, -0.6
+        for R in (haar_rotations(d, 1, rng)[0], turn):
+            u = random_unit_vectors(d, 2000, rng)
+            u = np.concatenate([u, self.near_equator(R, u), [tie, -tie],
+                                np.eye(d)[1:-1]])
+            w = np.einsum("k,...k->...", R[-1], u)
+            want = np.where(w == 0, _lead_sign(u), np.where(w > 0, 1.0, -1.0))
+            assert np.array_equal(lift_sign(R, u), want)
+            assert R is not turn or (w == 0).sum() >= d  # the exact ties
+            assert np.array_equal(lift_sign(R, u[0]), want[0])
 
 
 class TestHaarSampling:

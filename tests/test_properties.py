@@ -14,17 +14,21 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from bvlift import fields
 from bvlift.fields import (_ROWS_PER_WRITE, METRICS, GridField, _face_data,
-                           _face_energies, _half_offsets, _pair_sums,
+                           _face_energies, _half_offsets, _lattice_sums,
+                           _pair_sums,
                            avg_directional_energy, directional_tv,
                            embedded_tv, mollified_energy,
                            mollified_energy_extrapolated, read_field,
                            write_field)
 from bvlift.geometry import (canonicalize, chord, chord_distance, dist_proj,
-                             dist_sphere, eucl_jump_cost)
+                             dist_sphere, eucl_jump_cost, haar_rotations,
+                             lift_sign)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -318,9 +322,10 @@ def test_pair_sums_do_not_depend_on_the_thread_count(data):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_requests_sharing_a_pick_equal_single_requests(data):
-    # requests that read one chord share its pick: the unsigned ones, the
-    # projective ones, one sign array object given twice, and equal sign
-    # arrays that are distinct objects
+    # requests of one metric share its distances, which each lifting
+    # copies and patches: the unsigned ones, the projective ones, one sign
+    # array object given twice, and equal sign arrays that are distinct
+    # objects
     kind = data.draw(st.sampled_from(("proj", "unit")))
     u = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=4))
     rmax = data.draw(st.integers(1, 5))  # offsets past the grid too
@@ -339,7 +344,7 @@ def test_requests_sharing_a_pick_equal_single_requests(data):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_face_energies_of_a_stream_of_sign_requests(data):
-    # the liftings of one metric pick their chords and distances from
+    # the liftings of one metric patch their chords and distances from
     # those of f, computed once, and are drawn from the stream one at a time
     kind = data.draw(st.sampled_from(("proj", "unit")))
     u = data.draw(grid_fields(kind, N_choices=(1, 2, 3)))
@@ -361,6 +366,107 @@ def test_face_energies_of_a_stream_of_sign_requests(data):
             _lifting(u, s), metric, threshold).to_dict(), k
         assert len(drawn) == k + 1
     assert next(reports, None) is None
+
+
+# ---------------------------------------------------------------------------
+# the flip rule: a lifting s f reads f's projective chord, except on the
+# pairs where s_i s_j is not the sign of the smaller chord, which read the
+# larger one
+
+
+def _flip_cases():
+    """(field, signs) pairs of small grids on which many pairs flip."""
+    rng = np.random.default_rng(20)
+    dims = (6, 5)
+    mask = rng.random(dims) < 0.7
+    mask[0, 0] = True
+    cases = []
+    for kind in ("proj", "unit"):
+        for d in (2, 3):
+            # orthogonal representatives: |a - b| = |a + b| exactly
+            ties = np.eye(d)[rng.integers(0, d, dims)]
+            # a rough field: most random sign products flip its pairs
+            rough = _normalize(rng.standard_normal(dims + (d,)))
+            if kind == "unit":
+                ties *= rng.choice([-1.0, 1.0], dims + (1,))
+            for vals in (ties, rough):
+                for m in (None, mask):
+                    signs = rng.choice([-1.0, 1.0], dims)
+                    cases.append((GridField(dims, 0.5, (0.0, 0.0), kind,
+                                            vals, m), signs))
+    return cases
+
+
+@pytest.mark.parametrize("u, signs", _flip_cases())
+def test_flip_rule_pair_sums_equal_the_explicit_lifting(u, signs):
+    n = _lifting(u, signs)
+    requests = ([(m, signs) for m in _metrics(u.kind, True)]
+                + [(m, None) for m in _metrics(u.kind)])
+    want = [_reference_pair_sums(u if s is None else n, m, 3)
+            for m, s in requests]
+    assert _pair_sums(u, requests, 3) == want
+    for r, w in zip(requests, want):
+        assert _pair_sums(u, [r], 3) == [w], r
+
+
+@pytest.mark.parametrize("u, signs", _flip_cases())
+def test_flip_rule_face_data_equal_the_explicit_lifting(u, signs):
+    n = _lifting(u, signs)
+    for metric in _metrics(u.kind, True):
+        got = next(_face_data(u, metric, [signs]))
+        want = next(_face_data(n, metric))
+        for g, w in zip(got[:3], want[:3]):
+            assert np.array_equal(g, w), metric
+        (rep,) = _face_energies(u, metric, [signs])
+        assert rep.to_dict() == embedded_tv(n, metric).to_dict(), metric
+
+
+def test_unsigned_sphere_request_beside_a_projective_one():
+    # |a - b| of a rough unit field differs from the projective chord on
+    # about half its pairs, which the sphere request patches
+    rng = np.random.default_rng(21)
+    dims = (7, 6)
+    u = GridField(dims, 1.0, (0.0, 0.0), "unit",
+                  _normalize(rng.standard_normal(dims + (3,))))
+    requests = [("euclidean_tensor", None), ("euclidean_sphere", None),
+                ("geodesic", None)]
+    got = _pair_sums(u, requests, 4)
+    assert got == [_reference_pair_sums(u, m, 4) for m, _ in requests]
+
+
+@pytest.mark.parametrize("metric", ["geodesic", "euclidean_sphere"])
+def test_3d_stream_of_candidates_equals_the_explicit_liftings(metric):
+    rng = np.random.default_rng(22)
+    dims = (6, 5, 4)
+    rough = _normalize(rng.standard_normal(dims + (3,)))
+    u = GridField(dims, 0.25, (0.0, 0.0, 0.0), "proj", rough,
+                  rng.random(dims) < 0.8)
+    stream = [lift_sign(R, u.values) for R in haar_rotations(3, 4, rng)]
+    stream += [rng.choice([-1.0, 1.0], dims) for _ in range(3)]
+    reports = _face_energies(u, metric, iter(stream))
+    for k, s in enumerate(stream):
+        assert next(reports).to_dict() == embedded_tv(
+            _lifting(u, s), metric).to_dict(), k
+    assert next(reports, None) is None
+
+
+def test_offsets_past_the_grid_are_not_evaluated():
+    # radius 6 on a 5 x 3 grid: most offsets of the half ball have no pair
+    rng = np.random.default_rng(23)
+    u = GridField((5, 3), 1.0, (0.0, 0.0), "proj",
+                  _normalize(rng.standard_normal((5, 3, 2))))
+    fits = [off for off in _half_offsets(2, 6)
+            if all(abs(o) < n for o, n in zip(off, u.dims))]
+    with mock.patch.dict(os.environ, {"BVLIFT_THREADS": "1"}), \
+            mock.patch.object(fields, "_squared_chords",
+                              wraps=fields._squared_chords) as squares:
+        (got,) = _pair_sums(u, [("geodesic", None)], 6)
+    assert squares.call_count == len(fits) < len(got)
+    assert got == _reference_pair_sums(u, "geodesic", 6)
+    # with an axis, the row of an empty overlap has that axis's length
+    rows = _lattice_sums(u, [("geodesic", None)], [(0, 3), (5, 0)],
+                         axes=[0, 0])
+    assert [row[0].tolist() for row in rows] == [[0.0] * 5, []]
 
 
 def _savetxt_bytes(f, path):
