@@ -14,7 +14,8 @@ built from one-dimensional restrictions (:func:`directional_tv`,
 from the lattice-offset pair sums of one kernel (:func:`_lattice_sums`).
 An anisotropy-corrected finite difference total variation
 (:func:`embedded_tv`) estimates the plain embedded seminorm, whose
-absolutely continuous part they share, and counts its jump faces.
+absolutely continuous part they share, and counts its jump faces, from the
+face data of one field (:func:`_face_data`).
 """
 
 import json
@@ -547,58 +548,27 @@ def _forward_faces(dims):
         yield (a, *_offset_slices(off, dims))
 
 
-def _face_data(f, metric, signs=None):
-    """Forward-face validity, distances and chords of f, or lazily of each
-    lifting s f of an iterable ``signs`` of sign arrays.
+def _face_data(f, metric):
+    """Forward-face validity, distances and chords of f in one metric.
 
-    Yields ``(valid, dists, chords, proj)`` (see :func:`_chord_rule`),
-    arrays of shape ``dims + (N,)``, exactly 0 on faces leaving the mask
-    or the grid.  f's face chords and distances are computed once: the
-    projective ones (|a - b| for f in a metric that reads it), and for
-    liftings the larger ones too.  Each lifting copies the projective
-    arrays and overwrites the faces it flips as :func:`_lattice_sums`
-    does, one lifting's arrays at a time.
+    Returns ``(valid, dists, chords, proj)``: arrays of shape
+    ``dims + (N,)``, exactly 0 on faces leaving the mask or the grid, and
+    whether the chord is the projective one, min(|a - b|, |a + b|), rather
+    than |a - b| (see :func:`_chord_rule`).  A lifting's face sums are the
+    pair kernel's (:func:`_lattice_sums`) at the unit offsets.
     """
-    proj = _chord_rule(metric, f.kind, signs is not None)
+    proj = _chord_rule(metric, f.kind)
     inside = f.inside()
     comps = [f.values[..., k] for k in range(f.d)]
     valid = np.zeros(f.dims + (f.N,), dtype=bool)
-    minus = np.zeros(valid.shape)
-    plus = np.zeros(valid.shape) if proj or signs is not None else None
+    chords = np.zeros(valid.shape)
     for a, src, dst in _forward_faces(f.dims):
         ok = inside[src] & inside[dst]
         valid[src + (a,)] = ok
-        minus2, plus2 = _squared_chords(
-            [c[src] for c in comps], [c[dst] for c in comps], plus is not None)
-        minus[src + (a,)] = np.sqrt(minus2) * ok
-        if plus is not None:
-            plus[src + (a,)] = np.sqrt(plus2) * ok
-    del inside, ok, minus2, plus2  # the last axis's temporaries
-    chords = minus if plus is None else np.minimum(minus, plus)
-    flips = signs is not None and not proj  # else f's chord is read as is
-    if flips:
-        pref = minus <= plus
-        larger = np.maximum(minus, plus, out=plus).reshape(-1)
-    del minus, plus  # f's chords, before the distances are built
-    dists = chord_distance(chords, metric)
-    if not flips:
-        for _ in [None] if signs is None else signs:
-            yield valid, dists, chords, proj
-        return
-    larger_dists = chord_distance(larger, metric)
-    for s in signs:
-        pos = s > 0
-        flip = np.zeros(valid.shape, dtype=bool)
-        for a, src, dst in _forward_faces(f.dims):
-            np.equal(pos[src], pos[dst], out=flip[src + (a,)])
-        idx = np.flatnonzero(np.not_equal(flip, pref, out=flip))
-        s_chords = chords.copy()
-        s_chords.reshape(-1)[idx] = larger[idx]
-        # a euclidean_sphere distance is the chord itself
-        s_dists = s_chords if dists is chords else dists.copy()
-        s_dists.reshape(-1)[idx] = larger_dists[idx]
-        yield valid, s_dists, s_chords, proj
-        del pos, flip, idx, s_chords, s_dists  # before the next lifting's
+        m2, p2 = _squared_chords(
+            [c[src] for c in comps], [c[dst] for c in comps], proj)
+        chords[src + (a,)] = np.sqrt(np.minimum(m2, p2) if proj else m2) * ok
+    return valid, chord_distance(chords, metric), chords, proj
 
 
 def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
@@ -615,51 +585,41 @@ def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
     ``max(pi/4, 8 x median step angle)``, capped at the top of the metric's
     range: pi, or pi/2 when the chord is projective (beyond pi/2 the tensor
     distance sin(theta) falls again).  An explicit threshold must be finite
-    and positive.
+    and positive.  The face data is :func:`_face_data`'s.
     """
-    return next(_face_energies(f, metric, jump_threshold=jump_threshold))
-
-
-def _face_energies(f, metric, signs=None, jump_threshold=None):
-    """:func:`embedded_tv` report of f, or lazily of each lifting s f of an
-    iterable ``signs`` of sign arrays, from :func:`_face_data`."""
     if jump_threshold is not None and not (
             np.isfinite(jump_threshold) and jump_threshold > 0):
         raise ValueError("jump threshold must be finite and positive, "
                          f"got {jump_threshold}")
     h = f.spacing
-    owner = None
-    for valid, dists, chords, proj in _face_data(f, metric, signs):
-        if owner is None:  # the cells of a valid face, alike for all liftings
-            owner = valid.any(axis=-1)
-        # embedded step: the chord, or the step sin(theta) of the tensor
-        # embedding (1/sqrt 2) n (x) n when the chord is projective
-        steps = chord_distance(chords, "euclidean_tensor") if proj else chords
-        threshold = jump_threshold
-        if threshold is None:
-            # the step angle 2 arcsin(q/2) is monotone in the chord q; the
-            # median partitions its temporary copy of the valid chords in place
-            med = (float(chord_distance(
-                np.median(chords[valid], overwrite_input=True), "geodesic"))
-                if valid.any() else 0.0)
-            threshold = default_jump_threshold(
-                metric, min(max(np.pi / 4.0, 8.0 * med),
-                            np.pi / 2 if proj else np.pi))
-        isjump = valid & (dists > threshold)
+    valid, dists, chords, proj = _face_data(f, metric)
+    # embedded step: the chord, or the step sin(theta) of the tensor
+    # embedding (1/sqrt 2) n (x) n when the chord is projective
+    steps = chord_distance(chords, "euclidean_tensor") if proj else chords
+    threshold = jump_threshold
+    if threshold is None:
+        # the step angle 2 arcsin(q/2) is monotone in the chord q; the
+        # median partitions its temporary copy of the valid chords in place
+        med = (float(chord_distance(
+            np.median(chords[valid], overwrite_input=True), "geodesic"))
+            if valid.any() else 0.0)
+        threshold = default_jump_threshold(
+            metric, min(max(np.pi / 4.0, 8.0 * med),
+                        np.pi / 2 if proj else np.pi))
+    isjump = valid & (dists > threshold)
 
-        # a cell is excluded from the smooth sum if any face it touches jumps
-        near_jump = np.zeros(f.dims, dtype=bool)
-        for a, src, dst in _forward_faces(f.dims):
-            ja = isjump[src + (a,)]
-            near_jump[src] |= ja
-            near_jump[dst] |= ja
+    # a cell is excluded from the smooth sum if any face it touches jumps
+    near_jump = np.zeros(f.dims, dtype=bool)
+    for a, src, dst in _forward_faces(f.dims):
+        ja = isjump[src + (a,)]
+        near_jump[src] |= ja
+        near_jump[dst] |= ja
 
-        frob = np.sqrt(_lane_sum(lambda a, buf: np.square(
-            steps[..., a], out=buf), f.N, np.empty(f.dims), np.empty(f.dims)))
-        ac = float((h ** (f.N - 1) * frob)[owner & ~near_jump].sum())
-        jump = float((dists[isjump]).sum() * h ** (f.N - 1))
-        yield EnergyReport(ac + jump, metric, "embedded_tv",
-                           ac_part=ac, jump_part=jump,
-                           params={"jump_threshold": float(threshold),
-                                   "jump_faces": int(isjump.sum())})
-        del dists, chords, steps, isjump, near_jump, frob
+    frob = np.sqrt(_lane_sum(lambda a, buf: np.square(
+        steps[..., a], out=buf), f.N, np.empty(f.dims), np.empty(f.dims)))
+    ac = float((h ** (f.N - 1) * frob)[valid.any(axis=-1) & ~near_jump].sum())
+    jump = float((dists[isjump]).sum() * h ** (f.N - 1))
+    return EnergyReport(ac + jump, metric, "embedded_tv",
+                        ac_part=ac, jump_part=jump,
+                        params={"jump_threshold": float(threshold),
+                                "jump_faces": int(isjump.sum())})

@@ -60,8 +60,9 @@ def _lane_sum(term, n, out, tmp):
     """``out`` = the sum over k < n of ``term(k, buf)``, which writes term k
     into the array ``buf`` and returns it; ``tmp`` is scratch.
 
-    The even and the odd terms are summed in two lanes that are added last,
-    the order of numpy's ``einsum`` over a last axis of length 1 to 7.
+    The terms 0, 2, 4, ... and 1, 3, 5, ... are summed in turn in two lanes,
+    and the odd lane is added to the even one last: the order of numpy
+    2.4's ``einsum`` over a last axis of length 1 to 7.
     """
     term(0, out)
     for k in range(2, n, 2):
@@ -202,8 +203,8 @@ def lift_sign(R, u):
     projective point u is ``s[..., None] * u``, which reproduces the input
     class bit for bit.  The sign is +1 where (R u).e_d > 0, -1 where it is
     < 0, and on the equator the one that yields the canonical representative.
-    (R u).e_d is summed over the d components by :func:`_lane_sum`, in the
-    order of numpy's ``einsum``, which is slow over a last axis this short.
+    (R u).e_d is summed over the d components in :func:`_lane_sum`'s
+    order: ``einsum`` is slow over a last axis this short.
     """
     R = np.asarray(R, dtype=float)
     u = np.asarray(u, dtype=float)

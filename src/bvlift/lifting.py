@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg
 
-from .fields import (EnergyReport, GridField, _face_energies,
+from .fields import (EnergyReport, GridField, _half_offsets, _lattice_sums,
                      avg_directional_energy, embedded_tv)
 from .geometry import canonicalize, dist_proj, haar_rotations, lift_sign
 
@@ -34,6 +34,7 @@ __all__ = [
 
 
 _LAPLACE_TOL = 1e-10  # maximal residual of the harmonic extension
+_RANK_GROUP = 64  # rotation candidates ranked per pair-kernel call
 
 
 class BoundaryMismatchError(ValueError):
@@ -57,15 +58,14 @@ def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
     """Best-of-``trials`` Haar-sampled rotation liftings of a line field.
 
     Each rotation R induces the cellwise lifting s u with s = sgn((R u).e_d).
-    Candidates are ranked by the finite-difference energy
-    (:func:`embedded_tv`) of the lifted field in the requested metric, one
-    at a time, from a stream of their signs in one metric of the face
-    kernel: u's projective face chords, the larger ones and their
-    distances are computed once, and each candidate copies the projective
-    ones and overwrites the faces its sign products s_i s_j flip.  The
-    first minimizer is built as a field and returned.  The expected energy
-    of a random candidate already satisfies the averaging bound, so the
-    sample minimum does with margin.
+    Candidates are ranked by their face sums, the pair distances of s u
+    over the forward faces (the unit offsets) in the requested metric,
+    which the averaging bound controls.  The pair kernel
+    (:func:`_lattice_sums`) takes ``_RANK_GROUP`` candidates per call, so
+    memory does not grow with ``trials``.  The first minimizer is built as
+    a field and reported by :func:`embedded_tv`.  The expected face sum of
+    a random candidate already satisfies the bound, so the sample minimum
+    does with margin.
     """
     if u.kind != "proj":
         raise ValueError("rotation search expects a proj field")
@@ -75,10 +75,14 @@ def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
     # both Euclidean requests rank by the sphere chord energy: the tensor
     # energy of a lifting is that of its projection, the same for all
     rank = "geodesic" if metric == "geodesic" else "euclidean_sphere"
-    reports = _face_energies(u, rank, (lift_sign(R, u.values) for R in rots))
-    rep, R = min(zip(reports, rots), key=lambda c: c[0].total)
+    faces = _half_offsets(u.N, 1)
+    # per face offset a row of one sum per candidate; bool signs are small
+    totals = np.concatenate([np.sum(_lattice_sums(u, [
+        (rank, lift_sign(R, u.values) > 0) for R in rots[i:i + _RANK_GROUP]],
+        faces), axis=0) for i in range(0, trials, _RANK_GROUP)])
+    R = rots[np.argmin(totals)]
     n = u.with_values(u.values * lift_sign(R, u.values)[..., None], kind="unit")
-    return LiftResult(field=n, energy=rep, rotation=R,
+    return LiftResult(field=n, energy=embedded_tv(n, rank), rotation=R,
                       projection_check=_projection_check(n, u))
 
 

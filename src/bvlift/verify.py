@@ -445,7 +445,7 @@ def run_diffuse_invariance_suite(seed=0, csv_dir=None, grids=(128, 256),
     h, r, theta = _polar_cells(grid)
     # per-cell length of the forward-difference gradient of n and of [n]:
     # the Euclidean face distances are the embedded steps
-    gn, gu = (np.linalg.norm(next(_face_data(f, m))[1], axis=-1) / h
+    gn, gu = (np.linalg.norm(_face_data(f, m)[1], axis=-1) / h
               for f, m in ((n, "euclidean_sphere"), (u, "euclidean_tensor")))
     ok = (u.inside() & (r < 1.0 - 2 * h) & (r > 0.2)
           & (theta > 0.2) & (theta < 2 * np.pi - 0.2))

@@ -249,7 +249,7 @@ class TestEnergy:
         ("mollified", [mollified_energy_extrapolated,
                        lambda f, m: mollified_energy(f, 8 * f.spacing, m)]),
         ("directional", [lambda f, m: avg_directional_energy(f, metric=m)]),
-        ("embedded", [embedded_tv, lambda f, m: next(_face_data(f, m))])],
+        ("embedded", [embedded_tv, _face_data])],
         ids=["mollified", "directional", "embedded"])
     def test_sphere_metric_on_a_line_field_exit_2(self, hv_path, capfd,
                                                   estimator, kernels):

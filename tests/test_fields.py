@@ -376,9 +376,10 @@ class TestEmbedded:
 
 
 def einsum_ac_part(f, metric, threshold):
-    """The smooth part of :func:`embedded_tv` with its Frobenius norms summed
-    by ``np.einsum``, from the face data of f."""
-    valid, dists, chords, proj = next(_face_data(f, metric))
+    """The smooth part of :func:`embedded_tv` from the face data of f, with
+    its Frobenius norms summed in two lanes: the squares of the even axes,
+    those of the odd axes, then both (einsum's order on numpy 2.4)."""
+    valid, dists, chords, proj = _face_data(f, metric)
     steps = chord_distance(chords, "euclidean_tensor") if proj else chords
     isjump = valid & (dists > threshold)
     near_jump = np.zeros(f.dims, dtype=bool)
@@ -389,7 +390,8 @@ def einsum_ac_part(f, metric, threshold):
                    for c in range(f.N))
         near_jump[lo] |= isjump[lo + (a,)]
         near_jump[hi] |= isjump[lo + (a,)]
-    frob = np.sqrt(np.einsum("...a,...a->...", steps, steps))
+    frob = np.sqrt(sum(steps[..., a] ** 2 for a in range(0, f.N, 2))
+                   + sum(steps[..., a] ** 2 for a in range(1, f.N, 2)))
     keep = valid.any(axis=-1) & ~near_jump
     return float((f.spacing ** (f.N - 1) * frob)[keep].sum())
 
@@ -417,7 +419,7 @@ def test_ac_part_equals_an_einsum_reference(N):
 def test_ac_part_of_one_corner_cell_equals_its_einsum_norm():
     # the corner cell is the one owner of a valid face, so the smooth part
     # is its Frobenius norm alone, where a summation order of the three
-    # squares other than einsum's shows
+    # squares other than the two lanes' shows
     rng = np.random.default_rng(60)
     mask = np.zeros((2, 2, 2), dtype=bool)
     mask[0, 0, 0] = mask[1, 0, 0] = mask[0, 1, 0] = mask[0, 0, 1] = True

@@ -1,12 +1,14 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvlift import lifting
-from bvlift.fields import (GridField, _face_data, _face_energies,
+from bvlift import fields
+from bvlift.fields import (GridField, _face_data, _pair_sums,
                            avg_directional_energy, default_jump_threshold,
                            embedded_tv)
 from bvlift.geometry import (canonicalize, chord, chord_distance,
@@ -206,8 +208,10 @@ class TestRotationSearch:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_ranking_equals_embedded_tv_of_each_candidate(self, data):
-        # the ranking reads a candidate's face chords from u's through the
-        # sign products; a reference loop builds every candidate lifting
+        # each candidate's total is the face sum of its explicit lifting
+        # (its pair sums at the unit offsets), whether the pair kernel gets
+        # the candidates in one group or in several; the first minimum is
+        # built, and its embedded_tv is the reported energy
         N = data.draw(st.sampled_from((1, 2, 3)))
         dims = tuple(data.draw(st.integers(2, 6)) for _ in range(N))
         d = data.draw(st.sampled_from((2, 3)))
@@ -222,26 +226,37 @@ class TestRotationSearch:
         metric = data.draw(st.sampled_from(
             ("geodesic", "euclidean_sphere", "euclidean_tensor")))
         rank = "geodesic" if metric == "geodesic" else "euclidean_sphere"
-        rots = haar_rotations(d, 6, seed)
-        # rough fields jump nowhere at the default threshold, so only a
-        # drawn one brings the candidates' distances into their reports
-        t = data.draw(st.floats(0.01, 3.0))
-        for threshold in (t, None):  # the search ranks at the default, last
-            want = []
-            for R in rots:
-                s = lift_sign(R, u.values)
-                n = u.with_values(u.values * s[..., None], kind="unit")
-                want.append(embedded_tv(n, rank, threshold).to_dict())
-            got = [rep.to_dict() for rep in _face_energies(
-                u, rank, (lift_sign(R, u.values) for R in rots), threshold)]
-            assert got == want, threshold
-        best = int(np.argmin([w["total"] for w in want]))  # first minimum
-        res = lift_rotation_search(u, trials=6, seed=seed, metric=metric)
-        assert np.array_equal(res.rotation, rots[best])
-        assert res.energy.to_dict() == want[best]
-        assert np.array_equal(
-            res.field.values, u.values * lift_sign(rots[best], u.values)[
-                ..., None])
+        rots = haar_rotations(d, 5, seed)
+        liftings = [u.with_values(u.values * lift_sign(R, u.values)[..., None],
+                                  kind="unit") for R in rots]
+        want = [sum(_pair_sums(n, [(rank, None)], 1)[0].values())
+                for n in liftings]
+        best = int(np.argmin(want))  # the first minimum
+        # a constant field's candidates all sum to 0: the first one is kept
+        const = u.with_values(np.broadcast_to(u.values.reshape(-1, d)[0],
+                                              u.values.shape))
+        for group, sizes in ((64, [5]), (2, [2, 2, 1])):
+            calls = []
+
+            def kernel(*args):
+                calls.append(fields._lattice_sums(*args))
+                return calls[-1]
+
+            with mock.patch.object(lifting, "_RANK_GROUP", group), \
+                    mock.patch.object(lifting, "_lattice_sums", kernel):
+                res = lift_rotation_search(u, trials=5, seed=seed,
+                                           metric=metric)
+                assert [len(rows[0]) for rows in calls] == sizes
+                assert [sum(col) for rows in calls
+                        for col in zip(*rows)] == want
+                flat = lift_rotation_search(const, trials=5, seed=seed,
+                                            metric=metric)
+            assert np.array_equal(res.rotation, rots[best])
+            assert np.array_equal(res.field.values, liftings[best].values)
+            assert res.energy.to_dict() == embedded_tv(
+                liftings[best], rank).to_dict()
+            assert np.array_equal(flat.rotation, rots[0])
+            assert flat.energy.total == 0.0
 
     def test_antipodal_traces_at_lifting_jumps(self):
         # where the projected field is smooth, a lifting jumps between
@@ -252,7 +267,7 @@ class TestRotationSearch:
         h = u.spacing
 
         def jump_faces(f, metric):  # faces past the step of angle pi/4
-            valid, dists, *_ = next(_face_data(f, metric))
+            valid, dists, *_ = _face_data(f, metric)
             return valid & (dists > default_jump_threshold(metric)), dists
 
         proj_jumps, _ = jump_faces(u, "euclidean_tensor")

@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from bvlift import fields
 from bvlift.fields import (_ROWS_PER_WRITE, METRICS, GridField, _face_data,
-                           _face_energies, _half_offsets, _lattice_sums,
+                           _forward_faces, _half_offsets, _lattice_sums,
                            _pair_sums,
                            avg_directional_energy, directional_tv,
                            embedded_tv, mollified_energy,
@@ -128,7 +128,7 @@ def test_lifting_distances_never_below_its_projection(data):
         assert np.all(_distance(metric, "unit")(a, b)
                       >= _distance(metric, "proj")(ca, cb)), metric
     for metric in _metrics("proj"):
-        dn, du = (next(_face_data(f, metric))[1] for f in (n, u))
+        dn, du = (_face_data(f, metric)[1] for f in (n, u))
         assert np.all(dn >= du), metric
         (sn,), (su,) = (_pair_sums(f, [(metric, None)], rmax)
                         for f in (n, u))
@@ -280,26 +280,6 @@ def _lifting(u, signs):
                          kind="unit" if u.kind == "proj" else u.kind)
 
 
-@SETTINGS
-@given(st.data())
-def test_face_energies_equal_embedded_tv_of_each_request(data):
-    # f itself and one lifting s f, each as its explicit field, in every
-    # metric the kind allows without and with signs
-    kind = data.draw(st.sampled_from(("proj", "unit")))
-    u = data.draw(grid_fields(kind, N_choices=(1, 2, 3)))
-    signs = np.where(data.draw(hnp.arrays(bool, u.dims)), -1.0, 1.0)
-    threshold = data.draw(st.one_of(st.none(), st.floats(0.01, 3.0)))
-    for metric in _metrics(kind):
-        got = [rep.to_dict() for rep in _face_energies(
-            u, metric, jump_threshold=threshold)]
-        assert got == [embedded_tv(u, metric, threshold).to_dict()], metric
-    for metric in _metrics(kind, True):
-        got = [rep.to_dict() for rep in _face_energies(
-            u, metric, [signs], threshold)]
-        assert got == [embedded_tv(_lifting(u, signs), metric,
-                                   threshold).to_dict()], metric
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_pair_sums_do_not_depend_on_the_thread_count(data):
@@ -339,33 +319,6 @@ def test_requests_sharing_a_pick_equal_single_requests(data):
         with mock.patch.dict(os.environ, {"BVLIFT_THREADS": threads}):
             got = _pair_sums(u, requests, rmax)
         assert [list(sums.items()) for sums in got] == want, threads
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_face_energies_of_a_stream_of_sign_requests(data):
-    # the liftings of one metric patch their chords and distances from
-    # those of f, computed once, and are drawn from the stream one at a time
-    kind = data.draw(st.sampled_from(("proj", "unit")))
-    u = data.draw(grid_fields(kind, N_choices=(1, 2, 3)))
-    metric = data.draw(st.sampled_from(_metrics(kind, True)))
-    stream = [np.where(data.draw(hnp.arrays(bool, u.dims)), -1.0, 1.0)
-              for _ in range(data.draw(st.integers(2, 6)))]
-    # random fields jump by more than the default threshold's cap nowhere
-    threshold = data.draw(st.one_of(st.none(), st.floats(0.01, 3.0)))
-    drawn = []
-
-    def signs():
-        for s in stream:
-            drawn.append(s)
-            yield s
-
-    reports = _face_energies(u, metric, signs(), threshold)
-    for k, s in enumerate(stream):
-        assert next(reports).to_dict() == embedded_tv(
-            _lifting(u, s), metric, threshold).to_dict(), k
-        assert len(drawn) == k + 1
-    assert next(reports, None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +364,16 @@ def test_flip_rule_pair_sums_equal_the_explicit_lifting(u, signs):
 
 @pytest.mark.parametrize("u, signs", _flip_cases())
 def test_flip_rule_face_data_equal_the_explicit_lifting(u, signs):
+    # the face distances of the explicit lifting, summed axis by axis over
+    # the overlap's shape, are the pair kernel's sums of the flipped
+    # request at the unit offsets
     n = _lifting(u, signs)
+    units = [tuple(e) for e in np.eye(u.N, dtype=int).tolist()]
     for metric in _metrics(u.kind, True):
-        got = next(_face_data(u, metric, [signs]))
-        want = next(_face_data(n, metric))
-        for g, w in zip(got[:3], want[:3]):
-            assert np.array_equal(g, w), metric
-        (rep,) = _face_energies(u, metric, [signs])
-        assert rep.to_dict() == embedded_tv(n, metric).to_dict(), metric
+        dists = _face_data(n, metric)[1]
+        want = [[float(np.ascontiguousarray(dists[src + (a,)]).sum())]
+                for a, src, _ in _forward_faces(u.dims)]
+        assert _lattice_sums(u, [(metric, signs)], units) == want, metric
 
 
 def test_unsigned_sphere_request_beside_a_projective_one():
@@ -436,6 +391,8 @@ def test_unsigned_sphere_request_beside_a_projective_one():
 
 @pytest.mark.parametrize("metric", ["geodesic", "euclidean_sphere"])
 def test_3d_stream_of_candidates_equals_the_explicit_liftings(metric):
+    # candidates as the rotation search sends them, boolean signs in one
+    # pair-kernel call at the unit offsets, each read as its lifting
     rng = np.random.default_rng(22)
     dims = (6, 5, 4)
     rough = _normalize(rng.standard_normal(dims + (3,)))
@@ -443,11 +400,9 @@ def test_3d_stream_of_candidates_equals_the_explicit_liftings(metric):
                   rng.random(dims) < 0.8)
     stream = [lift_sign(R, u.values) for R in haar_rotations(3, 4, rng)]
     stream += [rng.choice([-1.0, 1.0], dims) for _ in range(3)]
-    reports = _face_energies(u, metric, iter(stream))
-    for k, s in enumerate(stream):
-        assert next(reports).to_dict() == embedded_tv(
-            _lifting(u, s), metric).to_dict(), k
-    assert next(reports, None) is None
+    got = _pair_sums(u, [(metric, s > 0) for s in stream], 1)
+    assert got == [_reference_pair_sums(_lifting(u, s), metric, 1)
+                   for s in stream]
 
 
 def test_offsets_past_the_grid_are_not_evaluated():
