@@ -244,11 +244,12 @@ def read_field(path):
 
 def _half_offsets(N, rmax):
     """Lattice offsets with 0 < |k| <= rmax, one per {k, -k} pair: the one
-    whose first nonzero component is positive, in lexicographic order."""
+    whose first nonzero component is positive, in lexicographic order, as
+    the rows of a ``(count, N)`` int array."""
     k = np.indices((2 * rmax + 1,) * N).reshape(N, -1).T - rmax
     lead = k[np.arange(len(k)), (k != 0).argmax(axis=1)]
     keep = (lead > 0) & ((k * k).sum(axis=1) <= rmax * rmax)
-    return [tuple(off) for off in k[keep].tolist()]
+    return k[keep]
 
 
 def _offset_slices(off, dims):
@@ -286,10 +287,11 @@ def _lattice_sums(f, requests, offsets, axes=None):
 
     Returns one row per offset of one value per ``(metric, signs)``
     request, of f for signs None, else of the lifting s f (see
-    :func:`_chord_rule`): the offset's sum, or with ``axes`` (one layer
-    axis per offset) the new array of its sums S[k] by the layer k along
-    its axis of the lower cell.  An offset past the grid gets its row of
-    zeros without a pass.
+    :func:`_chord_rule`; s_i = s_j marks the same pairs whether s holds
+    +-1 floats or booleans): the ``(offsets, requests)`` array of sums, or
+    with ``axes`` (one layer axis per offset) rows of the new arrays of
+    sums S[k] by the layer k along the axis of the lower cell.  Offsets
+    past the grid get their rows of zeros before the thread split.
     Per offset the squared chords |a - b|^2 and |a + b|^2 are computed
     once, on contiguous component planes, then the projective chord (the
     smaller; |a - b| if every request reads that), set to 0 on the pairs
@@ -300,16 +302,16 @@ def _lattice_sums(f, requests, offsets, axes=None):
     not the sign of the smaller chord, gathered by index, with the
     distances of the larger chord.
 
-    Thread i of t = min(:func:`_thread_count`, offsets) threads sums the
-    offsets i, i + t, i + 2t, ... into buffers it allocates once; for
+    Thread i of t = min(:func:`_thread_count`, offsets with pairs) threads
+    sums their i-th, (i + t)-th, ... into buffers it allocates once; for
     t <= 1 the calling thread does, and no pool starts.  Each offset's
     sums are computed by one thread alone, over a C-contiguous array of the
     overlap's shape, so they are the same bit for bit whatever the count.
     """
     # per request: None if it reads the projective chord, else where it
-    # reads |a - b|: everywhere (True) or where s_i s_j = +1 (s > 0)
+    # reads |a - b|: everywhere (True) or where s_i = s_j (the signs s)
     rules = [None if _chord_rule(metric, f.kind, signs is not None)
-             else True if signs is None else signs > 0
+             else True if signs is None else signs
              for metric, signs in requests]
     plus = any(rule is not True for rule in rules)  # else all read |a - b|
     patched = plus and any(rule is not None for rule in rules)
@@ -320,10 +322,7 @@ def _lattice_sums(f, requests, offsets, axes=None):
     planes = [np.ascontiguousarray(f.values[..., k]) for k in range(f.d)]
 
     def offset_sums(off, axis, buf):
-        shape = tuple(max(0, n - abs(o)) for o, n in zip(off, f.dims))
-        if 0 in shape:
-            return [0.0 if axis is None else np.zeros(shape[axis])
-                    for _ in requests]
+        shape = tuple(n - abs(o) for o, n in zip(off, f.dims))
         src, dst = _offset_slices(off, f.dims)
         m2, p2, q, dist, copy, ok, pref, flip = (
             None if b is None else b[:math.prod(shape)].reshape(shape)
@@ -362,52 +361,56 @@ def _lattice_sums(f, requests, offsets, axes=None):
         buf = [np.empty(n) if need else None for need in (
             True, plus, True, True, patched)] + [
                 np.empty(n, bool) for _ in range(3)]  # ok, pref, flip
-        return [offset_sums(off, axis, buf) for off, axis in part]
+        for i, off in part:
+            out[i] = offset_sums(off, None if axes is None else axes[i], buf)
 
-    jobs = list(zip(offsets, axes or [None] * len(offsets)))
+    offsets = np.reshape(offsets, (-1, f.N))
+    shapes = np.maximum(np.subtract(f.dims, np.abs(offsets)), 0)  # overlaps
+    fits = np.flatnonzero(shapes.all(axis=1))
+    out = (np.zeros((len(offsets), len(requests))) if axes is None else [
+        [np.zeros(s[a])] * len(requests) for s, a in zip(shapes, axes)])
+    jobs = list(zip(fits.tolist(), offsets[fits].tolist()))
     t = min(_thread_count(), len(jobs))
     if t <= 1:
-        return part_sums(jobs)
-    with ThreadPoolExecutor(max_workers=t) as ex:
-        parts = list(ex.map(part_sums, [jobs[i::t] for i in range(t)]))
-    return [parts[i % t][i // t] for i in range(len(jobs))]
+        part_sums(jobs)
+    else:
+        with ThreadPoolExecutor(max_workers=t) as ex:  # a worker's error raises
+            list(ex.map(part_sums, [jobs[i::t] for i in range(t)]))
+    return out
 
 
 def _pair_sums(f, requests, rmax):
     """Sums of pair distances for every half-lattice offset up to rmax
-    cells: :func:`_lattice_sums` over :func:`_half_offsets`, as one
-    ``{offset: sum}`` dict per ``(metric, signs)`` request."""
+    cells: the :func:`_half_offsets` array and the ``(offsets, requests)``
+    array of their :func:`_lattice_sums`."""
     offsets = _half_offsets(f.N, rmax)
-    rows = _lattice_sums(f, requests, offsets)  # rmax >= 1: never empty
-    return [dict(zip(offsets, sums)) for sums in zip(*rows)]
+    return offsets, _lattice_sums(f, requests, offsets)
 
 
-def _energy_from_pair_sums(sums, eps, h, N):
-    tot = 0.0
-    count = 0
-    for off, s in sums.items():
-        r = math.hypot(*off) * h
-        if r <= eps:
-            tot += 2.0 * s / r
-            count += 2
-    # kernel mass normalized exactly on the lattice ball (the center cell,
-    # whose integrand vanishes, is excluded)
-    rho = 1.0 / (count * h ** N)
-    return tot * rho * h ** (2 * N)
-
-
-def _mollifier_pair_sums(f, requests, eps):
-    """:func:`_pair_sums` of the requests out to the largest radius in
-    ``eps``.  A radius below two cells (which includes eps <= 0) is rejected
-    as under-resolved, a non-finite radius as malformed."""
-    h = f.spacing
+def _mollified_energies(f, requests, eps):
+    """The ``(requests, radii)`` array of :func:`mollified_energy` of each
+    ``(metric, signs)`` request at each radius of ``eps``, with its radius
+    checks, from one pass of :func:`_pair_sums`.  The offsets k (for
+    {k, -k}) with r = |k| h <= eps add 2 s_k / r of their sum s_k in offset
+    order; the kernel mass is normalized on the lattice ball, without the
+    center cell, whose integrand vanishes.
+    """
+    h, N = f.spacing, f.N
     if not np.all(np.isfinite(eps)):
         raise ValueError(f"mollifier eps must be finite, got {list(eps)}")
     if min(eps) < 2.0 * h:
         raise UnderResolvedError(
             f"mollifier eps {min(eps)} under-resolved by grid spacing {h}")
     # all |k| <= eps/h; m h / h may round up
-    return _pair_sums(f, requests, math.ceil(max(eps) / h - 1e-9))
+    offsets, sums = _pair_sums(f, requests, math.ceil(max(eps) / h - 1e-9))
+    r = np.sqrt((offsets * offsets).sum(axis=1)) * h  # |k|^2 is exact
+    terms = 2.0 * sums / r[:, None]
+    energies = []
+    for e in eps:
+        ball = r <= e  # never empty: r = h at the unit offsets
+        rho = 1.0 / (2 * int(ball.sum()) * h ** N)
+        energies.append(np.cumsum(terms[ball], 0)[-1] * rho * h ** (2 * N))
+    return np.array(energies).T
 
 
 def mollified_energy(f, eps, metric="geodesic"):
@@ -419,8 +422,7 @@ def mollified_energy(f, eps, metric="geodesic"):
     two cells (which includes eps <= 0) is rejected as under-resolved, a
     non-finite radius as malformed.
     """
-    (sums,) = _mollifier_pair_sums(f, [(metric, None)], [eps])
-    total = _energy_from_pair_sums(sums, eps, f.spacing, f.N)
+    total = float(_mollified_energies(f, [(metric, None)], [eps])[0, 0])
     return EnergyReport(total, metric, "mollified",
                         params={"eps": eps, "eps_over_h": eps / f.spacing})
 
@@ -437,7 +439,7 @@ def mollified_energy_extrapolated(f, metric="geodesic", multipliers=(8, 16, 32))
 
 def _extrapolated_energies(f, requests, multipliers=(8, 16, 32)):
     """:func:`mollified_energy_extrapolated` of each ``(metric, signs)``
-    request of :func:`_pair_sums`, all from one pair pass."""
+    request of :func:`_lattice_sums`, all from one pair pass."""
     multipliers = sorted(multipliers)
     if len(set(multipliers)) < 2:
         raise ValueError("extrapolation needs two distinct mollifier "
@@ -446,9 +448,7 @@ def _extrapolated_energies(f, requests, multipliers=(8, 16, 32)):
     eps = np.array([m * h for m in multipliers])
     A = np.vstack([np.ones_like(eps), eps]).T
     reports = []
-    for (metric, _), sums in zip(requests, _mollifier_pair_sums(
-            f, requests, eps)):
-        es = np.array([_energy_from_pair_sums(sums, e, h, f.N) for e in eps])
+    for (metric, _), es in zip(requests, _mollified_energies(f, requests, eps)):
         coef, *_ = np.linalg.lstsq(A, es, rcond=None)
         reports.append(EnergyReport(
             float(coef[0]), metric, "mollified",

@@ -77,9 +77,9 @@ def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
     rank = "geodesic" if metric == "geodesic" else "euclidean_sphere"
     faces = _half_offsets(u.N, 1)
     # per face offset a row of one sum per candidate; bool signs are small
-    totals = np.concatenate([np.sum(_lattice_sums(u, [
+    totals = np.concatenate([_lattice_sums(u, [
         (rank, lift_sign(R, u.values) > 0) for R in rots[i:i + _RANK_GROUP]],
-        faces), axis=0) for i in range(0, trials, _RANK_GROUP)])
+        faces).sum(axis=0) for i in range(0, trials, _RANK_GROUP)])
     R = rots[np.argmin(totals)]
     n = u.with_values(u.values * lift_sign(R, u.values)[..., None], kind="unit")
     return LiftResult(field=n, energy=embedded_tv(n, rank), rotation=R,

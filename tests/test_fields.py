@@ -7,7 +7,7 @@ import pytest
 from bvlift import fields
 from bvlift.constants import k_const
 from bvlift.fields import (GridField, UnderResolvedError, _chord_rule,
-                           _energy_from_pair_sums, _face_data, _pair_sums, _thread_count,
+                           _face_data, _pair_sums, _thread_count,
                            avg_directional_energy, default_jump_threshold,
                            directional_tv, embedded_tv,
                            mollified_energy, mollified_energy_extrapolated,
@@ -15,6 +15,7 @@ from bvlift.fields import (GridField, UnderResolvedError, _chord_rule,
 from bvlift.geometry import chord, chord_distance
 from bvlift.lifting import lift_greedy_1d, lift_rotation_search
 from bvlift.verify import make_half_vortex, make_half_vortex_lifting
+from test_properties import _loop_mollified_energy
 
 K2 = k_const(2).value
 
@@ -184,11 +185,12 @@ class TestMollified:
         # offsets reaching past the grid have no pairs: their sums are
         # exactly 0 and the others are those of a radius inside the grid
         f = angle_field(12, lambda X, Y: 1.2 * X + 0.4 * Y)
-        (inner,) = _pair_sums(f, [("geodesic", None)], 11)
-        (sums,) = _pair_sums(f, [("geodesic", None)], 32)
-        assert {off: s for off, s in sums.items() if off in inner} == inner
-        assert all(s == 0.0 for off, s in sums.items()
-                   if max(map(abs, off)) >= 12)
+        inner_offsets, inner = _pair_sums(f, [("geodesic", None)], 11)
+        offsets, sums = _pair_sums(f, [("geodesic", None)], 32)
+        within = (offsets * offsets).sum(axis=1) <= 11 * 11
+        assert np.array_equal(offsets[within], inner_offsets)
+        assert np.array_equal(sums[within], inner)
+        assert np.all(sums[np.abs(offsets).max(axis=1) >= 12] == 0.0)
         assert np.isfinite(mollified_energy_extrapolated(f, "geodesic").total)
 
     @pytest.mark.parametrize("ratio", [8.5, 8.9])
@@ -196,18 +198,19 @@ class TestMollified:
         # the offsets with 8 < |k| <= eps/h count too
         f = angle_field(128, lambda X, Y: 1.2 * X)
         h = f.spacing
-        (sums,) = _pair_sums(f, [("geodesic", None)], 9)
+        offsets, sums = _pair_sums(f, [("geodesic", None)], 9)
         got = mollified_energy(f, ratio * h, "geodesic").total
-        assert got == _energy_from_pair_sums(sums, ratio * h, h, 2)
+        assert got == _loop_mollified_energy(offsets, sums[:, 0], ratio * h,
+                                             h, 2)
         assert got != mollified_energy(f, 8 * h, "geodesic").total
 
     def test_non_integer_largest_multiplier(self):
         f = angle_field(128, lambda X, Y: 1.2 * X)
         h = f.spacing
-        (sums,) = _pair_sums(f, [("geodesic", None)], 9)
+        offsets, sums = _pair_sums(f, [("geodesic", None)], 9)
         rep = mollified_energy_extrapolated(f, "geodesic", (4, 8.5))
-        assert rep.params["energies"] == [
-            _energy_from_pair_sums(sums, m * h, h, 2) for m in (4, 8.5)]
+        assert rep.params["energies"] == [_loop_mollified_energy(
+            offsets, sums[:, 0], m * h, h, 2) for m in (4, 8.5)]
         assert rep.params["energies"][1] != mollified_energy(
             f, 8 * h, "geodesic").total
 

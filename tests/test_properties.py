@@ -19,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bvlift import fields
-from bvlift.fields import (_ROWS_PER_WRITE, METRICS, GridField, _face_data,
+from bvlift.fields import (_ROWS_PER_WRITE, METRICS, GridField,
+                           _extrapolated_energies, _face_data,
                            _forward_faces, _half_offsets, _lattice_sums,
-                           _pair_sums,
-                           avg_directional_energy, directional_tv,
+                           _pair_sums, avg_directional_energy, directional_tv,
                            embedded_tv, mollified_energy,
                            mollified_energy_extrapolated, read_field,
                            write_field)
@@ -130,9 +130,8 @@ def test_lifting_distances_never_below_its_projection(data):
     for metric in _metrics("proj"):
         dn, du = (_face_data(f, metric)[1] for f in (n, u))
         assert np.all(dn >= du), metric
-        (sn,), (su,) = (_pair_sums(f, [(metric, None)], rmax)
-                        for f in (n, u))
-        assert all(sn[k] >= su[k] for k in sn), metric
+        sn, su = (_pair_sums(f, [(metric, None)], rmax)[1] for f in (n, u))
+        assert np.all(sn >= su), metric
         assert (mollified_energy(n, eps, metric).total
                 >= mollified_energy(u, eps, metric).total), metric
         # both fields sum the same pairs in the same order
@@ -211,23 +210,41 @@ def test_half_offsets_equal_the_reference_loop():
     for N in (1, 2, 3):
         for rmax in (0, 1, 2, 3, 5, 8, 13):
             got = _half_offsets(N, rmax)
-            assert got == _loop_half_offsets(N, rmax), (N, rmax)
-            assert all(type(o) is int for off in got for o in off)
+            want = _loop_half_offsets(N, rmax)
+            assert got.shape == (len(want), N), (N, rmax)
+            assert got.dtype.kind == "i"
+            assert got.tolist() == [list(off) for off in want], (N, rmax)
 
 
 def _reference_pair_sums(f, metric, rmax):
-    """Per-offset sums of the pair distances, one offset slice at a time."""
+    """Per-offset sums of the pair distances, one offset slice at a time,
+    in the order of the half-ball offsets."""
     dist = _distance(metric, f.kind)
     inside = f.inside()
-    sums = {}
-    for off in _half_offsets(f.N, rmax):
+    sums = []
+    for off in _half_offsets(f.N, rmax).tolist():
         src = tuple(slice(max(0, -o), max(0, n - o))
                     for o, n in zip(off, f.dims))
         dst = tuple(slice(max(0, o), max(0, n + o))
                     for o, n in zip(off, f.dims))
         ok = inside[src] & inside[dst]
-        sums[off] = float((dist(f.values[src], f.values[dst]) * ok).sum())
-    return sums
+        sums.append(float((dist(f.values[src], f.values[dst]) * ok).sum()))
+    return np.array(sums)
+
+
+def _loop_mollified_energy(offsets, sums, eps, h, N):
+    """The offset loop that the mollified energies vectorize: one request's
+    sums at the offsets (rows) over the ball |k| h <= eps, added one offset
+    at a time, with the kernel mass normalized on the lattice ball."""
+    tot = 0.0
+    count = 0
+    for off, s in zip(offsets.tolist(), sums.tolist()):
+        r = math.hypot(*off) * h
+        if r <= eps:
+            tot += 2.0 * s / r
+            count += 2
+    rho = 1.0 / (count * h ** N)
+    return tot * rho * h ** (2 * N)
 
 
 @SETTINGS
@@ -238,9 +255,10 @@ def test_signed_pair_sums_equal_the_explicit_lifting(data):
     signs = np.where(data.draw(hnp.arrays(bool, u.dims)), -1.0, 1.0)
     n = u.with_values(u.values * signs[..., None], "unit")
     for metric in METRICS:
-        (got,) = _pair_sums(u, [(metric, signs)], rmax)
-        (want,) = _pair_sums(n, [(metric, None)], rmax)
-        assert got == want == _reference_pair_sums(n, metric, rmax), metric
+        got = _pair_sums(u, [(metric, signs)], rmax)[1][:, 0]
+        want = _pair_sums(n, [(metric, None)], rmax)[1][:, 0]
+        assert np.array_equal(got, want), metric
+        assert np.array_equal(got, _reference_pair_sums(n, metric, rmax))
 
 
 @SETTINGS
@@ -250,13 +268,13 @@ def test_multi_request_pair_sums_equal_single_requests(data):
     u = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=4))
     rmax = data.draw(st.integers(1, 5))
     requests = _requests(data, u)
-    together = _pair_sums(u, requests, rmax)
-    assert len(together) == len(requests)
-    for (metric, signs), got in zip(requests, together):
-        (want,) = _pair_sums(u, [(metric, signs)], rmax)
-        assert got == want
+    offsets, together = _pair_sums(u, requests, rmax)
+    assert together.shape == (len(offsets), len(requests))
+    for (metric, signs), got in zip(requests, together.T):
+        (want,) = _pair_sums(u, [(metric, signs)], rmax)[1].T
+        assert np.array_equal(got, want)
         if signs is None:
-            assert got == _reference_pair_sums(u, metric, rmax)
+            assert np.array_equal(got, _reference_pair_sums(u, metric, rmax))
 
 
 @SETTINGS
@@ -272,6 +290,34 @@ def test_mollified_energy_is_an_entry_of_the_extrapolation(data):
         assert rep.params["energies"] == [
             mollified_energy(f, m * f.spacing, metric).total
             for m in sorted(ms)], metric
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_mollified_energies_equal_the_reference_loop(data):
+    # a single request at a single radius sums one column of terms, where
+    # a pairwise sum would move the last bits; radii past the grid add
+    # offsets without pairs
+    kind = data.draw(st.sampled_from(("proj", "unit")))
+    f = data.draw(grid_fields(kind, N_choices=(1, 2, 3), masked=True))
+    h = f.spacing
+    ms = sorted(data.draw(st.lists(st.integers(2, 12) | st.floats(2.0, 12.0),
+                                   min_size=2, max_size=3, unique=True)))
+    requests = _requests(data, f)
+    for threads in ("1", "3"):
+        with mock.patch.dict(os.environ, {"BVLIFT_THREADS": threads}):
+            # a larger ball holds the same offsets in the same order
+            offsets, sums = _pair_sums(f, requests, int(ms[-1]) + 1)
+            want = [[_loop_mollified_energy(offsets, col, m * h, h, f.N)
+                     for m in ms] for col in sums.T]
+            reports = _extrapolated_energies(f, requests, ms)
+            assert [r.params["energies"] for r in reports] == want, threads
+            for (metric, signs), energies in zip(requests, want):
+                (rep,) = _extrapolated_energies(f, [(metric, signs)], ms)
+                assert rep.params["energies"] == energies, threads
+                if signs is None:
+                    assert [mollified_energy(f, m * h, metric).total
+                            for m in ms] == energies, threads
 
 
 def _lifting(u, signs):
@@ -293,7 +339,7 @@ def test_pair_sums_do_not_depend_on_the_thread_count(data):
     for threads in ("1", "2", "3"):
         with mock.patch.dict(os.environ, {"BVLIFT_THREADS": threads}):
             runs.append((
-                [list(sums.items()) for sums in _pair_sums(u, requests, rmax)],
+                [a.tobytes() for a in _pair_sums(u, requests, rmax)],
                 [avg_directional_energy(u, directions=8, metric=m).to_dict()
                  for m in _metrics(kind)]))
     assert runs[0] == runs[1] == runs[2]
@@ -314,11 +360,11 @@ def test_requests_sharing_a_pick_equal_single_requests(data):
         [(metric, s) for s in (None, signs, signs, signs.copy())
          for metric in _metrics(kind, s is not None)]))
     with mock.patch.dict(os.environ, {"BVLIFT_THREADS": "1"}):
-        want = [list(_pair_sums(u, [r], rmax)[0].items()) for r in requests]
+        want = np.hstack([_pair_sums(u, [r], rmax)[1] for r in requests])
     for threads in ("1", "3"):
         with mock.patch.dict(os.environ, {"BVLIFT_THREADS": threads}):
-            got = _pair_sums(u, requests, rmax)
-        assert [list(sums.items()) for sums in got] == want, threads
+            got = _pair_sums(u, requests, rmax)[1]
+        assert got.tobytes() == want.tobytes(), threads
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +401,11 @@ def test_flip_rule_pair_sums_equal_the_explicit_lifting(u, signs):
     n = _lifting(u, signs)
     requests = ([(m, signs) for m in _metrics(u.kind, True)]
                 + [(m, None) for m in _metrics(u.kind)])
-    want = [_reference_pair_sums(u if s is None else n, m, 3)
-            for m, s in requests]
-    assert _pair_sums(u, requests, 3) == want
-    for r, w in zip(requests, want):
-        assert _pair_sums(u, [r], 3) == [w], r
+    want = np.column_stack([_reference_pair_sums(u if s is None else n, m, 3)
+                            for m, s in requests])
+    assert np.array_equal(_pair_sums(u, requests, 3)[1], want)
+    for r, w in zip(requests, want.T):
+        assert np.array_equal(_pair_sums(u, [r], 3)[1][:, 0], w), r
 
 
 @pytest.mark.parametrize("u, signs", _flip_cases())
@@ -373,7 +419,8 @@ def test_flip_rule_face_data_equal_the_explicit_lifting(u, signs):
         dists = _face_data(n, metric)[1]
         want = [[float(np.ascontiguousarray(dists[src + (a,)]).sum())]
                 for a, src, _ in _forward_faces(u.dims)]
-        assert _lattice_sums(u, [(metric, signs)], units) == want, metric
+        got = _lattice_sums(u, [(metric, signs)], units)
+        assert got.tolist() == want, metric
 
 
 def test_unsigned_sphere_request_beside_a_projective_one():
@@ -385,14 +432,16 @@ def test_unsigned_sphere_request_beside_a_projective_one():
                   _normalize(rng.standard_normal(dims + (3,))))
     requests = [("euclidean_tensor", None), ("euclidean_sphere", None),
                 ("geodesic", None)]
-    got = _pair_sums(u, requests, 4)
-    assert got == [_reference_pair_sums(u, m, 4) for m, _ in requests]
+    got = _pair_sums(u, requests, 4)[1]
+    assert np.array_equal(got, np.column_stack(
+        [_reference_pair_sums(u, m, 4) for m, _ in requests]))
 
 
 @pytest.mark.parametrize("metric", ["geodesic", "euclidean_sphere"])
 def test_3d_stream_of_candidates_equals_the_explicit_liftings(metric):
     # candidates as the rotation search sends them, boolean signs in one
-    # pair-kernel call at the unit offsets, each read as its lifting
+    # pair-kernel call at the unit offsets, each read as its lifting, as
+    # are the same signs given as +-1 floats
     rng = np.random.default_rng(22)
     dims = (6, 5, 4)
     rough = _normalize(rng.standard_normal(dims + (3,)))
@@ -400,24 +449,30 @@ def test_3d_stream_of_candidates_equals_the_explicit_liftings(metric):
                   rng.random(dims) < 0.8)
     stream = [lift_sign(R, u.values) for R in haar_rotations(3, 4, rng)]
     stream += [rng.choice([-1.0, 1.0], dims) for _ in range(3)]
-    got = _pair_sums(u, [(metric, s > 0) for s in stream], 1)
-    assert got == [_reference_pair_sums(_lifting(u, s), metric, 1)
-                   for s in stream]
+    want = np.column_stack([_reference_pair_sums(_lifting(u, s), metric, 1)
+                            for s in stream])
+    for signs in ([s > 0 for s in stream], stream):
+        got = _pair_sums(u, [(metric, s) for s in signs], 1)[1]
+        assert np.array_equal(got, want)
 
 
 def test_offsets_past_the_grid_are_not_evaluated():
-    # radius 6 on a 5 x 3 grid: most offsets of the half ball have no pair
+    # radius 6 on a 5 x 3 grid: most offsets of the half ball have no
+    # pair, and no worker gets them
     rng = np.random.default_rng(23)
     u = GridField((5, 3), 1.0, (0.0, 0.0), "proj",
                   _normalize(rng.standard_normal((5, 3, 2))))
-    fits = [off for off in _half_offsets(2, 6)
+    fits = [off for off in _half_offsets(2, 6).tolist()
             if all(abs(o) < n for o, n in zip(off, u.dims))]
-    with mock.patch.dict(os.environ, {"BVLIFT_THREADS": "1"}), \
-            mock.patch.object(fields, "_squared_chords",
-                              wraps=fields._squared_chords) as squares:
-        (got,) = _pair_sums(u, [("geodesic", None)], 6)
-    assert squares.call_count == len(fits) < len(got)
-    assert got == _reference_pair_sums(u, "geodesic", 6)
+    want = _reference_pair_sums(u, "geodesic", 6)
+    for threads in ("1", "3"):
+        with mock.patch.dict(os.environ, {"BVLIFT_THREADS": threads}), \
+                mock.patch.object(fields, "_offset_slices",
+                                  wraps=fields._offset_slices) as slices:
+            got = _pair_sums(u, [("geodesic", None)], 6)[1][:, 0]
+        assert sorted(c.args[0] for c in slices.call_args_list) == fits
+        assert len(fits) < len(got)
+        assert np.array_equal(got, want), threads
     # with an axis, the row of an empty overlap has that axis's length
     rows = _lattice_sums(u, [("geodesic", None)], [(0, 3), (5, 0)],
                          axes=[0, 0])
