@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .geometry import (_lane_sum, _squared_chords, canonicalize,
-                       chord_distance, random_unit_vectors)
+from .geometry import (_squared_chords, canonicalize, chord_distance,
+                       random_unit_vectors)
 
 __all__ = [
     "GridField",
@@ -242,14 +242,25 @@ def read_field(path):
 # ---------------------------------------------------------------------------
 # mollified double-integral energy
 
-def _half_offsets(N, rmax):
+def _half_offsets(N, rmax, dims=None):
     """Lattice offsets with 0 < |k| <= rmax, one per {k, -k} pair: the one
     whose first nonzero component is positive, in lexicographic order, as
-    the rows of a ``(count, N)`` int array."""
-    k = np.indices((2 * rmax + 1,) * N).reshape(N, -1).T - rmax
+    the rows of a ``(count, N)`` int array.  Given ``dims``, only those
+    with a pair on that grid, |k_a| < dims[a], are enumerated."""
+    reach = np.minimum(rmax, np.subtract(dims, 1)) if dims else np.full(N, rmax)
+    k = np.indices(tuple(2 * reach + 1)).reshape(N, -1).T - reach
     lead = k[np.arange(len(k)), (k != 0).argmax(axis=1)]
     keep = (lead > 0) & ((k * k).sum(axis=1) <= rmax * rmax)
     return k[keep]
+
+
+def _lattice_ball(N, m):
+    """Number of lattice points k of Z^N with |k|^2 <= m, by recursion over
+    the axes, the last in closed form."""
+    if N == 1:
+        return 2 * math.isqrt(m) + 1
+    r = math.isqrt(m)
+    return sum(_lattice_ball(N - 1, m - j * j) for j in range(-r, r + 1))
 
 
 def _offset_slices(off, dims):
@@ -381,9 +392,9 @@ def _lattice_sums(f, requests, offsets, axes=None):
 
 def _pair_sums(f, requests, rmax):
     """Sums of pair distances for every half-lattice offset up to rmax
-    cells: the :func:`_half_offsets` array and the ``(offsets, requests)``
-    array of their :func:`_lattice_sums`."""
-    offsets = _half_offsets(f.N, rmax)
+    cells with a pair on f's grid: the :func:`_half_offsets` array and the
+    ``(offsets, requests)`` array of their :func:`_lattice_sums`."""
+    offsets = _half_offsets(f.N, rmax, f.dims)
     return offsets, _lattice_sums(f, requests, offsets)
 
 
@@ -391,9 +402,11 @@ def _mollified_energies(f, requests, eps):
     """The ``(requests, radii)`` array of :func:`mollified_energy` of each
     ``(metric, signs)`` request at each radius of ``eps``, with its radius
     checks, from one pass of :func:`_pair_sums`.  The offsets k (for
-    {k, -k}) with r = |k| h <= eps add 2 s_k / r of their sum s_k in offset
-    order; the kernel mass is normalized on the lattice ball, without the
-    center cell, whose integrand vanishes.
+    {k, -k}) on the grid with r = |k| h <= eps add 2 s_k / r of their sum
+    s_k in offset order; the kernel mass is normalized on the whole lattice
+    ball, counted by :func:`_lattice_ball` up to the largest |k|^2 that
+    passes the same float test, without the center cell, whose integrand
+    vanishes.
     """
     h, N = f.spacing, f.N
     if not np.all(np.isfinite(eps)):
@@ -401,15 +414,24 @@ def _mollified_energies(f, requests, eps):
     if min(eps) < 2.0 * h:
         raise UnderResolvedError(
             f"mollifier eps {min(eps)} under-resolved by grid spacing {h}")
+    if max(eps) / h > (cap := 2.0 ** (20 / max(N - 1, 1))):
+        # the lattice ball takes about (eps/h)^(N-1) steps to count
+        raise ValueError(f"mollifier eps {max(eps)} spans more than {cap:g} "
+                         f"cells, the largest ball counted in {N}D")
     # all |k| <= eps/h; m h / h may round up
-    offsets, sums = _pair_sums(f, requests, math.ceil(max(eps) / h - 1e-9))
+    rmax = math.ceil(max(eps) / h - 1e-9)
+    offsets, sums = _pair_sums(f, requests, rmax)
     r = np.sqrt((offsets * offsets).sum(axis=1)) * h  # |k|^2 is exact
     terms = 2.0 * sums / r[:, None]
     energies = []
     for e in eps:
-        ball = r <= e  # never empty: r = h at the unit offsets
-        rho = 1.0 / (2 * int(ball.sum()) * h ** N)
-        energies.append(np.cumsum(terms[ball], 0)[-1] * rho * h ** (2 * N))
+        m = min(rmax * rmax, int((e / h) ** 2) + 2)  # r <= e is monotone
+        while math.sqrt(m) * h > e:  # in |k|^2, and m = 1 passes
+            m -= 1
+        rho = 1.0 / ((_lattice_ball(N, m) - 1) * h ** N)
+        # the last running sum; a grid of one cell has no offset
+        total = np.cumsum(terms[r <= e], 0)[-1:].sum(0)
+        energies.append(total * rho * h ** (2 * N))
     return np.array(energies).T
 
 
@@ -420,7 +442,7 @@ def mollified_energy(f, eps, metric="geodesic"):
     ball-indicator kernel, whose mass is normalized exactly on the discrete
     offset set.  Returns the total only (no decomposition).  A radius below
     two cells (which includes eps <= 0) is rejected as under-resolved, a
-    non-finite radius as malformed.
+    non-finite one or one past the largest ball counted as malformed.
     """
     total = float(_mollified_energies(f, [(metric, None)], [eps])[0, 0])
     return EnergyReport(total, metric, "mollified",
@@ -615,8 +637,7 @@ def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
         near_jump[src] |= ja
         near_jump[dst] |= ja
 
-    frob = np.sqrt(_lane_sum(lambda a, buf: np.square(
-        steps[..., a], out=buf), f.N, np.empty(f.dims), np.empty(f.dims)))
+    frob = np.sqrt(sum(np.square(steps[..., a]) for a in range(f.N)))
     ac = float((h ** (f.N - 1) * frob)[valid.any(axis=-1) & ~near_jump].sum())
     jump = float((dists[isjump]).sum() * h ** (f.N - 1))
     return EnergyReport(ac + jump, metric, "embedded_tv",

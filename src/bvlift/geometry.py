@@ -56,35 +56,15 @@ def _check_same_dim(n, m):
             f"dimension mismatch: {n.shape[-1]} vs {m.shape[-1]}")
 
 
-def _lane_sum(term, n, out, tmp):
-    """``out`` = the sum over k < n of ``term(k, buf)``, which writes term k
-    into the array ``buf`` and returns it; ``tmp`` is scratch.
-
-    The terms 0, 2, 4, ... and 1, 3, 5, ... are summed in turn in two lanes,
-    and the odd lane is added to the even one last: the order of numpy
-    2.4's ``einsum`` over a last axis of length 1 to 7.
-    """
-    term(0, out)
-    for k in range(2, n, 2):
-        out += term(k, tmp)
-    if n > 1:
-        odd = term(1, tmp)
-        for k in range(3, n, 2):
-            odd = odd.copy() if odd is tmp else odd
-            odd += term(k, tmp)
-        out += odd
-    return out
-
-
 def _squared_chords(a, b, plus=False, out=None):
     """Squared chords |a - b|^2 and, with ``plus``, |a + b|^2 of vector arrays.
 
     ``a`` and ``b`` are sequences of the d component planes of the vectors
-    (arrays of any strides that broadcast together).  Both squares are
-    subtracted or added, squared and accumulated in place, into the arrays
-    ``(minus, plus, scratch)`` of ``out`` if given (``plus`` may be None
-    without ``plus``).  Returns ``(minus, plus)``, with ``plus`` None unless
-    requested.
+    (arrays of any strides that broadcast together).  Each chord's squared
+    components are added in index order, 0, 1, ..., d - 1, in place, into
+    the arrays ``(minus, plus, scratch)`` of ``out`` if given (``plus`` may
+    be None without ``plus``).  Returns ``(minus, plus)``, with ``plus``
+    None unless requested.
     """
     if out is None:
         shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
@@ -92,8 +72,9 @@ def _squared_chords(a, b, plus=False, out=None):
                np.empty(shape))
     minus, plus_out, tmp = out
     for op, c2 in [(np.subtract, minus), (np.add, plus_out)][:2 if plus else 1]:
-        _lane_sum(lambda k, buf: np.square(op(a[k], b[k], out=buf), out=buf),
-                  len(a), c2, tmp)
+        np.square(op(a[0], b[0], out=c2), out=c2)
+        for k in range(1, len(a)):
+            c2 += np.square(op(a[k], b[k], out=tmp), out=tmp)
     return minus, plus_out if plus else None
 
 
@@ -203,14 +184,11 @@ def lift_sign(R, u):
     projective point u is ``s[..., None] * u``, which reproduces the input
     class bit for bit.  The sign is +1 where (R u).e_d > 0, -1 where it is
     < 0, and on the equator the one that yields the canonical representative.
-    (R u).e_d is summed over the d components in :func:`_lane_sum`'s
-    order: ``einsum`` is slow over a last axis this short.
+    (R u).e_d adds its d terms in index order.
     """
     R = np.asarray(R, dtype=float)
     u = np.asarray(u, dtype=float)
-    w_last = _lane_sum(lambda k, buf: np.multiply(u[..., k], R[-1, k], out=buf),
-                       u.shape[-1], np.empty(u.shape[:-1]),
-                       np.empty(u.shape[:-1]))
+    w_last = sum(u[..., k] * R[-1, k] for k in range(u.shape[-1]))
     s = np.where(w_last > 0, 1.0, -1.0)
     eq = w_last == 0
     if np.any(eq):

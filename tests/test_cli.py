@@ -286,7 +286,9 @@ class TestEnergy:
     @pytest.mark.parametrize("flags", [
         ["--eps-over-h", "inf,8"], ["--eps-over-h", "nan,8,16"],
         ["--eps-over-h", "8"], ["--eps-over-h", "8,8"],
-        ["--no-extrapolation", "--eps-over-h", "inf"]])
+        ["--no-extrapolation", "--eps-over-h", "inf"],
+        ["--eps-over-h", "2,1e300"],
+        ["--no-extrapolation", "--eps-over-h", "2e6"]])
     def test_bad_eps_multipliers_exit_2(self, hv_path, capfd, flags):
         # fd-level capture also sees LAPACK's own error printing
         assert run("energy", hv_path, "--estimator", "mollified", *flags) == 2

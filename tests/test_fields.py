@@ -1,4 +1,5 @@
 import filecmp
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,8 @@ from bvlift.fields import (GridField, UnderResolvedError, _chord_rule,
                            read_field, write_field)
 from bvlift.geometry import chord, chord_distance
 from bvlift.lifting import lift_greedy_1d, lift_rotation_search
-from bvlift.verify import make_half_vortex, make_half_vortex_lifting
+from bvlift.verify import (make_field, make_half_vortex,
+                          make_half_vortex_lifting)
 from test_properties import _loop_mollified_energy
 
 K2 = k_const(2).value
@@ -182,16 +184,47 @@ class TestMollified:
         assert lift_rotation_search(g, trials=2).projection_check == 0.0
 
     def test_radius_past_the_grid(self):
-        # offsets reaching past the grid have no pairs: their sums are
-        # exactly 0 and the others are those of a radius inside the grid
+        # offsets reaching past the grid have no pairs and are not
+        # enumerated; the others are those of a radius inside the grid
         f = angle_field(12, lambda X, Y: 1.2 * X + 0.4 * Y)
         inner_offsets, inner = _pair_sums(f, [("geodesic", None)], 11)
         offsets, sums = _pair_sums(f, [("geodesic", None)], 32)
         within = (offsets * offsets).sum(axis=1) <= 11 * 11
         assert np.array_equal(offsets[within], inner_offsets)
         assert np.array_equal(sums[within], inner)
-        assert np.all(sums[np.abs(offsets).max(axis=1) >= 12] == 0.0)
+        assert np.abs(offsets).max() < 12
         assert np.isfinite(mollified_energy_extrapolated(f, "geodesic").total)
+
+    def test_one_cell_grid_is_zero(self):
+        # no offset has a pair, and the ball still has its mass
+        for N in (1, 2, 3):
+            f = GridField((1,) * N, 0.5, (0.0,) * N, "proj",
+                          np.full((1,) * N + (2,), np.sqrt(0.5)))
+            assert mollified_energy(f, 2 * f.spacing).total == 0.0
+            rep = mollified_energy_extrapolated(f, "geodesic", (2, 5.5))
+            assert rep.params["energies"] == [0.0, 0.0]
+
+    def test_large_radius_in_bounded_memory(self):
+        # the offsets past the grid are never built: the whole half ball
+        # of 1000 cells, 1.57 million offsets, would peak near 200 MB
+        f = make_field("smooth", 32)
+        tracemalloc.start()
+        try:
+            rep = mollified_energy_extrapolated(f, "geodesic", (2, 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert np.isfinite(rep.total)
+
+    def test_radius_past_the_countable_ball_raises(self):
+        # counting the lattice ball takes about (eps/h)^(N-1) steps
+        cube = GridField((3, 3, 3), 0.5, (0.0,) * 3, "unit",
+                         np.broadcast_to([0.0, 1.0], (3, 3, 3, 2)))
+        for f, ratio in ((make_field("smooth", 8), 2.0 ** 20 * 1.001),
+                         (cube, 1025)):
+            with pytest.raises(ValueError, match="largest ball counted"):
+                mollified_energy(f, ratio * f.spacing)
 
     @pytest.mark.parametrize("ratio", [8.5, 8.9])
     def test_non_integer_radius_sums_the_whole_ball(self, ratio):
@@ -378,10 +411,9 @@ class TestEmbedded:
         assert e_n.total / e_u.total == pytest.approx(1 + 2 / np.pi, rel=0.02)
 
 
-def einsum_ac_part(f, metric, threshold):
+def index_order_ac_part(f, metric, threshold):
     """The smooth part of :func:`embedded_tv` from the face data of f, with
-    its Frobenius norms summed in two lanes: the squares of the even axes,
-    those of the odd axes, then both (einsum's order on numpy 2.4)."""
+    the squares of its Frobenius norms added axis by axis in index order."""
     valid, dists, chords, proj = _face_data(f, metric)
     steps = chord_distance(chords, "euclidean_tensor") if proj else chords
     isjump = valid & (dists > threshold)
@@ -393,14 +425,16 @@ def einsum_ac_part(f, metric, threshold):
                    for c in range(f.N))
         near_jump[lo] |= isjump[lo + (a,)]
         near_jump[hi] |= isjump[lo + (a,)]
-    frob = np.sqrt(sum(steps[..., a] ** 2 for a in range(0, f.N, 2))
-                   + sum(steps[..., a] ** 2 for a in range(1, f.N, 2)))
+    frob = steps[..., 0] ** 2
+    for a in range(1, f.N):
+        frob = frob + steps[..., a] ** 2
+    frob = np.sqrt(frob)
     keep = valid.any(axis=-1) & ~near_jump
     return float((f.spacing ** (f.N - 1) * frob)[keep].sum())
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_ac_part_equals_an_einsum_reference(N):
+def test_ac_part_equals_an_index_order_reference(N):
     rng = np.random.default_rng(50 + N)
     dims = (40, 9, 7)[:N]
     # smooth: a sum of one random walk along each axis
@@ -415,14 +449,14 @@ def test_ac_part_equals_an_einsum_reference(N):
         f = GridField(dims, 0.1, (0.0,) * N, kind, vals, mask)
         rep = embedded_tv(f, metric)
         assert rep.params["jump_faces"] > 0, (kind, metric)  # cells left out
-        assert rep.ac_part == einsum_ac_part(
+        assert rep.ac_part == index_order_ac_part(
             f, metric, rep.params["jump_threshold"]), (kind, metric)
 
 
-def test_ac_part_of_one_corner_cell_equals_its_einsum_norm():
+def test_ac_part_of_one_corner_cell_equals_its_index_order_norm():
     # the corner cell is the one owner of a valid face, so the smooth part
     # is its Frobenius norm alone, where a summation order of the three
-    # squares other than the two lanes' shows
+    # squares other than index order shows
     rng = np.random.default_rng(60)
     mask = np.zeros((2, 2, 2), dtype=bool)
     mask[0, 0, 0] = mask[1, 0, 0] = mask[0, 1, 0] = mask[0, 0, 1] = True
@@ -431,7 +465,7 @@ def test_ac_part_of_one_corner_cell_equals_its_einsum_norm():
         vals /= np.linalg.norm(vals, axis=-1, keepdims=True)
         f = GridField((2, 2, 2), 1.0, (0.0,) * 3, "unit", vals, mask)
         rep = embedded_tv(f, "euclidean_sphere", jump_threshold=3.0)
-        assert rep.ac_part == einsum_ac_part(f, "euclidean_sphere", 3.0)
+        assert rep.ac_part == index_order_ac_part(f, "euclidean_sphere", 3.0)
 
 
 class TestDetectJumps:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from bvlift.geometry import (_lane_sum, _lead_sign, canonicalize, dist_proj,
-                             dist_sphere, embed_tensor, eucl_jump_cost, haar_rotations,
-                             lift_map_F, lift_sign, random_unit_vectors,
-                             uniaxial_q)
+from bvlift.geometry import (_lead_sign, _squared_chords, canonicalize,
+                             dist_proj, dist_sphere, embed_tensor,
+                             eucl_jump_cost, haar_rotations, lift_map_F,
+                             lift_sign, random_unit_vectors, uniaxial_q)
 
 
 def e(i, d):
@@ -236,16 +236,18 @@ class TestRotatedLifting:
             assert np.allclose(lift_rot(R, u)[off], direct[off], atol=1e-12)
 
 
-def two_lanes(terms):
-    """Sum over the last axis: its even terms, its odd terms, then both."""
-    return (sum(terms[..., k] for k in range(0, terms.shape[-1], 2))
-            + sum(terms[..., k] for k in range(1, terms.shape[-1], 2)))
+def index_order(terms):
+    """Sum over the last axis: term 0, then terms 1, 2, ... added in turn."""
+    total = terms[..., 0].copy()
+    for k in range(1, terms.shape[-1]):
+        total += terms[..., k]
+    return total
 
 
-class TestEinsumFreeSums:
-    """The two-lane sums that replace ``np.einsum`` over a short last axis
-    keep their order bit for bit: the even terms in turn, the odd terms in
-    turn, then the two lanes added (einsum's order on numpy 2.4)."""
+class TestIndexOrderSums:
+    """The short sums over the d components of a vector add their terms in
+    index order, 0, 1, ..., d - 1, bit for bit; another order moves the
+    last bits once three or more terms are nonzero."""
 
     @staticmethod
     def near_equator(R, u):
@@ -254,21 +256,23 @@ class TestEinsumFreeSums:
         v = u - (u @ R[-1])[:, None] * R[-1]
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
-    @pytest.mark.parametrize("d", range(1, 8))
-    def test_lane_sum_is_in_einsum_order(self, d):
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_squared_chords_are_in_index_order(self, d):
         rng = np.random.default_rng(30 + d)
-        a = rng.standard_normal((4000, d))
-        r = rng.standard_normal(d)
-        out, tmp = np.empty(len(a)), np.empty(len(a))
-        dots = _lane_sum(lambda k, buf: np.multiply(a[:, k], r[k], out=buf),
-                         d, out, tmp)
-        assert np.array_equal(dots, two_lanes(a * r))
-        squares = _lane_sum(lambda k, buf: np.square(a[:, k], out=buf),
-                            d, np.empty(len(a)), tmp)
-        assert np.array_equal(squares, two_lanes(a * a))
+        a, b = rng.standard_normal((2, 4000, d))
+        planes = [[x[:, k] for k in range(d)] for x in (a, b)]
+        minus, plus = index_order((a - b) ** 2), index_order((a + b) ** 2)
+        bufs = [np.empty(len(a)) for _ in range(3)]
+        for got in (_squared_chords(*planes, True),
+                    _squared_chords(*planes, True, out=bufs)):
+            assert np.array_equal(got[0], minus)
+            assert np.array_equal(got[1], plus)
+        for got in (_squared_chords(*planes),
+                    _squared_chords(*planes, out=(bufs[0], None, bufs[2]))):
+            assert np.array_equal(got[0], minus) and got[1] is None
 
-    @pytest.mark.parametrize("d", range(2, 8))
-    def test_lift_sign_equals_the_einsum_formula(self, d):
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_lift_sign_equals_the_index_order_formula(self, d):
         rng = np.random.default_rng(40 + d)
         # a Haar rotation, and one turning the (e_1, e_d) plane whose
         # equator holds +-(0.8, 0, ..., 0, -0.6) and e_2, ..., e_{d-1}
@@ -281,7 +285,7 @@ class TestEinsumFreeSums:
             u = random_unit_vectors(d, 2000, rng)
             u = np.concatenate([u, self.near_equator(R, u), [tie, -tie],
                                 np.eye(d)[1:-1]])
-            w = two_lanes(u * R[-1])
+            w = index_order(u * R[-1])
             want = np.where(w == 0, _lead_sign(u), np.where(w > 0, 1.0, -1.0))
             assert np.array_equal(lift_sign(R, u), want)
             assert R is not turn or (w == 0).sum() >= d  # the exact ties

@@ -6,6 +6,7 @@ bound of a sum taken in another order, against the line-by-line reference
 of the directional estimator.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -21,9 +22,9 @@ from hypothesis.extra import numpy as hnp
 from bvlift import fields
 from bvlift.fields import (_ROWS_PER_WRITE, METRICS, GridField,
                            _extrapolated_energies, _face_data,
-                           _forward_faces, _half_offsets, _lattice_sums,
-                           _pair_sums, avg_directional_energy, directional_tv,
-                           embedded_tv, mollified_energy,
+                           _forward_faces, _half_offsets, _lattice_ball,
+                           _lattice_sums, _pair_sums, avg_directional_energy,
+                           directional_tv, embedded_tv, mollified_energy,
                            mollified_energy_extrapolated, read_field,
                            write_field)
 from bvlift.geometry import (canonicalize, chord, chord_distance, dist_proj,
@@ -206,23 +207,43 @@ def _loop_half_offsets(N, rmax):
     return out
 
 
+def _on_grid(off, dims):
+    """Whether the lattice offset ``off`` has a pair on a grid of ``dims``."""
+    return all(abs(o) < n for o, n in zip(off, dims))
+
+
 def test_half_offsets_equal_the_reference_loop():
+    # the whole half ball, and only its offsets with a pair on a grid
     for N in (1, 2, 3):
         for rmax in (0, 1, 2, 3, 5, 8, 13):
-            got = _half_offsets(N, rmax)
             want = _loop_half_offsets(N, rmax)
-            assert got.shape == (len(want), N), (N, rmax)
-            assert got.dtype.kind == "i"
-            assert got.tolist() == [list(off) for off in want], (N, rmax)
+            for dims in (None, (1, 4, 9)[:N], (6, 2, 14)[:N], (20,) * N):
+                got = _half_offsets(N, rmax, dims)
+                fits = [list(off) for off in want
+                        if dims is None or _on_grid(off, dims)]
+                assert got.shape == (len(fits), N), (N, rmax, dims)
+                assert got.dtype.kind == "i"
+                assert got.tolist() == fits, (N, rmax, dims)
+
+
+def test_lattice_ball_equals_an_enumeration():
+    for N in (1, 2, 3):
+        r2 = np.sort([sum(o * o for o in k)
+                      for k in itertools.product(range(-15, 16), repeat=N)])
+        for m in range(201):  # 15^2 > 200: the box holds the ball
+            assert _lattice_ball(N, m) == np.searchsorted(r2, m, "right"), \
+                (N, m)
 
 
 def _reference_pair_sums(f, metric, rmax):
     """Per-offset sums of the pair distances, one offset slice at a time,
-    in the order of the half-ball offsets."""
+    over the half-ball offsets with a pair on f's grid, in their order."""
     dist = _distance(metric, f.kind)
     inside = f.inside()
     sums = []
-    for off in _half_offsets(f.N, rmax).tolist():
+    for off in _loop_half_offsets(f.N, rmax):
+        if not _on_grid(off, f.dims):
+            continue
         src = tuple(slice(max(0, -o), max(0, n - o))
                     for o, n in zip(off, f.dims))
         dst = tuple(slice(max(0, o), max(0, n + o))
@@ -232,18 +253,26 @@ def _reference_pair_sums(f, metric, rmax):
     return np.array(sums)
 
 
+@functools.cache
+def _loop_ball_count(eps, h, N):
+    """The offsets k != 0 of the whole lattice ball |k| h <= eps, counted
+    one at a time."""
+    reach = math.ceil(eps / h) + 1
+    return sum(0 < math.sqrt(sum(o * o for o in k)) * h <= eps
+               for k in itertools.product(range(-reach, reach + 1), repeat=N))
+
+
 def _loop_mollified_energy(offsets, sums, eps, h, N):
     """The offset loop that the mollified energies vectorize: one request's
     sums at the offsets (rows) over the ball |k| h <= eps, added one offset
-    at a time, with the kernel mass normalized on the lattice ball."""
+    at a time, with the kernel mass normalized on the whole lattice ball,
+    offsets past the grid included."""
     tot = 0.0
-    count = 0
     for off, s in zip(offsets.tolist(), sums.tolist()):
         r = math.hypot(*off) * h
         if r <= eps:
             tot += 2.0 * s / r
-            count += 2
-    rho = 1.0 / (count * h ** N)
+    rho = 1.0 / (_loop_ball_count(eps, h, N) * h ** N)
     return tot * rho * h ** (2 * N)
 
 
@@ -296,8 +325,8 @@ def test_mollified_energy_is_an_entry_of_the_extrapolation(data):
 @given(st.data())
 def test_mollified_energies_equal_the_reference_loop(data):
     # a single request at a single radius sums one column of terms, where
-    # a pairwise sum would move the last bits; radii past the grid add
-    # offsets without pairs
+    # a pairwise sum would move the last bits; radii past the grid count
+    # offsets without pairs in the kernel mass
     kind = data.draw(st.sampled_from(("proj", "unit")))
     f = data.draw(grid_fields(kind, N_choices=(1, 2, 3), masked=True))
     h = f.spacing
@@ -458,21 +487,27 @@ def test_3d_stream_of_candidates_equals_the_explicit_liftings(metric):
 
 def test_offsets_past_the_grid_are_not_evaluated():
     # radius 6 on a 5 x 3 grid: most offsets of the half ball have no
-    # pair, and no worker gets them
+    # pair; _pair_sums does not enumerate them, and the kernel given them
+    # returns their rows of zeros without a worker getting them
     rng = np.random.default_rng(23)
     u = GridField((5, 3), 1.0, (0.0, 0.0), "proj",
                   _normalize(rng.standard_normal((5, 3, 2))))
-    fits = [off for off in _half_offsets(2, 6).tolist()
-            if all(abs(o) < n for o, n in zip(off, u.dims))]
-    want = _reference_pair_sums(u, "geodesic", 6)
+    offsets = _half_offsets(2, 6)
+    fits = (np.abs(offsets) < u.dims).all(axis=1)
+    want = np.zeros(len(offsets))
+    want[fits] = _reference_pair_sums(u, "geodesic", 6)
+    assert 0 < fits.sum() < len(offsets)
     for threads in ("1", "3"):
         with mock.patch.dict(os.environ, {"BVLIFT_THREADS": threads}), \
                 mock.patch.object(fields, "_offset_slices",
                                   wraps=fields._offset_slices) as slices:
-            got = _pair_sums(u, [("geodesic", None)], 6)[1][:, 0]
-        assert sorted(c.args[0] for c in slices.call_args_list) == fits
-        assert len(fits) < len(got)
+            got = _lattice_sums(u, [("geodesic", None)], offsets)[:, 0]
+        assert sorted(c.args[0] for c in slices.call_args_list) == \
+            offsets[fits].tolist()
         assert np.array_equal(got, want), threads
+    pair_offsets, sums = _pair_sums(u, [("geodesic", None)], 6)
+    assert np.array_equal(pair_offsets, offsets[fits])
+    assert np.array_equal(sums[:, 0], want[fits])
     # with an axis, the row of an empty overlap has that axis's length
     rows = _lattice_sums(u, [("geodesic", None)], [(0, 3), (5, 0)],
                          axes=[0, 0])
