@@ -5,13 +5,13 @@ used and an error estimate.  Monte Carlo estimates always report the sample
 standard error; acceptance thresholds elsewhere in the package are phrased in
 multiples of it.  Closed forms of the averaged quantities are provided next to
 the Monte Carlo estimators so the two routes can be compared independently.
+scipy is imported on first use, by the quadratures and ``sphere_area`` /
+``ball_volume``, so that ``import bvlift`` needs only numpy.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma
 
 from .geometry import chord, random_unit_vectors
 
@@ -48,11 +48,13 @@ class ConstantResult:
 
 def sphere_area(k):
     """Surface measure H^k(S^k); the zero-sphere {+-1} has counting measure 2."""
+    from scipy.special import gamma
     return 2.0 * np.pi ** ((k + 1) / 2.0) / gamma((k + 1) / 2.0)
 
 
 def ball_volume(k):
     """Lebesgue volume H^k(B^k) of the unit ball; a point for k = 0."""
+    from scipy.special import gamma
     return np.pi ** (k / 2.0) / gamma(k / 2.0 + 1.0)
 
 
@@ -83,6 +85,7 @@ def _polar_integrals(*integrands):
     """Adaptive quadratures of the integrands over the polar angle [0, pi],
     split at pi/2 so that |cos| is smooth on each panel.  Returns the
     integrals and the sum of their error estimates, added panel by panel."""
+    from scipy import integrate
     vals = [0.0] * len(integrands)
     err = 0.0
     for a, b in ((0.0, np.pi / 2), (np.pi / 2, np.pi)):

@@ -410,7 +410,8 @@ def _mollified_energies(f, requests, eps):
     """
     h, N = f.spacing, f.N
     if not np.all(np.isfinite(eps)):
-        raise ValueError(f"mollifier eps must be finite, got {list(eps)}")
+        raise ValueError(
+            f"mollifier eps must be finite, got {[float(e) for e in eps]}")
     if min(eps) < 2.0 * h:
         raise UnderResolvedError(
             f"mollifier eps {min(eps)} under-resolved by grid spacing {h}")

@@ -8,14 +8,13 @@ greedy one-dimensional lifting that never creates extra jumps
 (:func:`lift_1d`; :func:`lift_greedy_1d` on fields), and a boundary-prescribed
 lifting through a thresholded harmonic extension (:func:`lift_with_boundary`).
 Each returns a :class:`LiftResult`: the lifting as a ``"unit"`` field, its
-energy, and the measured distance of its projection to u.
+energy, and the measured distance of its projection to u.  scipy is
+imported on first use, by the Laplace solve of :func:`lift_with_boundary`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import cg
 
 from .fields import (EnergyReport, GridField, _half_offsets, _lattice_sums,
                      avg_directional_energy, embedded_tv)
@@ -147,6 +146,8 @@ def solve_laplace(boundary_values, boundary, interior):
     the grid Laplacian restricted to them (symmetric positive definite).
     Raises unless the maximal residual |mean(neighbors) - phi| is below 1e-10.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import cg
     phi = np.where(boundary, boundary_values, 0.0).astype(float)
     inner = interior.ravel()
     if not inner.any():

@@ -296,6 +296,13 @@ class TestEnergy:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_non_finite_eps_message_lists_plain_floats(self, hv_path, capfd):
+        # the radii eps = multiplier * h, h = 2/64, without numpy reprs
+        assert run("energy", hv_path, "--estimator", "mollified",
+                   "--eps-over-h", "nan,2") == 2
+        assert capfd.readouterr().err == (
+            "error: mollifier eps must be finite, got [nan, 0.0625]\n")
+
 
 class TestLift:
     def test_rotation_mode(self, hv_path, tmp_path, capsys):
