@@ -150,6 +150,10 @@ def cmd_lift(args):
     if (args.mode == "boundary") != bool(args.boundary):
         raise ValueError("--boundary FILE is required for boundary mode "
                          "and taken by no other mode")
+    unread = {"greedy1d": ["metric", "trials", "seed"], "boundary": ["metric"]}
+    for key in unread.get(args.mode, []):
+        if getattr(args, key) is not None:
+            raise ValueError(f"--{key} is not read by {args.mode} mode")
     cfg = _load_config(args.config, args)
     out = args.output or (os.path.splitext(args.input)[0] + ".lifted.fld")
     sidecar = os.path.splitext(out)[0] + ".json"

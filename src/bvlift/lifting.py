@@ -8,8 +8,9 @@ greedy one-dimensional lifting that never creates extra jumps
 (:func:`lift_1d`; :func:`lift_greedy_1d` on fields), and a boundary-prescribed
 lifting through a thresholded harmonic extension (:func:`lift_with_boundary`).
 Each returns a :class:`LiftResult`: the lifting as a ``"unit"`` field, its
-energy, and the measured distance of its projection to u.  scipy is
-imported on first use, by the Laplace solve of :func:`lift_with_boundary`.
+energy, and the measured distance of its projection to u.  scipy
+(``scipy.sparse`` and ``scipy.fft``) is imported on first use, by the
+Laplace solve of :func:`lift_with_boundary`.
 """
 
 from dataclasses import dataclass
@@ -145,9 +146,18 @@ def solve_laplace(boundary_values, boundary, interior):
     interior cells solve mean(four neighbors) = phi by conjugate gradients on
     the grid Laplacian restricted to them (symmetric positive definite).
     Raises unless the maximal residual |mean(neighbors) - phi| is below 1e-10.
+
+    CG is preconditioned by the inverse Dirichlet Laplacian of a box at the
+    corner of the interior's bounding box, each side one less than a fast
+    DST-I length (Buzbee, Dorr, George & Golub 1971): the residual, put at
+    the interior cells of an empty box, is divided by the box eigenvalues
+    4 - 2cos(pi i/(n0 + 1)) - 2cos(pi j/(n1 + 1)) in the sine basis.  Disks
+    and rectangles take tens of iterations instead of hundreds; on thin
+    interiors (a strip, an annulus) each iteration's box costs more.
     """
     from scipy import sparse
-    from scipy.sparse.linalg import cg
+    from scipy.fft import dstn, idstn, next_fast_len
+    from scipy.sparse.linalg import LinearOperator, cg
     phi = np.where(boundary, boundary_values, 0.0).astype(float)
     inner = interior.ravel()
     if not inner.any():
@@ -159,7 +169,18 @@ def solve_laplace(boundary_values, boundary, interior):
            + sparse.kron(eye[0], path[1])).tocsr()[inner]
     A = 4.0 * sparse.identity(adj.shape[0]) - adj[:, inner]
     b = adj @ phi.ravel()
-    x, _ = cg(A, b, rtol=0.0, atol=_LAPLACE_TOL)
+    pos = tuple(p - p.min() for p in np.nonzero(interior))
+    box = [next_fast_len(int(p.max()) + 2) - 1 for p in pos]
+    cos = [2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)) for n in box]
+    lam = 4.0 - cos[0][:, None] - cos[1][None, :]
+
+    def box_solve(r):
+        z = np.zeros(box)
+        z[pos] = r
+        return idstn(dstn(z, type=1) / lam, type=1)[pos]
+
+    M = LinearOperator(A.shape, matvec=box_solve)
+    x, _ = cg(A, b, rtol=0.0, atol=_LAPLACE_TOL, M=M)
     res = np.abs(A @ x - b).max() / 4.0
     if not res < _LAPLACE_TOL:
         raise RuntimeError(

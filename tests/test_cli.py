@@ -387,6 +387,38 @@ class TestLift:
         assert_one_error_line(capfd, "--boundary")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, flag, value", [
+        ("boundary", "--metric", "euclidean_tensor"),
+        ("boundary", "--metric", "geodesic"),
+        ("greedy1d", "--metric", "euclidean_tensor"),
+        ("greedy1d", "--trials", "5"),
+        ("greedy1d", "--seed", "9")])
+    def test_flag_the_mode_does_not_read_exit_2(self, seq_path, hv_path,
+                                                tmp_path, capfd, monkeypatch,
+                                                mode, flag, value):
+        # the boundary lifting's energy is always euclidean_sphere, the
+        # greedy lifting's always geodesic and drawn from no seed
+        monkeypatch.setattr(cli, "read_field", must_not_run)
+        out = tmp_path / "n.fld"
+        extra = ["--boundary", hv_path] if mode == "boundary" else []
+        src = hv_path if mode == "boundary" else seq_path
+        assert run("lift", src, "--mode", mode, *extra, flag, value,
+                   "-o", out) == 2
+        assert_one_error_line(capfd, flag)
+        assert not out.exists()
+
+    def test_config_keys_the_mode_does_not_read_are_accepted(
+            self, seq_path, tmp_path):
+        # config keys are shared by all commands
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"metric": "euclidean_tensor", "trials": 5,
+                                   "seed": 9}))
+        out = tmp_path / "n.fld"
+        assert run("--config", cfg, "lift", seq_path, "--mode", "greedy1d",
+                   "-o", out) == 0
+        side = json.loads((tmp_path / "n.json").read_text())
+        assert side["energy"]["metric"] == "geodesic"
+
     @pytest.mark.parametrize("key", ["d", "spacing"])
     def test_boundary_on_another_grid_exit_2(self, hv_path, tmp_path, capfd,
                                              key):

@@ -291,6 +291,28 @@ class TestBoundaryCells:
         assert (b & ~u.inside()).sum() == 0
 
 
+def _laplace_masks():
+    """Masks whose interiors the box preconditioner covers differently."""
+    i, j = np.indices((64, 64)) - 31.5
+    r = np.hypot(i, j)
+    ell = np.ones((64, 64), bool)
+    ell[:20, 20:] = False
+    corner = np.zeros((24, 24), bool)
+    corner[:10, :15] = True  # its interior starts at row 1 and column 1
+    single = np.zeros((7, 7), bool)
+    single[2:5, 2:5] = True
+    return {
+        "disk": r < 31,
+        "annulus": (r > 22) & (r < 30),
+        "ell": ell,
+        "two_disks": (np.hypot(i + 16, j + 16) < 12)
+        | (np.hypot(i - 18, j - 10) < 9),
+        "diagonal_strip": np.abs(i - j) <= 2,
+        "one_cell": single,
+        "second_row_and_column": corner,
+    }
+
+
 class TestSolveLaplace:
     def test_harmonic_reproduction(self):
         # boundary data sampled from a harmonic polynomial is reproduced
@@ -317,6 +339,67 @@ class TestSolveLaplace:
         assert np.abs(mean - phi)[interior].max() < 1e-10
         assert np.array_equal(phi[bnd], values[bnd])
         assert np.all(phi[~u.inside()] == 0.0)
+
+    @staticmethod
+    def _case(name):
+        mask = _laplace_masks()[name]
+        bnd = boundary_cells(mask)
+        values = np.random.default_rng(5).uniform(-1, 1, mask.shape)
+        return mask, bnd, mask & ~bnd, values
+
+    @pytest.mark.parametrize("name", list(_laplace_masks()))
+    def test_discrete_equation_and_kept_boundary(self, name):
+        mask, bnd, interior, values = self._case(name)
+        assert interior.any()
+        phi = solve_laplace(values, bnd, interior)
+        p = np.pad(phi, 1)
+        mean = 0.25 * (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2])
+        assert np.abs(mean - phi)[interior].max() < 1e-10
+        assert np.array_equal(phi[bnd], values[bnd])
+        assert np.all(phi[~mask] == 0.0)
+
+    @pytest.mark.parametrize("name", list(_laplace_masks()))
+    def test_agrees_with_a_direct_solve(self, name):
+        from scipy import sparse
+        from scipy.sparse.linalg import spsolve
+        mask, bnd, interior, values = self._case(name)
+        known = np.where(bnd, values, 0.0)
+        cells = [tuple(c) for c in np.argwhere(interior)]
+        index = {c: k for k, c in enumerate(cells)}
+        entries = []  # (row, column, value)
+        rhs = np.zeros(len(cells))
+        for k, (a, b) in enumerate(cells):
+            entries.append((k, k, 4.0))
+            for nb in ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)):
+                if nb in index:
+                    entries.append((k, index[nb], -1.0))
+                elif 0 <= nb[0] < mask.shape[0] and 0 <= nb[1] < mask.shape[1]:
+                    rhs[k] += known[nb]
+        rows, cols, data = zip(*entries)
+        A = sparse.csr_matrix((data, (rows, cols)), shape=(len(cells),) * 2)
+        x = np.atleast_1d(spsolve(A, rhs))
+        phi = solve_laplace(values, bnd, interior)
+        assert np.abs(phi[interior] - x).max() < 1e-9
+
+    @pytest.mark.parametrize("name", list(_laplace_masks()))
+    def test_empty_interior_returns_the_boundary_data(self, name):
+        mask, bnd, _, values = self._case(name)
+        phi = solve_laplace(values, bnd, np.zeros_like(mask))
+        assert np.array_equal(phi, np.where(bnd, values, 0.0))
+
+    def test_box_interior_converges_in_one_step(self, monkeypatch):
+        # a 62 x 62 interior is its own box (63 is a fast length), where
+        # the preconditioner is the exact inverse of the system
+        import scipy.sparse.linalg as sla
+        steps = []
+        cg = sla.cg
+        monkeypatch.setattr(sla, "cg", lambda *a, **k: cg(
+            *a, callback=steps.append, **k))
+        mask = np.ones((64, 64), bool)
+        bnd = boundary_cells(mask)
+        values = np.random.default_rng(6).uniform(-1, 1, mask.shape)
+        solve_laplace(values, bnd, mask & ~bnd)
+        assert len(steps) == 1
 
 
 class TestLiftWithBoundary:
