@@ -7,7 +7,7 @@ under-resolved mollifier (UnderResolvedError).  Only :func:`main` turns an
 exception into an exit code, by its type, and prints one ``error:`` line.
 Outputs are written atomically (temp file + rename), with the mode the
 umask gives a new file, and are byte identical for identical (command,
-config, seed).
+seed).
 """
 
 import argparse
@@ -31,59 +31,32 @@ EXIT_BAD_INPUT = 2
 EXIT_BAD_BOUNDARY = 3
 EXIT_UNDER_RESOLVED = 4
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "trials": 64,
-    "directions": 64,
-    "mollifier_eps_over_h": [8, 16, 32],
-    "jump_threshold": None,
-    "metric": "geodesic",
-    "output_dir": ".",
+# The flags each lift mode and energy estimator reads; a flag's default
+# dest is the keyword it passes on.  Its command's other flags exit 2.
+READS = {
+    "lift": {"rotation": ["--trials", "--seed", "--metric"],
+             "greedy1d": [],
+             "boundary": ["--trials", "--seed"]},
+    "energy": {"mollified": ["--metric", "--eps-over-h", "--no-extrapolation"],
+               "directional": ["--metric", "--directions", "--seed"],
+               "embedded": ["--metric", "--jump-threshold"]},
 }
-# the types of the config values whose default is None
-_NULLABLE_TYPES = {"jump_threshold": float}
+# --no-extrapolation measures at the first of the library's default radii
+_MULTIPLIERS = mollified_energy_extrapolated.__defaults__[-1]
 
 
-def _is_a(val, want):
-    """isinstance, where an int passes as a float and a bool as neither."""
-    return (not isinstance(val, bool)
-            and isinstance(val, (int, float) if want is float else want))
-
-
-def _check_config_value(key, val):
-    """Raise ValueError unless ``val`` has the type of the key's default (a
-    non-empty list of numbers for a list), or is None where that is None."""
-    default = DEFAULT_CONFIG[key]
-    if val is None and default is None:
-        return
-    want = _NULLABLE_TYPES.get(key, type(default))
-    if not (_is_a(val, want) and (want is not list or (
-            len(val) > 0 and all(_is_a(x, float) for x in val)))):
-        what = "non-empty list of numbers" if want is list else want.__name__
-        raise ValueError(f"config value {key!r} must be a {what}"
-                         f"{' or null' if default is None else ''}, "
-                         f"got {val!r}")
-
-
-def _load_config(path, args):
-    cfg = dict(DEFAULT_CONFIG)
-    if path:
-        with open(path) as fh:
-            user = json.load(fh)
-        if not isinstance(user, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
-        unknown = set(user) - set(cfg)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, val in user.items():
-            _check_config_value(key, val)
-        cfg.update(user)
-    # explicit flags win over the config file
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+def _read_flags(args, mode):
+    """The given flags that ``mode`` reads, as library keywords; ValueError
+    naming each given flag of its command that it does not read."""
+    table = READS[args.command]
+    given = {flag: getattr(args, flag[2:].replace("-", "_"))
+             for flags in table.values() for flag in flags}
+    given = {flag: val for flag, val in given.items() if val is not None}
+    unread = [flag for flag in given if flag not in table[mode]]
+    if unread:
+        raise ValueError(f"{args.command} {mode} does not read "
+                         f"{', '.join(unread)}")
+    return {flag[2:].replace("-", "_"): val for flag, val in given.items()}
 
 
 def _check_output(path):
@@ -128,20 +101,17 @@ def cmd_make_field(args):
 
 
 def cmd_energy(args):
-    cfg = _load_config(args.config, args)
+    kw = _read_flags(args, args.estimator)
     f = read_field(args.input)
-    metric = cfg["metric"]
-    if args.estimator == "mollified":
-        mults = cfg["mollifier_eps_over_h"]
-        if args.no_extrapolation:
-            rep = mollified_energy(f, mults[0] * f.spacing, metric)
-        else:
-            rep = mollified_energy_extrapolated(f, metric, mults)
-    elif args.estimator == "directional":
-        rep = avg_directional_energy(f, directions=cfg["directions"],
-                                     seed=cfg["seed"], metric=metric)
+    mults = kw.pop("eps_over_h", _MULTIPLIERS)  # read by mollified only
+    if args.estimator == "directional":
+        rep = avg_directional_energy(f, **kw)
+    elif args.estimator == "embedded":
+        rep = embedded_tv(f, **kw)
+    elif kw.pop("no_extrapolation", False):
+        rep = mollified_energy(f, mults[0] * f.spacing, **kw)
     else:
-        rep = embedded_tv(f, metric, cfg["jump_threshold"])
+        rep = mollified_energy_extrapolated(f, multipliers=mults, **kw)
     sys.stdout.write(_json_dumps(rep.to_dict()))
     return EXIT_OK
 
@@ -150,11 +120,7 @@ def cmd_lift(args):
     if (args.mode == "boundary") != bool(args.boundary):
         raise ValueError("--boundary FILE is required for boundary mode "
                          "and taken by no other mode")
-    unread = {"greedy1d": ["metric", "trials", "seed"], "boundary": ["metric"]}
-    for key in unread.get(args.mode, []):
-        if getattr(args, key) is not None:
-            raise ValueError(f"--{key} is not read by {args.mode} mode")
-    cfg = _load_config(args.config, args)
+    kw = _read_flags(args, args.mode)
     out = args.output or (os.path.splitext(args.input)[0] + ".lifted.fld")
     sidecar = os.path.splitext(out)[0] + ".json"
     if sidecar == out:
@@ -170,11 +136,9 @@ def cmd_lift(args):
     if args.mode == "greedy1d":
         res = lift_greedy_1d(u)
     elif args.mode == "rotation":
-        res = lift_rotation_search(u, trials=cfg["trials"], seed=cfg["seed"],
-                                   metric=cfg["metric"])
+        res = lift_rotation_search(u, **kw)
     else:
-        res = lift_with_boundary(u, read_field(args.boundary),
-                                 trials=cfg["trials"], seed=cfg["seed"])
+        res = lift_with_boundary(u, read_field(args.boundary), **kw)
     side = {"mode": args.mode, "energy": res.energy.to_dict(),
             "rotation": None if res.rotation is None else res.rotation.tolist(),
             "projection_check": res.projection_check}
@@ -186,7 +150,6 @@ def cmd_lift(args):
 
 
 def cmd_constants(args):
-    cfg = _load_config(args.config, args)
     table = {}
 
     def put(name, res):
@@ -200,7 +163,7 @@ def cmd_constants(args):
         put(f"M_{args.m}", consts.m_const(args.m))
     if args.ca is not None:
         Nv, dv = args.ca
-        put(f"C_a_{Nv}_{dv}", consts.ca_const(Nv, dv, seed=cfg["seed"]))
+        put(f"C_a_{Nv}_{dv}", consts.ca_const(Nv, dv, seed=args.seed))
     if args.cj is not None:
         put(f"C_j_{args.cj}", consts.cj_estimate(args.cj))
     if args.c1d:
@@ -209,7 +172,7 @@ def cmd_constants(args):
         theta = getattr(args, name)  # each average's flag has its name as dest
         if theta is not None:
             put(f"{name}_{theta:.6f}",
-                estimate(theta, args.d, args.samples, cfg["seed"]))
+                estimate(theta, args.d, args.samples, args.seed))
     if not table:
         raise ValueError("no constants requested")
     sys.stdout.write(_json_dumps(table))
@@ -217,10 +180,9 @@ def cmd_constants(args):
 
 
 def cmd_verify(args):
-    cfg = _load_config(args.config, args)
-    settings = dict(grid=args.grid, trials=cfg["trials"], samples=args.samples,
-                    seed=cfg["seed"], csv_dir=args.csv_dir)
-    out = args.report or os.path.join(cfg["output_dir"], "report.json")
+    settings = dict(grid=args.grid, trials=args.trials, samples=args.samples,
+                    seed=args.seed, csv_dir=args.csv_dir)
+    out = args.report
     _check_output(out)
     if args.csv_dir is not None:
         os.makedirs(args.csv_dir, exist_ok=True)
@@ -248,7 +210,6 @@ def build_parser():
         prog="bvlift",
         description="Total-variation energies and sphere-valued liftings of "
                     "line fields on grids")
-    p.add_argument("--config", help="JSON config file; flags override it")
     sub = p.add_subparsers(dest="command", required=True)
 
     mk = sub.add_parser("make-field", help="generate test fields")
@@ -264,13 +225,14 @@ def build_parser():
     en.add_argument("input")
     en.add_argument("--estimator", default="embedded",
                     choices=["mollified", "directional", "embedded"])
-    en.add_argument("--metric", choices=METRICS)
+    # embedded_tv's own default metric is euclidean_sphere
+    en.add_argument("--metric", default="geodesic", choices=METRICS)
     en.add_argument("--directions", type=int)
     en.add_argument("--seed", type=int)
-    en.add_argument("--jump-threshold", dest="jump_threshold", type=float)
-    en.add_argument("--eps-over-h", dest="mollifier_eps_over_h",
+    en.add_argument("--jump-threshold", type=float)
+    en.add_argument("--eps-over-h",
                     type=lambda s: [float(x) for x in s.split(",")])
-    en.add_argument("--no-extrapolation", action="store_true")
+    en.add_argument("--no-extrapolation", action="store_true", default=None)
     en.set_defaults(fn=cmd_energy)
 
     lf = sub.add_parser("lift", help="compute a lifting of a line field")
@@ -298,16 +260,16 @@ def build_parser():
                     metavar="THETA")
     co.add_argument("--d", type=int, default=3)
     co.add_argument("--samples", type=int, default=1_000_000)
-    co.add_argument("--seed", type=int)
+    co.add_argument("--seed", type=int, default=0)
     co.set_defaults(fn=cmd_constants)
 
     ve = sub.add_parser("verify", help="run the verification suites")
     ve.add_argument("--suite", default="all", choices=[*verify.SUITES, "all"])
     ve.add_argument("--grid", type=int, default=256)
-    ve.add_argument("--trials", type=int)
+    ve.add_argument("--trials", type=int, default=64)
     ve.add_argument("--samples", type=int, default=1_000_000)
-    ve.add_argument("--seed", type=int)
-    ve.add_argument("--report", help="report path (default report.json)")
+    ve.add_argument("--seed", type=int, default=0)
+    ve.add_argument("--report", default="./report.json", help="report path")
     ve.add_argument("--csv-dir", dest="csv_dir", help="directory for CSV traces")
     ve.set_defaults(fn=cmd_verify)
     return p
@@ -317,6 +279,8 @@ def main(argv=None):
     """Run one command; the type of a rejected input picks the exit code."""
     args = build_parser().parse_args(argv)
     try:
+        if (getattr(args, "seed", None) or 0) < 0:  # numpy's names no flag
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

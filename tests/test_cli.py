@@ -100,6 +100,30 @@ def test_outputs_take_the_mode_the_umask_gives(tmp_path, capsys, monkeypatch,
         assert mode == 0o666 & ~umask, (name, oct(mode))
 
 
+def test_config_option_is_gone(hv_path, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    assert run("--config", cfg, "energy", hv_path) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["lift", "hv.fld", "--seed", "-4"],
+    ["energy", "hv.fld", "--estimator", "directional", "--seed", "-1"],
+    ["constants", "--ca", "2", "3", "--seed", "-1"],
+    ["verify", "--suite", "repr", "--seed", "-1"]],
+    ids=["lift", "energy", "constants", "verify"])
+def test_negative_seed_exit_2_before_any_work(tmp_path, capfd, monkeypatch,
+                                              argv):
+    # numpy's own message would name no flag
+    monkeypatch.setattr(cli, "read_field", must_not_run)
+    monkeypatch.setattr(constants, "ca_const", must_not_run)
+    monkeypatch.setattr(verify, "run_repr_formula_suite", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert_one_error_line(capfd, "--seed")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestMakeField:
     def test_halfvortex(self, tmp_path, capsys):
         out = tmp_path / "f.fld"
@@ -296,6 +320,39 @@ class TestEnergy:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("estimator, flags", [
+        ("embedded", ["--seed", "5", "--directions", "8"]),
+        ("embedded", ["--directions", "8"]),
+        ("embedded", ["--eps-over-h", "2,4"]),
+        ("embedded", ["--no-extrapolation"]),
+        ("directional", ["--eps-over-h", "2,4"]),
+        ("directional", ["--no-extrapolation"]),
+        ("directional", ["--jump-threshold", "0.5"]),
+        ("mollified", ["--seed", "5"]),
+        ("mollified", ["--directions", "8"]),
+        ("mollified", ["--jump-threshold", "0.5"])])
+    def test_flag_the_estimator_does_not_read_exit_2(self, hv_path, capfd,
+                                                     monkeypatch, estimator,
+                                                     flags):
+        monkeypatch.setattr(cli, "read_field", must_not_run)
+        assert run("energy", hv_path, "--estimator", estimator, *flags) == 2
+        _, err = capfd.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for flag in (f for f in flags if f.startswith("--")):
+            assert flag in err, err
+
+    def test_defaults_are_the_library_ones(self, hv_path, capsys):
+        f = read_field(hv_path)
+        for flags, rep in (
+                (["--estimator", "mollified"], mollified_energy_extrapolated(f)),
+                (["--estimator", "mollified", "--no-extrapolation"],
+                 mollified_energy(f, 8 * f.spacing)),
+                (["--estimator", "directional"], avg_directional_energy(f)),
+                (["--estimator", "embedded"], embedded_tv(f, "geodesic"))):
+            assert run("energy", hv_path, *flags) == 0
+            assert capsys.readouterr().out == json.dumps(
+                rep.to_dict(), indent=2, sort_keys=True) + "\n", flags
+
     def test_non_finite_eps_message_lists_plain_floats(self, hv_path, capfd):
         # the radii eps = multiplier * h, h = 2/64, without numpy reprs
         assert run("energy", hv_path, "--estimator", "mollified",
@@ -407,17 +464,13 @@ class TestLift:
         assert_one_error_line(capfd, flag)
         assert not out.exists()
 
-    def test_config_keys_the_mode_does_not_read_are_accepted(
-            self, seq_path, tmp_path):
-        # config keys are shared by all commands
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"metric": "euclidean_tensor", "trials": 5,
-                                   "seed": 9}))
+    def test_defaults_are_the_library_ones(self, hv_path, tmp_path, capsys):
         out = tmp_path / "n.fld"
-        assert run("--config", cfg, "lift", seq_path, "--mode", "greedy1d",
-                   "-o", out) == 0
+        assert run("lift", hv_path, "-o", out) == 0
+        res = lifting.lift_rotation_search(read_field(hv_path))
         side = json.loads((tmp_path / "n.json").read_text())
-        assert side["energy"]["metric"] == "geodesic"
+        assert side["energy"] == res.energy.to_dict()
+        assert side["rotation"] == res.rotation.tolist()
 
     @pytest.mark.parametrize("key", ["d", "spacing"])
     def test_boundary_on_another_grid_exit_2(self, hv_path, tmp_path, capfd,
@@ -620,47 +673,3 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_2(self, tmp_path):
         assert run("verify", "--suite", "bogus",
                    "--report", tmp_path / "r.json") == 2
-
-
-class TestConfig:
-    def test_config_file_with_flag_override(self, hv_path, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 5, "directions": 8}))
-        assert run("--config", cfg, "energy", hv_path,
-                   "--estimator", "directional", "--metric", "geodesic",
-                   "--directions", "16") == 0
-        rep = json.loads(capsys.readouterr().out)
-        assert rep["params"]["directions"] == 16  # flag wins
-
-    def test_missing_config_file_exit_2(self, hv_path, tmp_path, capfd):
-        assert run("--config", tmp_path / "missing.json", "energy",
-                   hv_path) == 2
-        assert_one_error_line(capfd)
-
-    @pytest.mark.parametrize("user", [
-        {"trials": "x"}, {"trials": 1.5}, {"trials": True}, {"seed": None},
-        {"jump_threshold": "1"}, {"metric": 3},
-        {"mollifier_eps_over_h": 8}, {"mollifier_eps_over_h": [8, "16"]},
-        [1, 2], {"mollifier_eps_over_h": []}])
-    def test_config_value_of_wrong_type_exit_2(self, hv_path, tmp_path,
-                                               capfd, user):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(user))
-        assert run("--config", cfg, "lift", hv_path,
-                   "-o", tmp_path / "n.fld") == 2
-        assert_one_error_line(capfd)
-
-    def test_config_int_as_float_and_null_where_default_is_null(
-            self, hv_path, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        for threshold, want in ((1, 1.0), (None, np.pi / 4)):
-            cfg.write_text(json.dumps({"jump_threshold": threshold,
-                                       "mollifier_eps_over_h": [8, 16.0]}))
-            assert run("--config", cfg, "energy", hv_path) == 0
-            rep = json.loads(capsys.readouterr().out)
-            assert rep["params"]["jump_threshold"] == pytest.approx(want)
-
-    def test_unknown_config_key_rejected(self, hv_path, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        assert run("--config", cfg, "energy", hv_path) == 2
