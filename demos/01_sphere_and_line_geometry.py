@@ -4,13 +4,15 @@
 A line field takes values in the space of undirected directions {+-n}.  This
 script walks through the basic quantities: the geodesic distance folds at a
 right angle, the tensor embedding measures jumps by sin(theta), and the
-folding map F orients a direction toward the upper hemisphere.
+folding map F orients a direction toward the upper hemisphere.  A rotated
+fold R^{-1} F(R u) is the sign flip sgn(u.r) u along the direction
+r = R^T e_d, so liftings are named by directions.
 """
 
 import numpy as np
 
 from bvlift import (canonicalize, dist_proj, dist_sphere, embed_tensor,
-                    eucl_jump_cost, haar_rotations, lift_map_F, lift_sign,
+                    eucl_jump_cost, lift_sign, random_unit_vectors,
                     uniaxial_q)
 
 d = 3
@@ -34,11 +36,12 @@ print("uniaxial Q-tensor (order parameter 0.6), trace =",
 
 print("== folding map and its rotations ==")
 n = np.array([0.8, 0.0, -0.6])
-print("F flips the lower hemisphere: F(n) =", lift_map_F(n))
+print("F flips the lower hemisphere: F(n) =", lift_sign(e3, n) * n)
 print("F is symmetric: F(-n) == F(n):",
-      np.array_equal(lift_map_F(-n), lift_map_F(n)))
-R = haar_rotations(d, 1, 7)[0]
+      np.array_equal(lift_sign(e3, -n) * -n, lift_sign(e3, n) * n))
+r = random_unit_vectors(d, 1, 7)[0]  # r = R^T e_d of a Haar rotation R
 u = canonicalize(n)
-lifted = lift_sign(R, u) * u  # R^{-1} F(R u) is a sign flip of u
-print("rotated lifting L_R([n]) =", lifted)
+lifted = lift_sign(r, u) * u  # R^{-1} F(R u) is a sign flip of u
+print("direction r =", r)
+print("rotated lifting L_r([n]) =", lifted)
 print("it projects back to the same line:", dist_proj(lifted, u) == 0.0)

@@ -14,7 +14,7 @@ from .fields import (EnergyReport, GridField, avg_directional_energy,
                      directional_tv, embedded_tv, mollified_energy,
                      mollified_energy_extrapolated, read_field, write_field)
 from .geometry import (canonicalize, dist_proj, dist_sphere, embed_tensor,
-                       eucl_jump_cost, haar_rotations, lift_map_F, lift_sign,
+                       eucl_jump_cost, haar_rotations, lift_sign,
                        random_unit_vectors, uniaxial_q)
 from .lifting import (LiftResult, boundary_cells, lift_1d, lift_greedy_1d,
                       lift_rotation_search, lift_with_boundary, solve_laplace)

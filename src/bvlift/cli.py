@@ -1,10 +1,11 @@
 """Command-line shell over the library: one library call per subcommand.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input (any
-ValueError or OSError, a missing or unwritable file included), 3 boundary
-data that is not a lifting of the field (BoundaryMismatchError), 4
-under-resolved mollifier (UnderResolvedError).  Only :func:`main` turns an
-exception into an exit code, by its type, and prints one ``error:`` line.
+ValueError or OSError, a missing or unwritable file and a command line the
+parser rejects included), 3 boundary data that is not a lifting of the
+field (BoundaryMismatchError), 4 under-resolved mollifier
+(UnderResolvedError).  Only :func:`main` turns an exception into an exit
+code, by its type, and prints one ``error:`` line.
 Outputs are written atomically (temp file + rename), with the mode the
 umask gives a new file, and are byte identical for identical (command,
 seed).
@@ -139,8 +140,9 @@ def cmd_lift(args):
         res = lift_rotation_search(u, **kw)
     else:
         res = lift_with_boundary(u, read_field(args.boundary), **kw)
+    r = res.direction
     side = {"mode": args.mode, "energy": res.energy.to_dict(),
-            "rotation": None if res.rotation is None else res.rotation.tolist(),
+            "direction": None if r is None else r.tolist(),
             "projection_check": res.projection_check}
 
     _atomic_write(out, lambda tmp: write_field(res.field, tmp))
@@ -205,8 +207,13 @@ def cmd_verify(args):
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints one line and exits 2; -h exits 0
+        raise ValueError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="bvlift",
         description="Total-variation energies and sphere-valued liftings of "
                     "line fields on grids")
@@ -225,8 +232,7 @@ def build_parser():
     en.add_argument("input")
     en.add_argument("--estimator", default="embedded",
                     choices=["mollified", "directional", "embedded"])
-    # embedded_tv's own default metric is euclidean_sphere
-    en.add_argument("--metric", default="geodesic", choices=METRICS)
+    en.add_argument("--metric", choices=METRICS)
     en.add_argument("--directions", type=int)
     en.add_argument("--seed", type=int)
     en.add_argument("--jump-threshold", type=float)
@@ -277,8 +283,8 @@ def build_parser():
 
 def main(argv=None):
     """Run one command; the type of a rejected input picks the exit code."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if (getattr(args, "seed", None) or 0) < 0:  # numpy's names no flag
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)

@@ -594,7 +594,7 @@ def _face_data(f, metric):
     return valid, chord_distance(chords, metric), chords, proj
 
 
-def embedded_tv(f, metric="euclidean_sphere", jump_threshold=None):
+def embedded_tv(f, metric="geodesic", jump_threshold=None):
     """Anisotropy-corrected finite-difference TV with a jump/smooth split.
 
     Per cell the forward differences of the embedded values form a D x N

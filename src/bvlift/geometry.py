@@ -6,7 +6,8 @@ Conventions used throughout the package:
   (within 1e-12), a point of the sphere S^{d-1};
 * a *projective point* (line direction) is stored as a canonical unit
   representative of the class {+-n}, see :func:`canonicalize`;
-* a *rotation* is a ``(d, d)`` orthogonal matrix with determinant +1.
+* a *direction* r is a unit vector of shape ``(d,)``, standing for the
+  rotations R with R^T e_d = r (see :func:`lift_sign`).
 
 All functions are pure and vectorized over leading axes.
 """
@@ -22,7 +23,6 @@ __all__ = [
     "embed_tensor",
     "uniaxial_q",
     "eucl_jump_cost",
-    "lift_map_F",
     "lift_sign",
     "haar_rotations",
     "random_unit_vectors",
@@ -166,31 +166,22 @@ def eucl_jump_cost(u, v):
     return chord_distance(chord(u, v, proj=True), "euclidean_tensor")
 
 
-def lift_map_F(n):
-    """Symmetric folding map onto the upper hemisphere: n if n.e_d > 0, else -n.
+def lift_sign(r, u):
+    """Sign s in {-1, +1} of the rotated lifting R^{-1} F(R u) = s u, for F
+    the fold onto the upper hemisphere and any rotation R with R^T e_d = r.
 
-    On the equator (n.e_d == 0, measure zero) the canonical representative is
-    returned, which keeps F(n) == F(-n) exact everywhere.  This is the
-    rotated lifting of :func:`lift_sign` at the identity rotation.
+    s is +1 where u.r > 0, -1 where it is < 0, and on the equator the one
+    that yields the canonical representative; s u reproduces the class of u
+    bit for bit.  u.r adds its d terms in index order.  r must have shape
+    ``(d,)``: a ``(d, d)`` rotation raises ValueError.
     """
-    n = np.asarray(n, dtype=float)
-    return n * lift_sign(np.eye(n.shape[-1]), n)[..., None]
-
-
-def lift_sign(R, u):
-    """Sign s in {-1, +1} of the rotated lifting R^{-1} F(R u) = s u.
-
-    F(Ru) is an exact sign flip of Ru, so the rotated lifting of a
-    projective point u is ``s[..., None] * u``, which reproduces the input
-    class bit for bit.  The sign is +1 where (R u).e_d > 0, -1 where it is
-    < 0, and on the equator the one that yields the canonical representative.
-    (R u).e_d adds its d terms in index order.
-    """
-    R = np.asarray(R, dtype=float)
+    r = np.asarray(r, dtype=float)
     u = np.asarray(u, dtype=float)
-    w_last = sum(u[..., k] * R[-1, k] for k in range(u.shape[-1]))
-    s = np.where(w_last > 0, 1.0, -1.0)
-    eq = w_last == 0
+    if r.shape != u.shape[-1:]:
+        raise ValueError(f"direction shape {r.shape}, vectors {u.shape}")
+    w = sum(u[..., k] * r[k] for k in range(r.size))
+    s = np.where(w > 0, 1.0, -1.0)
+    eq = w == 0
     if np.any(eq):
         s = np.where(eq, _lead_sign(u), s)  # the canonical tie-break
     return s

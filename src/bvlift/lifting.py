@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import (EnergyReport, GridField, _half_offsets, _lattice_sums,
                      avg_directional_energy, embedded_tv)
-from .geometry import canonicalize, dist_proj, haar_rotations, lift_sign
+from .geometry import canonicalize, dist_proj, lift_sign, random_unit_vectors
 
 __all__ = [
     "LiftResult",
@@ -34,7 +34,7 @@ __all__ = [
 
 
 _LAPLACE_TOL = 1e-10  # maximal residual of the harmonic extension
-_RANK_GROUP = 64  # rotation candidates ranked per pair-kernel call
+_RANK_GROUP = 64  # candidate directions ranked per pair-kernel call
 
 
 class BoundaryMismatchError(ValueError):
@@ -45,7 +45,7 @@ class BoundaryMismatchError(ValueError):
 class LiftResult:
     field: GridField          # unit-valued lifting
     energy: EnergyReport
-    rotation: np.ndarray = None   # set by the rotation search
+    direction: np.ndarray = None  # r of shape (d,), set by the rotation search
     projection_check: float = 0.0  # max over cells of dist_proj([n], u)
 
 
@@ -55,9 +55,10 @@ def _projection_check(n_field, u_field):
 
 
 def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
-    """Best-of-``trials`` Haar-sampled rotation liftings of a line field.
+    """Best-of-``trials`` liftings of a line field along random directions.
 
-    Each rotation R induces the cellwise lifting s u with s = sgn((R u).e_d).
+    Each direction r uniform on S^{d-1}, the last row of a Haar rotation R,
+    induces the cellwise lifting s u = R^{-1} F(R u) with s = sgn(u.r).
     Candidates are ranked by their face sums, the pair distances of s u
     over the forward faces (the unit offsets) in the requested metric,
     which the averaging bound controls.  The pair kernel
@@ -71,18 +72,18 @@ def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
         raise ValueError("rotation search expects a proj field")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rots = haar_rotations(u.d, trials, seed)
+    dirs = random_unit_vectors(u.d, trials, seed)
     # both Euclidean requests rank by the sphere chord energy: the tensor
     # energy of a lifting is that of its projection, the same for all
     rank = "geodesic" if metric == "geodesic" else "euclidean_sphere"
     faces = _half_offsets(u.N, 1)
     # per face offset a row of one sum per candidate; bool signs are small
     totals = np.concatenate([_lattice_sums(u, [
-        (rank, lift_sign(R, u.values) > 0) for R in rots[i:i + _RANK_GROUP]],
+        (rank, lift_sign(r, u.values) > 0) for r in dirs[i:i + _RANK_GROUP]],
         faces).sum(axis=0) for i in range(0, trials, _RANK_GROUP)])
-    R = rots[np.argmin(totals)]
-    n = u.with_values(u.values * lift_sign(R, u.values)[..., None], kind="unit")
-    return LiftResult(field=n, energy=embedded_tv(n, rank), rotation=R,
+    r = dirs[np.argmin(totals)]
+    n = u.with_values(u.values * lift_sign(r, u.values)[..., None], kind="unit")
+    return LiftResult(field=n, energy=embedded_tv(n, rank), direction=r,
                       projection_check=_projection_check(n, u))
 
 
@@ -234,5 +235,4 @@ def lift_with_boundary(u, n0, trials=64, seed=0):
     n = u.with_values(n_vals, kind="unit")
     return LiftResult(field=n,
                       energy=embedded_tv(n, "euclidean_sphere"),
-                      rotation=None,
                       projection_check=_projection_check(n, u))

@@ -216,8 +216,8 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
                                     metric="euclidean_sphere")
     e_u_geo, e_u_tens_m, e_n_geo, e_n_euc = _extrapolated_energies(u, [
         ("geodesic", None), ("euclidean_tensor", None),
-        ("geodesic", lift_sign(lift_geo.rotation, u.values) > 0),
-        ("euclidean_sphere", lift_sign(lift_euc.rotation, u.values) > 0)])
+        ("geodesic", lift_sign(lift_geo.direction, u.values) > 0),
+        ("euclidean_sphere", lift_sign(lift_euc.direction, u.values) > 0)])
     reports.append(_check(
         "halfvortex_geodesic_energy", 2.0, e_u_geo.total, 0.05, "rel",
         "intrinsic energy of the half vortex = K_2 pi = 2", t0,

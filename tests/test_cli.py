@@ -14,6 +14,7 @@ from bvlift.fields import (GridField, _face_data, avg_directional_energy,
                            embedded_tv, mollified_energy,
                            mollified_energy_extrapolated, read_field,
                            write_field)
+from bvlift.geometry import lift_sign, random_unit_vectors
 from bvlift.verify import make_half_vortex
 
 
@@ -104,6 +105,28 @@ def test_config_option_is_gone(hv_path, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"seed": 5}))
     assert run("--config", cfg, "energy", hv_path) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "x.fld", "--estimator", "bogus"],
+    ["make-field", "--kind", "smooth", "--grid", "abc", "-o", "a.fld"],
+    ["lift", "x.fld", "--bogus"],
+    []], ids=["choice", "type", "unknown", "bare"])
+def test_argparse_rejection_is_one_error_line(tmp_path, capfd, monkeypatch,
+                                              argv):
+    # no usage block: exit 2 and one line, like every other bad input
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["energy", "-h"]])
+def test_help_exit_0(capsys, argv):
+    assert run(*argv) == 0
+    assert capsys.readouterr().out.startswith("usage: bvlift")
 
 
 @pytest.mark.parametrize("argv", [
@@ -348,7 +371,7 @@ class TestEnergy:
                 (["--estimator", "mollified", "--no-extrapolation"],
                  mollified_energy(f, 8 * f.spacing)),
                 (["--estimator", "directional"], avg_directional_energy(f)),
-                (["--estimator", "embedded"], embedded_tv(f, "geodesic"))):
+                (["--estimator", "embedded"], embedded_tv(f))):
             assert run("energy", hv_path, *flags) == 0
             assert capsys.readouterr().out == json.dumps(
                 rep.to_dict(), indent=2, sort_keys=True) + "\n", flags
@@ -370,7 +393,26 @@ class TestLift:
         assert n.kind == "unit"
         side = json.loads((tmp_path / "n.json").read_text())
         assert side["projection_check"] == 0.0
-        assert len(side["rotation"]) == 2
+        assert len(side["direction"]) == 2 and "rotation" not in side
+
+    @pytest.mark.parametrize("d, N, trials, seed", [(2, 2, 8, 3),
+                                                   (3, 3, 5, 1)])
+    def test_sidecar_direction_rebuilds_the_lifting(self, tmp_path, capsys,
+                                                    d, N, trials, seed):
+        # the direction is one of the draws, and its lifting of the input
+        # is the written field bit for bit
+        p = tmp_path / "u.fld"
+        write_field(make_half_vortex(32, d=d, N=N), p)
+        out = tmp_path / "n.fld"
+        assert run("lift", p, "--trials", trials, "--seed", seed,
+                   "-o", out) == 0
+        r = np.array(json.loads((tmp_path / "n.json").read_text())[
+            "direction"])
+        assert any(np.array_equal(r, draw)
+                   for draw in random_unit_vectors(d, trials, seed))
+        u = read_field(p).values
+        assert np.array_equal(read_field(out).values,
+                              lift_sign(r, u)[..., None] * u)
 
     def test_greedy1d_sequence(self, tmp_path, capsys):
         # a rotating line field turns by pi; the energy skips masked cells
@@ -409,7 +451,7 @@ class TestLift:
         assert np.array_equal(read_field(out).values, res.field.values)
         side = json.loads((tmp_path / "n.json").read_text())
         assert side == {"mode": "greedy1d", "energy": res.energy.to_dict(),
-                        "rotation": None, "projection_check": 0.0}
+                        "direction": None, "projection_check": 0.0}
 
     def test_boundary_mode(self, hv_path, tmp_path):
         from bvlift.verify import make_half_vortex_lifting
@@ -470,7 +512,7 @@ class TestLift:
         res = lifting.lift_rotation_search(read_field(hv_path))
         side = json.loads((tmp_path / "n.json").read_text())
         assert side["energy"] == res.energy.to_dict()
-        assert side["rotation"] == res.rotation.tolist()
+        assert side["direction"] == res.direction.tolist()
 
     @pytest.mark.parametrize("key", ["d", "spacing"])
     def test_boundary_on_another_grid_exit_2(self, hv_path, tmp_path, capfd,

@@ -5,8 +5,8 @@ from scipy import stats
 
 from bvlift.geometry import (_lead_sign, _squared_chords, canonicalize,
                              dist_proj, dist_sphere, embed_tensor,
-                             eucl_jump_cost, haar_rotations, lift_map_F,
-                             lift_sign, random_unit_vectors, uniaxial_q)
+                             eucl_jump_cost, haar_rotations, lift_sign,
+                             random_unit_vectors, uniaxial_q)
 
 
 def e(i, d):
@@ -171,31 +171,47 @@ class TestJumpCost:
             assert np.max(np.abs(eucl_jump_cost(a, b) - frob)) < 1e-12
 
 
+def fold(w):
+    """The paper's F, evaluated directly: w if w.e_d > 0, else -w, and the
+    canonical representative on the equator."""
+    last = w[..., -1:]
+    return np.where(last > 0, w, np.where(last < 0, -w, canonicalize(w)))
+
+
 class TestFoldingMap:
+    """F is the lifting along the direction e_d."""
+
+    @staticmethod
+    def F(n):
+        n = np.asarray(n, dtype=float)
+        return lift_sign(e(n.shape[-1] - 1, n.shape[-1]), n)[..., None] * n
+
     def test_north_pole(self):
-        assert np.array_equal(lift_map_F(e(2, 3)), e(2, 3))
+        assert np.array_equal(self.F(e(2, 3)), e(2, 3))
 
     def test_south_pole_folds_up(self):
-        assert np.array_equal(lift_map_F(-e(2, 3)), e(2, 3))
+        assert np.array_equal(self.F(-e(2, 3)), e(2, 3))
 
     def test_negative_cap_flips(self):
         n = np.array([0.6, np.sqrt(1 - 0.36 - 0.09), -0.3])
-        assert np.array_equal(lift_map_F(n), -n)
+        assert np.array_equal(self.F(n), -n)
 
     def test_symmetry_everywhere(self):
         rng = np.random.default_rng(9)
         n = random_unit_vectors(3, 10_000, rng)
-        assert np.array_equal(lift_map_F(n), lift_map_F(-n))
+        assert np.array_equal(self.F(n), self.F(-n))
+        assert np.array_equal(self.F(n), fold(n))
 
     def test_equator_tie_break_is_canonical(self):
         n = np.array([-1.0, 0.0, 0.0])  # on the equator
-        assert np.array_equal(lift_map_F(n), np.array([1.0, 0.0, 0.0]))
-        assert np.array_equal(lift_map_F(n), lift_map_F(-n))
+        assert np.array_equal(self.F(n), np.array([1.0, 0.0, 0.0]))
+        assert np.array_equal(self.F(n), self.F(-n))
 
 
 def lift_rot(R, u):
-    """The rotated lifting R^{-1} F(R u) through its sign."""
-    return lift_sign(R, u)[..., None] * u
+    """The rotated lifting R^{-1} F(R u) through its sign: R enters only
+    through its last row, the direction r = R^T e_d."""
+    return lift_sign(R[-1], u)[..., None] * u
 
 
 class TestRotatedLifting:
@@ -210,7 +226,7 @@ class TestRotatedLifting:
         R[-2, -2] = -1.0
         R[-1, -1] = -1.0
         n = e(d - 1, d)
-        oracle = R.T @ lift_map_F(R @ n)
+        oracle = R.T @ fold(R @ n)
         got = lift_rot(R, n)
         assert np.allclose(got, oracle, atol=1e-12)
         assert np.array_equal(got, -e(d - 1, d))
@@ -226,14 +242,26 @@ class TestRotatedLifting:
             assert np.array_equal(lift_rot(R, -u), n)
 
     def test_matches_matrix_evaluation(self):
+        # the paper's oracle: for a Haar R, lift_sign(R[-1], u) u equals
+        # R^{-1} F(R u) = R^T F(R u) off the equator of R u
         rng = np.random.default_rng(12)
         for d in (2, 3):
             R = haar_rotations(d, 1, 10 + d)[0]
             u = canonicalize(random_unit_vectors(d, 200, rng))
             w = u @ R.T
             off = np.abs(w[:, -1]) > 1e-6
-            direct = lift_map_F(w) @ R  # R^{-1} F(R u), R^{-1} = R^T
+            direct = fold(w) @ R
             assert np.allclose(lift_rot(R, u)[off], direct[off], atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rejects_a_direction_of_another_shape(self, d):
+        # a d x d rotation would broadcast into a wrong sign array
+        u = random_unit_vectors(d, 5, d)
+        for r in (np.eye(d), np.ones(d + 1) / np.sqrt(d + 1)):
+            with pytest.raises(ValueError) as err:
+                lift_sign(r, u)
+            assert f"{r.shape}" in str(err.value)
+            assert f"{u.shape}" in str(err.value)
 
 
 def index_order(terms):
@@ -250,10 +278,10 @@ class TestIndexOrderSums:
     last bits once three or more terms are nonzero."""
 
     @staticmethod
-    def near_equator(R, u):
-        """u with its component along R[-1] removed: (R u).e_d is of the
-        order of rounding, so its sign rides on the summation order."""
-        v = u - (u @ R[-1])[:, None] * R[-1]
+    def near_equator(r, u):
+        """u with its component along r removed: u.r is of the order of
+        rounding, so its sign rides on the summation order."""
+        v = u - (u @ r)[:, None] * r
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
     @pytest.mark.parametrize("d", range(1, 10))
@@ -274,22 +302,22 @@ class TestIndexOrderSums:
     @pytest.mark.parametrize("d", range(2, 10))
     def test_lift_sign_equals_the_index_order_formula(self, d):
         rng = np.random.default_rng(40 + d)
-        # a Haar rotation, and one turning the (e_1, e_d) plane whose
+        # a uniform direction, and one in the (e_1, e_d) plane whose
         # equator holds +-(0.8, 0, ..., 0, -0.6) and e_2, ..., e_{d-1}
         # exactly; and the near-equator rows of random points
-        turn = np.eye(d)
-        turn[np.ix_([0, -1], [0, -1])] = [[0.8, -0.6], [0.6, 0.8]]
+        turn = np.zeros(d)
+        turn[[0, -1]] = 0.6, 0.8
         tie = np.zeros(d)
         tie[[0, -1]] = 0.8, -0.6
-        for R in (haar_rotations(d, 1, rng)[0], turn):
+        for r in (random_unit_vectors(d, 1, rng)[0], turn):
             u = random_unit_vectors(d, 2000, rng)
-            u = np.concatenate([u, self.near_equator(R, u), [tie, -tie],
+            u = np.concatenate([u, self.near_equator(r, u), [tie, -tie],
                                 np.eye(d)[1:-1]])
-            w = index_order(u * R[-1])
+            w = index_order(u * r)
             want = np.where(w == 0, _lead_sign(u), np.where(w > 0, 1.0, -1.0))
-            assert np.array_equal(lift_sign(R, u), want)
-            assert R is not turn or (w == 0).sum() >= d  # the exact ties
-            assert np.array_equal(lift_sign(R, u[0]), want[0])
+            assert np.array_equal(lift_sign(r, u), want)
+            assert r is not turn or (w == 0).sum() >= d  # the exact ties
+            assert np.array_equal(lift_sign(r, u[0]), want[0])
 
 
 class TestHaarSampling:

@@ -12,8 +12,7 @@ from bvlift.fields import (GridField, _face_data, _pair_sums,
                            avg_directional_energy, default_jump_threshold,
                            embedded_tv)
 from bvlift.geometry import (canonicalize, chord, chord_distance,
-                             eucl_jump_cost, haar_rotations, lift_sign,
-                             random_unit_vectors)
+                             eucl_jump_cost, lift_sign, random_unit_vectors)
 from bvlift.lifting import (BoundaryMismatchError, boundary_cells, lift_1d,
                             lift_greedy_1d, lift_rotation_search,
                             lift_with_boundary, solve_laplace)
@@ -127,7 +126,7 @@ class TestLiftGreedy1D:
         for mask in (None, [1, 1, 0, 1, 1, 1, 0]):
             u = self.field(mask)
             res = lift_greedy_1d(u)
-            assert res.field.kind == "unit" and res.rotation is None
+            assert res.field.kind == "unit" and res.direction is None
             assert res.energy.total == res.energy.params["projective_tv"]
             assert res.projection_check == 0.0
 
@@ -160,13 +159,12 @@ class TestRotationSearch:
         # constant up to one global sign
         assert np.all(res.field.values == res.field.values[0, 0])
 
-    def test_exact_projection_and_rotation_recorded(self):
+    def test_exact_projection_and_direction_recorded(self):
         u = make_half_vortex(64)
         res = lift_rotation_search(u, trials=8, seed=1)
         assert res.projection_check == 0.0
-        assert res.rotation.shape == (2, 2)
-        assert np.allclose(res.rotation @ res.rotation.T, np.eye(2),
-                           atol=1e-10)
+        assert res.direction.shape == (2,)
+        assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_proj_field(self):
         n = make_half_vortex_lifting(64)
@@ -226,9 +224,9 @@ class TestRotationSearch:
         metric = data.draw(st.sampled_from(
             ("geodesic", "euclidean_sphere", "euclidean_tensor")))
         rank = "geodesic" if metric == "geodesic" else "euclidean_sphere"
-        rots = haar_rotations(d, 5, seed)
-        liftings = [u.with_values(u.values * lift_sign(R, u.values)[..., None],
-                                  kind="unit") for R in rots]
+        dirs = random_unit_vectors(d, 5, seed)
+        liftings = [u.with_values(u.values * lift_sign(r, u.values)[..., None],
+                                  kind="unit") for r in dirs]
         want = [sum(_pair_sums(n, [(rank, None)], 1)[1][:, 0])
                 for n in liftings]
         best = int(np.argmin(want))  # the first minimum
@@ -250,11 +248,11 @@ class TestRotationSearch:
                 assert [sum(col) for rows in calls for col in rows.T] == want
                 flat = lift_rotation_search(const, trials=5, seed=seed,
                                             metric=metric)
-            assert np.array_equal(res.rotation, rots[best])
+            assert np.array_equal(res.direction, dirs[best])
             assert np.array_equal(res.field.values, liftings[best].values)
             assert res.energy.to_dict() == embedded_tv(
                 liftings[best], rank).to_dict()
-            assert np.array_equal(flat.rotation, rots[0])
+            assert np.array_equal(flat.direction, dirs[0])
             assert flat.energy.total == 0.0
 
     def test_antipodal_traces_at_lifting_jumps(self):

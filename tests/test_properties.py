@@ -28,8 +28,8 @@ from bvlift.fields import (_ROWS_PER_WRITE, METRICS, GridField,
                            mollified_energy_extrapolated, read_field,
                            write_field)
 from bvlift.geometry import (canonicalize, chord, chord_distance, dist_proj,
-                             dist_sphere, eucl_jump_cost, haar_rotations,
-                             lift_sign)
+                             dist_sphere, eucl_jump_cost, lift_sign,
+                             random_unit_vectors)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -476,7 +476,7 @@ def test_3d_stream_of_candidates_equals_the_explicit_liftings(metric):
     rough = _normalize(rng.standard_normal(dims + (3,)))
     u = GridField(dims, 0.25, (0.0, 0.0, 0.0), "proj", rough,
                   rng.random(dims) < 0.8)
-    stream = [lift_sign(R, u.values) for R in haar_rotations(3, 4, rng)]
+    stream = [lift_sign(r, u.values) for r in random_unit_vectors(3, 4, rng)]
     stream += [rng.choice([-1.0, 1.0], dims) for _ in range(3)]
     want = np.column_stack([_reference_pair_sums(_lifting(u, s), metric, 1)
                             for s in stream])
