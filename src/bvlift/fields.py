@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 METRICS = ("geodesic", "euclidean_sphere", "euclidean_tensor")
-_ROWS_PER_WRITE = 4096  # field-file rows formatted at once
 
 
 @dataclass
@@ -167,14 +166,12 @@ def default_jump_threshold(metric, angle=np.pi / 4):
 # field files
 
 def write_field(f, path):
-    """Write a field file: one JSON header line, then one CSV row per cell.
-
-    Rows are row-major, d columns of 17-significant-digit decimals (exact
-    round trip for doubles), plus a trailing 0/1 mask column when a mask is
-    present.
+    """Write a field file: one sorted compact JSON header line with
+    ``"version": 2``, then the values as little-endian float64 in C order
+    and, when a mask is present, one byte per cell: 1 inside, 0 outside.
     """
     header = {
-        "version": 1,
+        "version": 2,
         "dims": list(f.dims),
         "spacing": f.spacing,
         "origin": list(f.origin),
@@ -182,59 +179,61 @@ def write_field(f, path):
         "kind": f.kind,
         "mask": "inline" if f.mask is not None else "none",
     }
-    rows = f.values.reshape(-1, f.d)
-    if f.mask is not None:
-        rows = np.column_stack([rows, f.mask.reshape(-1)])
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":"))
-                 + "\n")
-        # one % format per chunk of rows, the row format of np.savetxt
-        for i in range(0, len(rows), _ROWS_PER_WRITE):
-            chunk = rows[i:i + _ROWS_PER_WRITE]
-            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+                 .encode() + b"\n")
+        fh.write(np.ascontiguousarray(f.values, "<f8").tobytes())
+        if f.mask is not None:
+            fh.write(np.ascontiguousarray(f.mask, np.uint8).tobytes())
 
 
 def read_field(path):
-    """Read a field file written by :func:`write_field`."""
-    with open(path) as fh:
+    """Read a field file written by :func:`write_field`: a strict header,
+    a body of exactly the length it gives and mask bytes 0 or 1; the other
+    checks are :class:`GridField`'s.  Values may be a read-only view."""
+    with open(path, "rb") as fh:
         header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"malformed field header: {e}") from None
-        for key in ("version", "dims", "spacing", "origin", "d", "kind", "mask"):
-            if key not in header:
-                raise ValueError(f"field header missing {key!r}")
-        dims, d, origin = header["dims"], header["d"], header["origin"]
-        N = len(dims) if type(dims) is list else 0  # dims is checked first
-        number = (int, float)  # matched by type(), which excludes bools
-        for key, ok, want in [
-                ("version", type(header["version"]) is int
-                 and header["version"] == 1, "1"),
-                ("dims", type(dims) is list and dims and all(
-                    type(n) is int and n >= 1 for n in dims), "ints >= 1"),
-                ("d", type(d) is int and d >= 1, "an int >= 1"),
-                ("spacing", type(header["spacing"]) in number, "a number"),
-                ("origin", type(origin) is list and len(origin) == N
-                 and all(type(x) in number for x in origin),
-                 f"a list of {N} numbers"),
-                ("mask", header["mask"] in ("inline", "none"),
-                 '"inline" or "none"')]:
-            if not ok:
-                raise ValueError(
-                    f"field {key} must be {want}, got {header[key]!r}")
-        ncells = math.prod(dims)
-        has_mask = header["mask"] == "inline"
-        want = d + (1 if has_mask else 0)
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape != (ncells, want):
-        raise ValueError(
-            f"field body has shape {data.shape}, expected {(ncells, want)}")
-    values = data[:, :d].reshape((*dims, d))
-    mask = data[:, d].reshape(dims) if has_mask else None
-    if has_mask and (bad := mask[(mask != 0.0) & (mask != 1.0)]).size:
-        raise ValueError(f"field mask must be 0 or 1, got {bad[0]}")
+        body = fh.read()
+    try:
+        header = json.loads(header_line)
+    except ValueError as e:
+        raise ValueError(f"malformed field header: {e}") from None
+    if type(header) is not dict:
+        raise ValueError("field header must be a JSON object")
+    for key in ("version", "dims", "spacing", "origin", "d", "kind", "mask"):
+        if key not in header:
+            raise ValueError(f"field header missing {key!r}")
+    dims, d, origin = header["dims"], header["d"], header["origin"]
+    N = len(dims) if type(dims) is list else 0  # dims is checked first
+    number = (int, float)  # matched by type(), which excludes bools
+    for key, ok, want in [
+            ("version", type(header["version"]) is int
+             and header["version"] == 2,
+             "2 (text files of version 1 are no longer read)"),
+            ("dims", type(dims) is list and dims and all(
+                type(n) is int and n >= 1 for n in dims), "ints >= 1"),
+            ("d", type(d) is int and d >= 1, "an int >= 1"),
+            ("spacing", type(header["spacing"]) in number, "a number"),
+            ("origin", type(origin) is list and len(origin) == N
+             and all(type(x) in number for x in origin),
+             f"a list of {N} numbers"),
+            ("mask", header["mask"] in ("inline", "none"),
+             '"inline" or "none"')]:
+        if not ok:
+            raise ValueError(
+                f"field {key} must be {want}, got {header[key]!r}")
+    ncells = math.prod(dims)
+    has_mask = header["mask"] == "inline"
+    nbytes = (8 * d + has_mask) * ncells
+    if len(body) != nbytes:
+        raise ValueError(f"field body has {len(body)} bytes, expected {nbytes}"
+                         f": {ncells} cells of {d} float64 values"
+                         + (" and a mask byte" if has_mask else ""))
+    values = np.frombuffer(body, "<f8", ncells * d).reshape((*dims, d))
+    mask = (np.frombuffer(body, np.uint8, offset=8 * d * ncells)
+            .reshape(dims) if has_mask else None)
+    if has_mask and (bad := mask[mask > 1]).size:
+        raise ValueError(f"field mask bytes must be 0 or 1, got {bad[0]}")
     return GridField(dims, float(header["spacing"]), tuple(origin),
                      header["kind"], values, mask)
 

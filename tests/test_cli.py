@@ -16,6 +16,7 @@ from bvlift.fields import (GridField, _face_data, avg_directional_energy,
                            write_field)
 from bvlift.geometry import lift_sign, random_unit_vectors
 from bvlift.verify import make_half_vortex
+from test_fields import write_raw_field
 
 
 def run(*argv):
@@ -250,20 +251,60 @@ class TestEnergy:
     def test_missing_file_exit_2(self, tmp_path):
         assert run("energy", tmp_path / "nope.fld") == 2
 
-    def test_malformed_file_exit_2(self, tmp_path):
+    def test_malformed_file_exit_2(self, tmp_path, capfd):
+        # bodies of the right length, so each names its own fault
         p = tmp_path / "bad.fld"
         p.write_text("garbage\n")
         assert run("energy", p) == 2
+        assert_one_error_line(capfd, "malformed field header")
+        write_raw_field(p, '{"d":2,"dims":[2],"kind":"proj","mask":"none",'
+                        '"origin":[0],"spacing":0.5,"version":2}',
+                        [1.0, 0.0, np.nan, np.nan])
+        assert run("energy", p) == 2
+        assert_one_error_line(capfd, "field values must be finite")
+        write_raw_field(p, '{"d":2,"dims":[2],"kind":"proj","mask":"inline",'
+                        '"origin":[0],"spacing":0.5,"version":2}',
+                        [1.0, 0.0, 1.0, 0.0], [1, 2])
+        assert run("energy", p) == 2
+        assert_one_error_line(capfd, "field mask")
+        write_raw_field(p, '{"d":2,"dims":[2],"kind":"vector","mask":"none",'
+                        '"origin":[0],"spacing":0.5,"version":2}',
+                        [1.0, 0.0, 0.0, 1.0])
+        assert run("energy", p) == 2
+        assert_one_error_line(capfd, "unknown field kind")
+
+    HEADER = ('{"d":2,"dims":[2,2],"kind":"proj","mask":"inline",'
+              '"origin":[0,0],"spacing":0.5,"version":2}')
+    BODY = np.array([1.0, 0.0, 0.6, 0.8, 0.0, 1.0, 0.8, -0.6], "<f8").tobytes()
+
+    @pytest.mark.parametrize("body, message", [
+        (BODY + bytes([1, 0, 1]), "field body has 67 bytes, "
+         "expected 68: 4 cells of 2 float64 values and a mask byte"),
+        (BODY + bytes([1, 0, 1, 1, 0]), "field body has 69 bytes"),
+        (np.array(np.nan, "<f8").tobytes() + BODY[8:] + bytes([1] * 4),
+         "field values must be finite"),
+        (BODY[:24] + np.array(np.inf, "<f8").tobytes() + BODY[32:]
+         + bytes([1] * 4), "field values must be finite"),
+        (BODY + bytes([1, 2, 1, 1]), "field mask bytes must be 0 or 1, "
+         "got 2"),
+        (BODY + bytes([255, 1, 1, 1]), "got 255"),
+        (BODY + bytes(4), "empty mask"),
+        (b"", "field body has 0 bytes")],
+        ids=["short", "long", "nan", "inf", "mask-2", "mask-255",
+             "all-zero-mask", "no-body"])
+    def test_malformed_body_exit_2(self, tmp_path, capfd, body, message):
+        p = tmp_path / "bad.fld"
+        p.write_bytes(self.HEADER.encode() + b"\n" + body)
+        assert run("energy", p) == 2
+        assert_one_error_line(capfd, message)
+
+    def test_version_1_text_file_exit_2(self, tmp_path, capfd):
+        # text files of version 1 are no longer read
+        p = tmp_path / "old.fld"
         p.write_text('{"d":2,"dims":[2],"kind":"proj","mask":"none",'
-                     '"origin":[0],"spacing":0.5,"version":1}\n1,0\nnan,nan\n')
-        assert run("energy", p) == 2
-        p.write_text('{"d":2,"dims":[2],"kind":"proj","mask":"inline",'
-                     '"origin":[0],"spacing":0.5,"version":1}\n'
-                     "1,0,1\n1,0,0.5\n")
-        assert run("energy", p) == 2
-        p.write_text('{"d":2,"dims":[2],"kind":"vector","mask":"none",'
                      '"origin":[0],"spacing":0.5,"version":1}\n1,0\n0,1\n')
-        assert run("energy", p) == 2  # an unknown kind
+        assert run("energy", p) == 2
+        assert_one_error_line(capfd, "field version must be 2")
 
     @pytest.mark.parametrize("argv", [
         ["energy", "--estimator", "embedded"],
@@ -274,9 +315,9 @@ class TestEnergy:
     def test_empty_mask_exit_2(self, tmp_path, capfd, argv):
         # read_field rejects the file: no GridField has an empty mask
         p = tmp_path / "empty.fld"
-        p.write_text('{"d":2,"dims":[8,8],"kind":"proj","mask":"inline",'
-                     '"origin":[0,0],"spacing":0.125,"version":1}\n'
-                     + "1,0,0\n" * 64)
+        write_raw_field(p, '{"d":2,"dims":[8,8],"kind":"proj",'
+                        '"mask":"inline","origin":[0,0],"spacing":0.125,'
+                        '"version":2}', [1.0, 0.0] * 64, [0] * 64)
         assert run(argv[0], p, *argv[1:]) == 2
         assert_one_error_line(capfd, "empty mask")
 
@@ -287,10 +328,11 @@ class TestEnergy:
     def test_non_finite_geometry_exit_2(self, tmp_path, capfd, estimator,
                                         header):
         p = tmp_path / "nan.fld"
-        p.write_text('{"d":2,"dims":[4,4],"kind":"proj","mask":"none",'
-                     + header + ',"version":1}\n' + "1,0\n" * 16)
+        write_raw_field(p, '{"d":2,"dims":[4,4],"kind":"proj","mask":"none",'
+                        + header + ',"version":2}', [1.0, 0.0] * 16)
         assert run("energy", p, "--estimator", estimator) == 2
-        assert_one_error_line(capfd)
+        assert_one_error_line(capfd, "spacing must be finite and positive, "
+                              "and origin finite")
 
     @pytest.mark.parametrize("estimator, kernels", [
         ("mollified", [mollified_energy_extrapolated,

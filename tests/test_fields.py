@@ -41,6 +41,14 @@ def constant_field(grid=32, d=2, kind="proj"):
     return GridField((grid, grid), 1.0 / grid, (0.0, 0.0), kind, vals)
 
 
+def write_raw_field(path, header, values, mask=None):
+    """Write a field file by hand: the header line as given, then the
+    values as little-endian float64 and the mask bytes, unchecked."""
+    body = np.asarray(values, "<f8").tobytes()
+    path.write_bytes(header.encode() + b"\n" + body
+                     + (b"" if mask is None else bytes(mask)))
+
+
 def jump_field(grid=128):
     return angle_field(grid, lambda X, Y: np.where(X < 0, 0.0, np.pi / 2),
                        box=((-0.5, 0.5), (-0.5, 0.5)))
@@ -108,10 +116,11 @@ class TestFieldFiles:
         write_field(f, p)
         assert p.read_bytes() == (
             b'{"d":2,"dims":[3],"kind":"unit","mask":"inline",'
-            b'"origin":[-0.25],"spacing":0.5,"version":1}\n'
-            b"1,-0,1\n"
-            b"0.59999999999999998,0.80000000000000004,0\n"
-            b"0,1,1\n")
+            b'"origin":[-0.25],"spacing":0.5,"version":2}\n'
+            + bytes.fromhex("000000000000f03f" "0000000000000080"  # 1, -0
+                            "333333333333e33f" "9a9999999999e93f"  # .6, .8
+                            "0000000000000000" "000000000000f03f"  # 0, 1
+                            "010001"))  # the mask
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.fld"
@@ -119,40 +128,58 @@ class TestFieldFiles:
         with pytest.raises(ValueError):
             read_field(p)
 
+    @pytest.mark.parametrize("header", ["1", "[]", "null", '"version"'])
+    def test_header_not_an_object(self, tmp_path, header):
+        p = tmp_path / "bad.fld"
+        write_raw_field(p, header, [1.0, 0.0])
+        with pytest.raises(ValueError, match="JSON object"):
+            read_field(p)
+
     @pytest.mark.parametrize("key, value", [
         ("dims", '["2","2"]'), ("dims", "4"), ("dims", "[-2,-2]"),
         ("dims", "[2,0]"), ("dims", "[]"), ("dims", "[true,true]"),
         ("dims", "[2.0,2]"), ("mask", '"yes"'), ("mask", "null"),
         ("d", "2.7"), ("d", "true"), ("d", "0"), ("d", '"2"'),
-        ("version", "true"), ("version", "1.0"), ("version", "2"),
+        ("version", "true"), ("version", "1.0"), ("version", "1"),
         ("spacing", '"0.0625"'), ("spacing", "true"), ("spacing", "null"),
         ("origin", "[0]"), ("origin", '[0,"0"]'), ("origin", "[false,0]"),
         ("origin", "0")])
     def test_malformed_dims_or_mask(self, tmp_path, key, value):
         header = {"d": "2", "dims": "[2,2]", "kind": '"proj"',
                   "mask": '"none"', "origin": "[0,0]", "spacing": "0.5",
-                  "version": "1", key: value}
+                  "version": "2", key: value}
         p = tmp_path / "bad.fld"
-        p.write_text("{" + ",".join(f'"{k}":{v}' for k, v in header.items())
-                     + "}\n" + "1,0\n" * 4)
+        # the body of the default header, so only the bad key is wrong
+        write_raw_field(p, "{" + ",".join(f'"{k}":{v}'
+                                          for k, v in header.items()) + "}",
+                        [1.0, 0.0] * 4)
         with pytest.raises(ValueError, match=f"field {key}"):
             read_field(p)
 
-    @pytest.mark.parametrize("value", ["0.5", "2", "-3", "nan"])
+    @pytest.mark.parametrize("value", [2, 3, 128, 255])
     def test_mask_column_other_than_0_or_1(self, tmp_path, value):
         p = tmp_path / "mask.fld"
-        p.write_text('{"d":2,"dims":[2],"kind":"proj","mask":"inline",'
-                     f'"origin":[0],"spacing":0.5,"version":1}}\n'
-                     f"1,0,1\n1,0,{value}\n")
-        with pytest.raises(ValueError, match="field mask"):
+        write_raw_field(p, '{"d":2,"dims":[2],"kind":"proj","mask":"inline",'
+                        '"origin":[0],"spacing":0.5,"version":2}',
+                        [1.0, 0.0, 1.0, 0.0], [1, value])
+        with pytest.raises(ValueError, match=f"field mask.* got {value}"):
             read_field(p)
 
     def test_wrong_cell_count(self, tmp_path):
         p = tmp_path / "short.fld"
-        p.write_text('{"d":2,"dims":[2,2],"kind":"proj","mask":"none",'
-                     '"origin":[0,0],"spacing":0.5,"version":1}\n1,0\n1,0\n')
-        with pytest.raises(ValueError):
+        write_raw_field(p, '{"d":2,"dims":[2,2],"kind":"proj","mask":"none",'
+                        '"origin":[0,0],"spacing":0.5,"version":2}',
+                        [1.0, 0.0] * 2)
+        with pytest.raises(ValueError, match="field body has 32 bytes, "
+                           "expected 64"):
             read_field(p)
+
+    def test_unit_values_are_a_read_only_view(self, tmp_path):
+        # fields are immutable: a unit file's values view its body
+        p = tmp_path / "u.fld"
+        write_field(constant_field(4, kind="unit"), p)
+        with pytest.raises(ValueError, match="read-only"):
+            read_field(p).values[0, 0, 0] = 0.0
 
 
 class TestMollified:
@@ -333,11 +360,11 @@ class TestDirectional:
             assert tv_u <= tv_n + 1e-12
 
     def test_empty_mask_raises(self, tmp_path):
-        # a field file whose mask column is all 0 is rejected on reading
+        # a field file whose mask bytes are all 0 is rejected on reading
         p = tmp_path / "empty.fld"
-        p.write_text('{"d":2,"dims":[2],"kind":"proj","mask":"inline",'
-                     '"origin":[0],"spacing":0.5,"version":1}\n'
-                     "1,0,0\n0,1,0\n")
+        write_raw_field(p, '{"d":2,"dims":[2],"kind":"proj","mask":"inline",'
+                        '"origin":[0],"spacing":0.5,"version":2}',
+                        [1.0, 0.0, 0.0, 1.0], [0, 0])
         with pytest.raises(ValueError, match="empty mask"):
             read_field(p)
 

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import os
+import struct
 import tempfile
 from unittest import mock
 
@@ -20,11 +21,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bvlift import fields
-from bvlift.fields import (_ROWS_PER_WRITE, METRICS, GridField,
-                           _extrapolated_energies, _face_data,
-                           _forward_faces, _half_offsets, _lattice_ball,
-                           _lattice_sums, _pair_sums, avg_directional_energy,
-                           directional_tv, embedded_tv, mollified_energy,
+from bvlift.fields import (METRICS, GridField, _extrapolated_energies,
+                           _face_data, _forward_faces, _half_offsets,
+                           _lattice_ball, _lattice_sums, _pair_sums,
+                           avg_directional_energy, directional_tv,
+                           embedded_tv, mollified_energy,
                            mollified_energy_extrapolated, read_field,
                            write_field)
 from bvlift.geometry import (canonicalize, chord, chord_distance, dist_proj,
@@ -514,19 +515,28 @@ def test_offsets_past_the_grid_are_not_evaluated():
     assert [row[0].tolist() for row in rows] == [[0.0] * 5, []]
 
 
-def _savetxt_bytes(f, path):
-    """The field file of f as np.savetxt writes it."""
-    header = {"version": 1, "dims": list(f.dims), "spacing": f.spacing,
+def _reference_bytes(f):
+    """The field file of f, built without numpy's byte conversions: the
+    header line, each value packed by struct in C order, a byte per mask
+    cell."""
+    header = {"version": 2, "dims": list(f.dims), "spacing": f.spacing,
               "origin": list(f.origin), "d": f.d, "kind": f.kind,
               "mask": "none" if f.mask is None else "inline"}
-    rows = f.values.reshape(-1, f.d)
+    values = [float(x) for i in np.ndindex(*f.dims) for x in f.values[i]]
+    out = (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+           ).encode() + struct.pack(f"<{len(values)}d", *values)
     if f.mask is not None:
-        rows = np.column_stack([rows, f.mask.reshape(-1)])
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", comments="",
-               header=json.dumps(header, sort_keys=True,
-                                 separators=(",", ":")))
-    with open(path, "rb") as fh:
-        return fh.read()
+        out += bytes(1 if f.mask[i] else 0 for i in np.ndindex(*f.dims))
+    return out
+
+
+def _write_and_read(f):
+    """The bytes write_field writes for f, and read_field of them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.fld")
+        write_field(f, path)
+        with open(path, "rb") as fh:
+            return fh.read(), read_field(path)
 
 
 # -0.0, subnormals and the 1e300 scale, next to ordinary components
@@ -534,39 +544,81 @@ EXTREME = st.sampled_from((-0.0, 5e-324, -2.5e-310, 1e300,
                            -1.7976931348623157e308, 1.0 / 3.0, -0.1))
 
 
+@st.composite
+def layout_fields(draw):
+    """A field of N = 1-3 axes and d = 1-4 components, masked or not, of
+    either kind.  Some cells are axis vectors whose other components are
+    -0.0 or subnormal (their norm is still exactly 1), and the values may
+    be a view that is not C-contiguous."""
+    N, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    dims = tuple(draw(st.integers(1, 4)) for _ in range(N))
+    cells = math.prod(dims)
+    vals = draw(unit_vectors(cells, d)) if d > 1 else np.ones((cells, 1))
+    axis = draw(hnp.arrays(bool, cells))
+    vals[axis] = draw(hnp.arrays(float, (int(axis.sum()), d), elements=(
+        st.sampled_from((0.0, -0.0, 5e-324, -2.5e-310)))))
+    vals[axis, draw(st.integers(0, d - 1))] = draw(st.sampled_from((1., -1.)))
+    mask = None
+    if draw(st.booleans()):
+        mask = draw(hnp.arrays(bool, dims))
+        mask.flat[draw(st.integers(0, cells - 1))] = True  # never empty
+    f = GridField(dims, draw(st.floats(1e-3, 10.0)),
+                  tuple(draw(st.floats(-100.0, 100.0)) for _ in range(N)),
+                  draw(st.sampled_from(("proj", "unit"))),
+                  vals.reshape(dims + (d,)), mask)
+    if draw(st.booleans()):  # the same values, a view of a (d, *dims) array
+        f.values = np.moveaxis(
+            np.ascontiguousarray(np.moveaxis(f.values, -1, 0)), 0, -1)
+    return f
+
+
+@SETTINGS
+@given(layout_fields())
+def test_field_files_are_the_bytes_of_the_reference_layout(f):
+    got, g = _write_and_read(f)
+    assert got == _reference_bytes(f)
+    # bit for bit, so -0.0 and 0.0 differ
+    assert g.values.shape == f.values.shape
+    assert g.values.tobytes() == np.ascontiguousarray(f.values).tobytes()
+    assert (g.mask is None) == (f.mask is None)
+    assert g.mask is None or np.array_equal(g.mask, f.mask)
+    assert (g.dims, g.spacing, g.origin, g.kind) == \
+        (f.dims, f.spacing, f.origin, f.kind)
+    assert _write_and_read(g)[0] == got
+
+
 @SETTINGS
 @given(st.data())
-def test_field_files_are_the_bytes_of_savetxt(data):
+def test_field_files_of_any_double_are_the_bytes_of_the_reference_layout(
+        data):
+    # the writer packs any double: values past the field checks too
     kind = data.draw(st.sampled_from(("proj", "unit")))
     f = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=4))
-    # the writer formats any double: values past the field checks too
     f.values = data.draw(hnp.arrays(float, f.values.shape, elements=(
         st.floats(allow_nan=False, allow_infinity=False) | EXTREME)))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "f.fld")
         write_field(f, path)
         with open(path, "rb") as fh:
-            got = fh.read()
-        assert got == _savetxt_bytes(f, os.path.join(tmp, "ref.fld"))
+            assert fh.read() == _reference_bytes(f)
 
 
-def test_field_files_across_write_chunks_are_the_bytes_of_savetxt():
-    # rows are formatted in chunks: exactly one, one and a row, and a
-    # masked 3D field of two chunks and a part
+def test_large_field_files_are_the_bytes_of_the_reference_layout():
+    # thousands of cells: one axis, unmasked and masked, and a masked 3D
+    # field, all given as transposed views; the bytes also round-trip
     rng = np.random.default_rng(5)
-    for dims, masked in (((_ROWS_PER_WRITE,), False),
-                         ((_ROWS_PER_WRITE + 1,), True),
+    for dims, masked in (((4096,), False), ((4097,), True),
                          ((17, 16, 31), True)):
-        vals = rng.standard_normal(dims + (3,))
-        vals /= np.linalg.norm(vals, axis=-1, keepdims=True)
+        vals = rng.standard_normal((3,) + dims)
+        vals = np.moveaxis(vals / np.linalg.norm(vals, axis=0), 0, -1)
         mask = rng.random(dims) < 0.7 if masked else None
         f = GridField(dims, 0.1, (0.0,) * len(dims), "unit", vals, mask)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "f.fld")
-            write_field(f, path)
-            with open(path, "rb") as fh:
-                got = fh.read()
-            assert got == _savetxt_bytes(f, os.path.join(tmp, "ref.fld"))
+        assert not f.values.flags.c_contiguous
+        got, g = _write_and_read(f)
+        assert got == _reference_bytes(f)
+        assert g.values.tobytes() == f.values.tobytes()
+        assert masked == (g.mask is not None)
+        assert not masked or np.array_equal(g.mask, f.mask)
 
 
 @st.composite
