@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .geometry import (_squared_chords, canonicalize, chord_distance,
+from .geometry import (_norms, _squared_chords, canonicalize, chord_distance,
                        random_unit_vectors)
 
 __all__ = [
@@ -88,8 +88,7 @@ class GridField:
                 raise ValueError("mask shape must match dims")
         if not self.inside().any():  # also a grid without cells
             raise ValueError("empty mask: no cell inside the domain")
-        norms = np.linalg.norm(self.values, axis=-1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
+        if np.max(np.abs(_norms(self.values) - 1.0)) > 1e-9:
             raise ValueError("unit/proj values must have norm 1")
         if self.kind == "proj":
             self.values = canonicalize(self.values)
@@ -308,9 +307,11 @@ def _lattice_sums(f, requests, offsets, axes=None):
     leaving the mask (chord 0 is at distance exactly 0 in every metric),
     and its distances, one metric at a time in one buffer.  A request that
     reads |a - b| or |a + b| by its sign product s_i s_j (+1 without signs)
-    copies them and overwrites the in-mask pairs it flips, where s_i s_j is
-    not the sign of the smaller chord, gathered by index, with the
-    distances of the larger chord.
+    patches them in place: it saves the in-mask pairs it flips, where
+    s_i s_j is not the sign of the smaller chord, gathered by index,
+    writes the distances of the larger chord there, sums, and writes the
+    saved distances back.  No request copies the distances, and each sums
+    the array a copy would hold, so every sum is the same bit for bit.
 
     Thread i of t = min(:func:`_thread_count`, offsets with pairs) threads
     sums their i-th, (i + t)-th, ... into buffers it allocates once; for
@@ -334,7 +335,7 @@ def _lattice_sums(f, requests, offsets, axes=None):
     def offset_sums(off, axis, buf):
         shape = tuple(n - abs(o) for o, n in zip(off, f.dims))
         src, dst = _offset_slices(off, f.dims)
-        m2, p2, q, dist, copy, ok, pref, flip = (
+        m2, p2, q, dist, ok, pref, flip = (
             None if b is None else b[:math.prod(shape)].reshape(shape)
             for b in buf)
         _squared_chords([p[src] for p in planes], [p[dst] for p in planes],
@@ -359,17 +360,19 @@ def _lattice_sums(f, requests, offsets, axes=None):
                     idx = np.flatnonzero(flip)
                     larger = np.sqrt(np.maximum(m2.reshape(-1)[idx],
                                                 p2.reshape(-1)[idx]))
-                    np.copyto(copy, dists)
-                    copy.reshape(-1)[idx] = chord_distance(larger, metric)
-                row = dists if rule is None else copy
-                vals[i] = (float(row.sum()) if axis is None
-                           else row.sum(axis=across))
+                    flat = dists.reshape(-1)  # a view: dists is contiguous
+                    saved = flat[idx]
+                    flat[idx] = chord_distance(larger, metric)
+                vals[i] = (float(dists.sum()) if axis is None
+                           else dists.sum(axis=across))
+                if rule is not None:
+                    flat[idx] = saved  # the next request reads dists
         return vals
 
     def part_sums(part):
         n = math.prod(f.dims)
         buf = [np.empty(n) if need else None for need in (
-            True, plus, True, True, patched)] + [
+            True, plus, True, True)] + [
                 np.empty(n, bool) for _ in range(3)]  # ok, pref, flip
         for i, off in part:
             out[i] = offset_sums(off, None if axes is None else axes[i], buf)

@@ -166,25 +166,42 @@ def eucl_jump_cost(u, v):
     return chord_distance(chord(u, v, proj=True), "euclidean_tensor")
 
 
+def _upper(r, u):
+    """Where the rotated lifting along the direction r keeps u: u.r > 0,
+    and on the equator u.r == 0 where u is its canonical representative.
+
+    ``u`` is a sequence of the d component planes of the vectors (arrays
+    of any strides and one shape) and ``r`` of d floats.  u.r adds its
+    terms in index order, 0, 1, ..., d - 1, in place.  Returns a boolean
+    array of the planes' shape.  The one sign rule of :func:`lift_sign`
+    and the rotation search.
+    """
+    w = np.multiply(u[0], r[0], out=np.empty(np.shape(u[0])))
+    tmp = np.empty_like(w)
+    for k in range(1, len(r)):
+        w += np.multiply(u[k], r[k], out=tmp)
+    up = np.greater(w, 0.0, out=np.empty(w.shape, bool))
+    eq = w == 0
+    if eq.any():  # the canonical tie-break, on the tied cells only
+        up[eq] = _lead_sign(np.stack([p[eq] for p in u], axis=-1)) > 0
+    return up
+
+
 def lift_sign(r, u):
     """Sign s in {-1, +1} of the rotated lifting R^{-1} F(R u) = s u, for F
     the fold onto the upper hemisphere and any rotation R with R^T e_d = r.
 
     s is +1 where u.r > 0, -1 where it is < 0, and on the equator the one
     that yields the canonical representative; s u reproduces the class of u
-    bit for bit.  u.r adds its d terms in index order.  r must have shape
-    ``(d,)``: a ``(d, d)`` rotation raises ValueError.
+    bit for bit.  The float form of :func:`_upper`, which adds the d terms
+    of u.r in index order.  r must have shape ``(d,)``: a ``(d, d)``
+    rotation raises ValueError.
     """
     r = np.asarray(r, dtype=float)
     u = np.asarray(u, dtype=float)
     if r.shape != u.shape[-1:]:
         raise ValueError(f"direction shape {r.shape}, vectors {u.shape}")
-    w = sum(u[..., k] * r[k] for k in range(r.size))
-    s = np.where(w > 0, 1.0, -1.0)
-    eq = w == 0
-    if np.any(eq):
-        s = np.where(eq, _lead_sign(u), s)  # the canonical tie-break
-    return s
+    return np.where(_upper(r, [u[..., k] for k in range(r.size)]), 1.0, -1.0)
 
 
 def haar_rotations(d, size, rng):
@@ -213,8 +230,20 @@ def haar_rotations(d, size, rng):
     return Q
 
 
+def _norms(v):
+    """Euclidean norms over the last axis of a float array, its squares
+    added in index order, 0, 1, ..., d - 1, in place.  Equal to
+    ``np.linalg.norm(v, axis=-1)`` bit for bit for d <= 7 (numpy sums
+    eight or more terms in another order)."""
+    n = np.square(v[..., 0], out=np.empty(v.shape[:-1]))
+    tmp = np.empty_like(n)
+    for k in range(1, v.shape[-1]):
+        n += np.square(v[..., k], out=tmp)
+    return np.sqrt(n, out=n)
+
+
 def random_unit_vectors(d, size, rng):
     """Uniformly distributed points of S^{d-1}, shape ``(size, d)``."""
     rng = np.random.default_rng(rng)
     v = rng.standard_normal((size, d))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / _norms(v)[:, None]

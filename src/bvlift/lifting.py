@@ -19,7 +19,8 @@ import numpy as np
 
 from .fields import (EnergyReport, GridField, _half_offsets, _lattice_sums,
                      avg_directional_energy, embedded_tv)
-from .geometry import canonicalize, dist_proj, lift_sign, random_unit_vectors
+from .geometry import (_upper, canonicalize, dist_proj, lift_sign,
+                       random_unit_vectors)
 
 __all__ = [
     "LiftResult",
@@ -61,12 +62,14 @@ def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
     induces the cellwise lifting s u = R^{-1} F(R u) with s = sgn(u.r).
     Candidates are ranked by their face sums, the pair distances of s u
     over the forward faces (the unit offsets) in the requested metric,
-    which the averaging bound controls.  The pair kernel
-    (:func:`_lattice_sums`) takes ``_RANK_GROUP`` candidates per call, so
-    memory does not grow with ``trials``.  The first minimizer is built as
-    a field and reported by :func:`embedded_tv`.  The expected face sum of
-    a random candidate already satisfies the bound, so the sample minimum
-    does with margin.
+    which the averaging bound controls.  A candidate's signs are the
+    boolean :func:`_upper` of r on contiguous component planes of u, made
+    once per search and released before the last kernel call.  The pair
+    kernel (:func:`_lattice_sums`) takes ``_RANK_GROUP`` candidates per
+    call, so memory does not grow with ``trials``.  The first minimizer is
+    built as a field by :func:`lift_sign` and reported by
+    :func:`embedded_tv`.  The expected face sum of a random candidate
+    already satisfies the bound, so the sample minimum does with margin.
     """
     if u.kind != "proj":
         raise ValueError("rotation search expects a proj field")
@@ -77,11 +80,18 @@ def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
     # energy of a lifting is that of its projection, the same for all
     rank = "geodesic" if metric == "geodesic" else "euclidean_sphere"
     faces = _half_offsets(u.N, 1)
-    # per face offset a row of one sum per candidate; bool signs are small
-    totals = np.concatenate([_lattice_sums(u, [
-        (rank, lift_sign(r, u.values) > 0) for r in dirs[i:i + _RANK_GROUP]],
-        faces).sum(axis=0) for i in range(0, trials, _RANK_GROUP)])
-    r = dirs[np.argmin(totals)]
+    planes = [np.ascontiguousarray(u.values[..., k]) for k in range(u.d)]
+    totals = []
+    # at most one group of signs, and no planes of ours in the last kernel
+    # call (it makes its own), are held at a time
+    for i in range(0, trials, _RANK_GROUP):
+        group = [(rank, _upper(r, planes)) for r in dirs[i:i + _RANK_GROUP]]
+        if i + _RANK_GROUP >= trials:
+            del planes
+        # per face offset a row of one sum per candidate
+        totals.append(_lattice_sums(u, group, faces).sum(axis=0))
+        del group
+    r = dirs[np.argmin(np.concatenate(totals))]
     n = u.with_values(u.values * lift_sign(r, u.values)[..., None], kind="unit")
     return LiftResult(field=n, energy=embedded_tv(n, rank), direction=r,
                       projection_check=_projection_check(n, u))
@@ -211,19 +221,20 @@ def lift_with_boundary(u, n0, trials=64, seed=0):
                              f"got {getattr(n0, key)!r}")
     inside = u.inside()
     bnd = boundary_cells(inside)  # not empty: u has a cell inside
-    # the prescribed trace must be a lifting of u on the boundary
-    rep_diff = np.linalg.norm(canonicalize(n0.values) - u.values, axis=-1)
-    bad = bnd & (rep_diff > 1e-10)
+    # the prescribed trace must be a lifting of u on the boundary cells,
+    # taken in C order
+    trace = n0.values[bnd]
+    bad = np.linalg.norm(canonicalize(trace) - u.values[bnd], axis=-1) > 1e-10
     if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        idx = tuple(int(i) for i in np.argwhere(bnd)[np.argmax(bad)])
         raise BoundaryMismatchError(
             f"boundary data is not a lifting of the field at cell {idx}")
 
     base = lift_rotation_search(u, trials=trials, seed=seed, metric="geodesic")
     ntilde = base.field.values
     f = np.zeros(u.dims)
-    dots = np.einsum("...k,...k->...", ntilde, n0.values)
-    f[bnd] = np.where(dots[bnd] >= 0, 1.0, -1.0)
+    dots = np.einsum("...k,...k->...", ntilde[bnd], trace)
+    f[bnd] = np.where(dots >= 0, 1.0, -1.0)
 
     interior = inside & ~bnd
     phi = solve_laplace(f, bnd, interior)
@@ -231,7 +242,7 @@ def lift_with_boundary(u, n0, trials=64, seed=0):
     fbar[bnd] = f[bnd]
 
     n_vals = ntilde * fbar[..., None]
-    n_vals[bnd] = n0.values[bnd]
+    n_vals[bnd] = trace
     n = u.with_values(n_vals, kind="unit")
     return LiftResult(field=n,
                       energy=embedded_tv(n, "euclidean_sphere"),

@@ -21,7 +21,7 @@ from .constants import (AVERAGES, _mc_over_sphere, _pair_at_angle, k_const,
                         psi_estimate)
 from .fields import (GridField, _extrapolated_energies, _face_data,
                      _thread_count, avg_directional_energy, embedded_tv)
-from .geometry import lift_sign
+from .geometry import _norms, _upper
 from .lifting import lift_rotation_search
 
 __all__ = [
@@ -214,10 +214,11 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
                                     metric="geodesic")
     lift_euc = lift_rotation_search(u, trials=trials, seed=seed + 1,
                                     metric="euclidean_sphere")
+    planes = [u.values[..., k] for k in range(u.d)]
     e_u_geo, e_u_tens_m, e_n_geo, e_n_euc = _extrapolated_energies(u, [
         ("geodesic", None), ("euclidean_tensor", None),
-        ("geodesic", lift_sign(lift_geo.direction, u.values) > 0),
-        ("euclidean_sphere", lift_sign(lift_euc.direction, u.values) > 0)])
+        ("geodesic", _upper(lift_geo.direction, planes)),
+        ("euclidean_sphere", _upper(lift_euc.direction, planes))])
     reports.append(_check(
         "halfvortex_geodesic_energy", 2.0, e_u_geo.total, 0.05, "rel",
         "intrinsic energy of the half vortex = K_2 pi = 2", t0,
@@ -400,7 +401,7 @@ def _smooth_unit_field(grid, seed, d):
             a[i, 0] * np.sin(2 * np.pi * X) / 3
             + a[i, 1] * np.cos(2 * np.pi * Y) / 3
             + a[i, 2] * np.sin(2 * np.pi * (X - Y)) / 3)
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    v /= _norms(v)[..., None]
     return GridField((grid, grid), h, (0.0, 0.0), "unit", v)
 
 
@@ -445,7 +446,7 @@ def run_diffuse_invariance_suite(seed=0, csv_dir=None, grids=(128, 256),
     h, r, theta = _polar_cells(grid)
     # per-cell length of the forward-difference gradient of n and of [n]:
     # the Euclidean face distances are the embedded steps
-    gn, gu = (np.linalg.norm(_face_data(f, m)[1], axis=-1) / h
+    gn, gu = (_norms(_face_data(f, m)[1]) / h
               for f, m in ((n, "euclidean_sphere"), (u, "euclidean_tensor")))
     ok = (u.inside() & (r < 1.0 - 2 * h) & (r > 0.2)
           & (theta > 0.2) & (theta < 2 * np.pi - 0.2))

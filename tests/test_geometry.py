@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from bvlift.geometry import (_lead_sign, _squared_chords, canonicalize,
-                             dist_proj, dist_sphere, embed_tensor,
-                             eucl_jump_cost, haar_rotations, lift_sign,
-                             random_unit_vectors, uniaxial_q)
+from bvlift.geometry import (_lead_sign, _norms, _squared_chords, _upper,
+                             canonicalize, dist_proj, dist_sphere,
+                             embed_tensor, eucl_jump_cost, haar_rotations,
+                             lift_sign, random_unit_vectors, uniaxial_q)
 
 
 def e(i, d):
@@ -318,6 +318,49 @@ class TestIndexOrderSums:
             assert np.array_equal(lift_sign(r, u), want)
             assert r is not turn or (w == 0).sum() >= d  # the exact ties
             assert np.array_equal(lift_sign(r, u[0]), want[0])
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_upper_is_the_sign_rule_of_lift_sign(self, d):
+        # the boolean rule of the rotation search, on contiguous component
+        # planes and on strided views, is the index-order formula and
+        # lift_sign(r, u) > 0 bit for bit: on unit vectors of either sign
+        # and on their canonical representatives, with the exact equator
+        # ties of the turn direction
+        rng = np.random.default_rng(50 + d)
+        turn = np.zeros(d)
+        turn[[0, -1]] = 0.6, 0.8
+        tie = np.zeros(d)
+        tie[[0, -1]] = 0.8, -0.6
+        for r in (random_unit_vectors(d, 1, rng)[0], turn):
+            u = random_unit_vectors(d, 2000, rng)
+            u = np.concatenate([u, self.near_equator(r, u), [tie, -tie],
+                                np.eye(d)[1:-1], -np.eye(d)[1:-1]])
+            for v in (u, canonicalize(u)):
+                w = index_order(v * r)
+                want = np.where(w == 0, _lead_sign(v) > 0, w > 0)
+                assert np.array_equal(lift_sign(r, v) > 0, want)
+                strided = [v[:, k] for k in range(d)]
+                for planes in (strided, [np.ascontiguousarray(p)
+                                         for p in strided]):
+                    got = _upper(r, planes)
+                    assert got.dtype == bool and np.array_equal(got, want)
+                assert r is not turn or (w == 0).sum() >= 2 * d - 2
+                assert _upper(r, list(v[-1])) == want[-1]
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_norms_are_in_index_order(self, d):
+        # numpy's norm over the last axis adds up to seven squares in index
+        # order too, and eight or more in another order
+        rng = np.random.default_rng(60 + d)
+        v = (rng.standard_normal((3000, d))
+             * rng.choice([1e-3, 1.0, 1e3], (3000, d)))
+        for x in (v, v.reshape(30, 100, d), v[::-1, ::-1]):
+            got = _norms(x)
+            assert np.array_equal(got, np.sqrt(index_order(x * x)))
+            if d <= 7:
+                assert np.array_equal(got, np.linalg.norm(x, axis=-1))
+        if d >= 8:
+            assert not np.array_equal(_norms(v), np.linalg.norm(v, axis=-1))
 
 
 class TestHaarSampling:

@@ -212,7 +212,7 @@ class TestRotationSearch:
         # built, and its embedded_tv is the reported energy
         N = data.draw(st.sampled_from((1, 2, 3)))
         dims = tuple(data.draw(st.integers(2, 6)) for _ in range(N))
-        d = data.draw(st.sampled_from((2, 3)))
+        d = data.draw(st.integers(2, 9))
         seed = data.draw(st.integers(0, 2 ** 16))
         rng = np.random.default_rng(seed)
         vals = random_unit_vectors(d, math.prod(dims), rng)
@@ -249,7 +249,8 @@ class TestRotationSearch:
                 flat = lift_rotation_search(const, trials=5, seed=seed,
                                             metric=metric)
             assert np.array_equal(res.direction, dirs[best])
-            assert np.array_equal(res.field.values, liftings[best].values)
+            assert (res.field.values.tobytes()
+                    == liftings[best].values.tobytes())
             assert res.energy.to_dict() == embedded_tv(
                 liftings[best], rank).to_dict()
             assert np.array_equal(flat.direction, dirs[0])
@@ -444,6 +445,25 @@ class TestLiftWithBoundary:
         bad[..., 1] = 1.0  # orthogonal directions: not a lifting of u
         n0 = u.with_values(bad, kind="unit")
         with pytest.raises(BoundaryMismatchError, match="not a lifting"):
+            lift_with_boundary(u, n0, trials=2, seed=0)
+
+    def test_mismatch_is_named_at_its_first_boundary_cell(self):
+        # the trace is checked on the boundary cells alone: of two
+        # mismatching boundary cells the first in C order is named, and a
+        # mismatch at an interior cell is ignored
+        u = self._constant()
+        vals = u.values.copy()
+        vals[10, 10] = (0.0, 1.0)  # interior
+        n0 = u.with_values(vals, kind="unit")
+        res = lift_with_boundary(u, n0, trials=2, seed=0)
+        bnd = boundary_cells(u.inside())
+        assert not bnd[10, 10] and res.projection_check == 0.0
+        assert np.array_equal(res.field.values[bnd], vals[bnd])
+        vals[5, 0] = vals[0, 7] = (0.0, -1.0)
+        assert bnd[5, 0] and bnd[0, 7]
+        n0 = u.with_values(vals, kind="unit")
+        with pytest.raises(BoundaryMismatchError,
+                           match=r"at cell \(0, 7\)$"):
             lift_with_boundary(u, n0, trials=2, seed=0)
 
     @pytest.mark.parametrize("key", ["dims", "d", "spacing", "origin"])
