@@ -291,7 +291,9 @@ class TestBoundaryCells:
 
 
 def _laplace_masks():
-    """Masks whose interiors the box preconditioner covers differently."""
+    """Masks whose interiors the multigrid preconditioner coarsens
+    differently: disks and an ell over several levels, thin shapes, and a
+    random mask whose interior is mostly isolated cells, factored whole."""
     i, j = np.indices((64, 64)) - 31.5
     r = np.hypot(i, j)
     ell = np.ones((64, 64), bool)
@@ -309,6 +311,7 @@ def _laplace_masks():
         "diagonal_strip": np.abs(i - j) <= 2,
         "one_cell": single,
         "second_row_and_column": corner,
+        "random60": np.random.default_rng(60).random((64, 64)) < 0.6,
     }
 
 
@@ -386,19 +389,44 @@ class TestSolveLaplace:
         phi = solve_laplace(values, bnd, np.zeros_like(mask))
         assert np.array_equal(phi, np.where(bnd, values, 0.0))
 
-    def test_box_interior_converges_in_one_step(self, monkeypatch):
-        # a 62 x 62 interior is its own box (63 is a fast length), where
-        # the preconditioner is the exact inverse of the system
+    @staticmethod
+    def _spy_on_cg(monkeypatch):
+        # the arguments and iterates of solve_laplace's cg call
         import scipy.sparse.linalg as sla
-        steps = []
+        seen = {"steps": 0}
         cg = sla.cg
-        monkeypatch.setattr(sla, "cg", lambda *a, **k: cg(
-            *a, callback=steps.append, **k))
-        mask = np.ones((64, 64), bool)
+
+        def spy(A, b, **kw):
+            seen.update(A=A, M=kw["M"])
+            return cg(A, b, callback=lambda x: seen.update(
+                steps=seen["steps"] + 1), **kw)
+
+        monkeypatch.setattr(sla, "cg", spy)
+        return seen
+
+    @pytest.mark.parametrize("grid", [64, 128, 256, 512])
+    def test_disk_iterations_stay_bounded(self, monkeypatch, grid):
+        # the V-cycle keeps the count about flat as the grid refines
+        seen = self._spy_on_cg(monkeypatch)
+        mask = make_half_vortex(grid).inside()
         bnd = boundary_cells(mask)
-        values = np.random.default_rng(6).uniform(-1, 1, mask.shape)
+        values = np.random.default_rng(6).choice([-1.0, 1.0], size=mask.shape)
         solve_laplace(values, bnd, mask & ~bnd)
-        assert len(steps) == 1
+        assert 0 < seen["steps"] <= 40
+
+    @pytest.mark.parametrize("name", list(_laplace_masks()))
+    def test_preconditioner_is_symmetric_positive_definite(self, monkeypatch,
+                                                           name):
+        # CG needs M symmetric positive definite: on independent random
+        # vectors X, X^T M X is symmetric to rounding, with eigenvalues > 0
+        seen = self._spy_on_cg(monkeypatch)
+        mask, bnd, interior, values = self._case(name)
+        solve_laplace(values, bnd, interior)
+        n = seen["A"].shape[0]
+        X = np.random.default_rng(7).standard_normal((n, min(n, 8)))
+        G = X.T @ np.column_stack([seen["M"] @ x for x in X.T])
+        assert np.abs(G - G.T).max() <= 1e-12 * np.abs(G).max()
+        assert np.linalg.eigvalsh(0.5 * (G + G.T)).min() > 0.0
 
 
 class TestLiftWithBoundary:

@@ -59,3 +59,15 @@ def test_deferred_imports_give_the_same_values(tmp_path):
     phi = solve_laplace(values, bnd, mask & ~bnd)
     assert json.loads(out) == [repr(k_const(3).value), repr(m_const(4).value),
                                repr(sphere_area(5)), phi.tobytes().hex()]
+
+
+def test_boundary_lift_loads_no_scipy_fft():
+    # the Laplace solve needs scipy.sparse only (scipy.fft costs ~5 MB RSS)
+    out = fresh_python(
+        "import sys\n"
+        "from bvlift.lifting import lift_with_boundary\n"
+        "from bvlift.verify import make_half_vortex, make_half_vortex_lifting\n"
+        "lift_with_boundary(make_half_vortex(32),\n"
+        "                   make_half_vortex_lifting(32), trials=4)\n"
+        "print('scipy.sparse' in sys.modules, 'scipy.fft' in sys.modules)")
+    assert out == "True False\n"
