@@ -18,8 +18,8 @@ for N in (1, 2, 3, 4):
 for d in (2, 3, 4, 5, 6):
     r = m_const(d)
     rows.append((f"M({d})", r))
-for (N, d) in ((1, 3), (2, 2), (2, 3), (3, 3), (2, 4)):
-    rows.append((f"C^a({N},{d})", ca_const(N, d, restarts=16, seed=0)))
+for (N, d) in ((1, 3), (2, 2), (2, 3), (3, 3), (2, 4), (2, 5), (4, 5)):
+    rows.append((f"C^a({N},{d})", ca_const(N, d)))
 rows.append(("C^j(tensor)", cj_estimate("tensor")))
 rows.append(("C(1d,tensor)", c1d_const()))
 
@@ -31,6 +31,7 @@ print("\nreference values:")
 print(f"  2/pi           = {2 / np.pi:.12f}")
 print(f"  1 + 2/pi       = {1 + 2 / np.pi:.12f}")
 print(f"  1 + 1/sqrt(2)  = {1 + 1 / np.sqrt(2):.12f}")
+print(f"  7/4            = {7 / 4:.12f}")
 print(f"  sqrt(2)        = {np.sqrt(2):.12f}")
 print(f"\n  M(d) always equals 2 vol(B^(d-2)): "
       f"{all(abs(m_const(d).value - 2 * ball_volume(d - 2)) < 1e-9 for d in range(2, 7))}")

@@ -9,7 +9,7 @@ checks the closed-form identities and optimality constants that govern them.
 from .constants import (ConstantResult, avg_eucl_jump, avg_eucl_jump_closed,
                         avg_lifted_dist, avg_lifted_dist_closed, ball_volume,
                         c1d_const, ca_const, cj_estimate, k_const, m_const,
-                        psi_closed, psi_estimate, sphere_area, sphere_quad)
+                        psi_closed, psi_estimate, sphere_area)
 from .fields import (EnergyReport, GridField, avg_directional_energy,
                      directional_tv, embedded_tv, mollified_energy,
                      mollified_energy_extrapolated, read_field, write_field)

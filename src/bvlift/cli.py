@@ -44,6 +44,9 @@ READS = {
 }
 # --no-extrapolation measures at the first of the library's default radii
 _MULTIPLIERS = mollified_energy_extrapolated.__defaults__[-1]
+# The flags of constants that only its Monte Carlo averages read, with their
+# defaults; given without an average, they exit 2.
+_AVERAGE_FLAGS = {"d": 3, "samples": 1_000_000, "seed": 0}
 
 
 def _read_flags(args, mode):
@@ -152,6 +155,15 @@ def cmd_lift(args):
 
 
 def cmd_constants(args):
+    # each average's flag has its name as dest
+    thetas = {name: getattr(args, name) for name in consts.AVERAGES}
+    given = {key: getattr(args, key) for key in _AVERAGE_FLAGS
+             if getattr(args, key) is not None}
+    if given and all(theta is None for theta in thetas.values()):
+        raise ValueError(
+            f"constants reads {', '.join('--' + key for key in given)} only "
+            "with --psi, --avg-dist or --avg-jump")
+    mc = {**_AVERAGE_FLAGS, **given}
     table = {}
 
     def put(name, res):
@@ -165,16 +177,15 @@ def cmd_constants(args):
         put(f"M_{args.m}", consts.m_const(args.m))
     if args.ca is not None:
         Nv, dv = args.ca
-        put(f"C_a_{Nv}_{dv}", consts.ca_const(Nv, dv, seed=args.seed))
+        put(f"C_a_{Nv}_{dv}", consts.ca_const(Nv, dv))
     if args.cj is not None:
         put(f"C_j_{args.cj}", consts.cj_estimate(args.cj))
     if args.c1d:
         put("C_1d_tensor", consts.c1d_const())
     for name, (estimate, _, _) in consts.AVERAGES.items():
-        theta = getattr(args, name)  # each average's flag has its name as dest
-        if theta is not None:
-            put(f"{name}_{theta:.6f}",
-                estimate(theta, args.d, args.samples, args.seed))
+        if thetas[name] is not None:
+            put(f"{name}_{thetas[name]:.6f}",
+                estimate(thetas[name], mc["d"], mc["samples"], mc["seed"]))
     if not table:
         raise ValueError("no constants requested")
     sys.stdout.write(_json_dumps(table))
@@ -264,9 +275,9 @@ def build_parser():
                     metavar="THETA")
     co.add_argument("--avg-jump", dest="avg_eucl_jump", type=float,
                     metavar="THETA")
-    co.add_argument("--d", type=int, default=3)
-    co.add_argument("--samples", type=int, default=1_000_000)
-    co.add_argument("--seed", type=int, default=0)
+    for key, default in _AVERAGE_FLAGS.items():
+        co.add_argument(f"--{key}", type=int,
+                        help=f"for the averages only (default {default})")
     co.set_defaults(fn=cmd_constants)
 
     ve = sub.add_parser("verify", help="run the verification suites")

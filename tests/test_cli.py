@@ -637,9 +637,26 @@ class TestConstants:
                                                              abs=1e-12)
 
     def test_ca(self, capsys):
-        assert run("constants", "--ca", "2", "3") == 0
+        assert run("constants", "--ca", "2", "5") == 0
         table = json.loads(capsys.readouterr().out)
-        assert table["C_a_2_3"]["value"] >= 1 + 1 / np.sqrt(2) - 1e-6
+        assert table == {"C_a_2_5": {
+            "value": pytest.approx(1 + 1 / np.sqrt(2), abs=1e-15),
+            "method": "closed_form", "error_estimate": 0.0,
+            "samples_or_nodes": 0}}
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--ca", "2", "3", "--seed", "5"], "constants reads --seed only"),
+        (["--k", "3", "--samples", "100"], "constants reads --samples only"),
+        (["--c1d", "--d", "4", "--seed", "0"],
+         "constants reads --d, --seed only"),
+        (["--seed", "5"], "constants reads --seed only"),
+        (["--ca", "2", "3", "--seed", "-1"], "--seed must be >= 0")])
+    def test_average_flag_without_an_average_exit_2(self, capfd, monkeypatch,
+                                                    flags, message):
+        for name in ("k_const", "ca_const", "c1d_const"):
+            monkeypatch.setattr(constants, name, must_not_run)
+        assert run("constants", *flags) == 2
+        assert_one_error_line(capfd, message)
 
     def test_monte_carlo_entries_carry_error(self, capsys):
         assert run("constants", "--psi", str(np.pi / 2), "--avg-dist", "1.0",

@@ -9,7 +9,7 @@ from bvlift.constants import (avg_eucl_jump, avg_eucl_jump_closed,
                               avg_lifted_dist, avg_lifted_dist_closed,
                               ball_volume, c1d_const, ca_const, cj_estimate,
                               k_const, m_const, psi_closed, psi_estimate,
-                              sphere_area, sphere_quad)
+                              sphere_area)
 from bvlift.geometry import (dist_sphere, embed_tensor, haar_rotations,
                              random_unit_vectors)
 
@@ -36,11 +36,6 @@ class TestSurfaceMeasures:
         assert ball_volume(1) == pytest.approx(2.0, abs=1e-12)
         assert ball_volume(2) == pytest.approx(np.pi, abs=1e-12)
 
-    def test_quadrature_integrates_area(self):
-        for k in (1, 2, 3):
-            _, w = sphere_quad(k, 48)
-            assert w.sum() == pytest.approx(sphere_area(k), rel=1e-5)
-
 
 class TestKConst:
     def test_one_dimensional(self):
@@ -62,6 +57,22 @@ class TestKConst:
                                          * gamma((N - 1) / 2))
             assert k_const(N).value == pytest.approx(closed, abs=1e-12)
 
+    def test_recurrence_up_to_400(self):
+        # K_{N+2} = K_N N / (N + 1) from K_1 = 1 and K_2 = 2/pi, the
+        # rational factor kept exact; past N = 339 Gamma((N+1)/2) overflows
+        ratio = {1: Fraction(1), 2: Fraction(1)}
+        for N in range(3, 401):
+            ratio[N] = ratio[N - 2] * Fraction(N - 2, N - 1)
+        for N, r in ratio.items():
+            res = k_const(N)
+            want = float(r) * (2 / math.pi if N % 2 == 0 else 1.0)
+            assert res.value == pytest.approx(want, rel=1e-12), N
+            assert (res.method, res.error_estimate) == ("closed_form", 0.0)
+
+    def test_rejects_N_below_one(self):
+        with pytest.raises(ValueError, match="N must be"):
+            k_const(0)
+
 
 class TestMConst:
     def test_flat_case(self):
@@ -80,6 +91,10 @@ class TestMConst:
         for d in range(2, 7):
             lhs = 1 + 2 * m_const(d).value / sphere_area(d - 1)
             assert lhs == pytest.approx(1 + 2 / np.pi, abs=1e-9)
+
+    def test_rejects_d_below_two(self):
+        with pytest.raises(ValueError, match="d must be"):
+            m_const(1)
 
 
 class TestAvgLiftedDist:
@@ -304,7 +319,40 @@ class TestSphereSampler:
             assert abs(x.error_estimate - y.error_estimate) <= 1e-12
 
 
+# Gauss-Legendre nodes and weights on [0, pi/2]
+_T, _W = np.polynomial.legendre.leggauss(200)
+QUARTER_NODES, QUARTER_WEIGHTS = (_T + 1) * np.pi / 4, _W * np.pi / 4
+
+
+def sphere_integral_of_norm(V):
+    """Integral of |V^t omega| over S^{d-2} for a (d-1) x N matrix V, d in
+    {3, 4}.
+
+    The integral is invariant under omega -> Q omega, so it is taken in the
+    eigenframe of S = V V^t, where sqrt(omega^t S omega) is even in every
+    coordinate: 4 times a quadrant of the circle or 8 times an octant of the
+    sphere.  The angles start at the axis of the smallest eigenvalue, which
+    keeps the integrand smooth inside the quadrant or octant (near zeros sit
+    at its edges, where Gauss-Legendre nodes cluster).
+    """
+    lam = np.clip(np.linalg.eigvalsh(V @ V.T), 0.0, None)  # ascending
+    a, w = QUARTER_NODES, QUARTER_WEIGHTS
+    if len(lam) == 2:
+        return 4 * w @ np.sqrt(lam[0] * np.cos(a) ** 2
+                               + lam[1] * np.sin(a) ** 2)
+    phi, theta = a[:, None], a[None, :]
+    sq = (lam[0] * np.cos(phi) ** 2
+          + np.sin(phi) ** 2 * (lam[1] * np.cos(theta) ** 2
+                                + lam[2] * np.sin(theta) ** 2))
+    return 8 * w @ (np.sqrt(sq) * np.sin(phi)) @ w
+
+
 class TestCa:
+    AREA = {3: 4 * np.pi, 4: 2 * np.pi ** 2}  # H^{d-1}(S^{d-1})
+
+    def sup(self, N, d):
+        return (ca_const(N, d).value - 1) * self.AREA[d] / 2
+
     def test_flat_target_any_N(self):
         for N in (1, 2, 5):
             assert ca_const(N, 2).value == pytest.approx(
@@ -316,13 +364,52 @@ class TestCa:
                 1 + 2 / np.pi, abs=1e-9)
 
     def test_two_three_reaches_sqrt_half(self):
-        res = ca_const(2, 3, restarts=16, seed=0)
-        assert res.value >= 1 + 1 / np.sqrt(2) - 1e-6
+        assert ca_const(2, 3).value == pytest.approx(1 + 1 / np.sqrt(2),
+                                                     rel=1e-12)
 
     def test_lower_bound_everywhere(self):
         for (N, d) in ((2, 3), (3, 3), (2, 4)):
-            res = ca_const(N, d, restarts=8, seed=1)
-            assert res.value >= 1 + 2 / np.pi - 1e-6
+            assert ca_const(N, d).value >= 1 + 2 / np.pi
+
+    def test_closed_forms(self):
+        # k = min(N, d - 1) sets the value
+        by_k = {1: 1 + 2 / np.pi, 2: 1 + 1 / np.sqrt(2),
+                3: 1 + 4 / (np.pi * np.sqrt(3)), 4: 7 / 4,
+                5: 1 + 16 / (3 * np.pi * np.sqrt(5))}
+        for N in range(1, 6):
+            for d in range(2, 9):
+                res = ca_const(N, d)
+                assert res.value == pytest.approx(by_k[min(N, d - 1)],
+                                                  rel=1e-12), (N, d)
+                assert (res.method, res.error_estimate) == ("closed_form",
+                                                            0.0)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_supremum_attained_at_scaled_projection(self, N, d):
+        k = min(N, d - 1)
+        V = np.zeros((d - 1, N))
+        V[range(k), range(k)] = 1 / np.sqrt(k)
+        assert sphere_integral_of_norm(V) == pytest.approx(self.sup(N, d),
+                                                           abs=1e-9)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_random_directions_stay_below(self, N, d):
+        sup = self.sup(N, d)
+        rng = np.random.default_rng(10 * N + d)
+        for _ in range(200):
+            V = rng.standard_normal((d - 1, N))
+            g = sphere_integral_of_norm(V / np.linalg.norm(V))
+            assert g <= sup + 1e-9
+            if N == 1:  # every unit vector b gives the same integral
+                assert g == pytest.approx(sup, abs=1e-9)
+
+    def test_rejects_N_below_one_and_d_below_two(self):
+        with pytest.raises(ValueError, match="N must be"):
+            ca_const(0, 3)
+        with pytest.raises(ValueError, match="d must be"):
+            ca_const(2, 1)
 
 
 class TestCj:
@@ -334,15 +421,14 @@ class TestCj:
         th = np.linspace(0, np.pi, 100_001)
         lhs = th * np.cos(th / 2) + (np.pi - th) * np.sin(th / 2)
         assert np.all(lhs <= (1 + np.pi / 2) * np.sin(th) + 1e-12)
+        # and the bound is the supremum, reached as theta -> 0
+        ratio = lhs[1:-1] / np.sin(th[1:-1])
+        assert np.max(ratio) == pytest.approx(1 + np.pi / 2, abs=1e-4)
 
     def test_non_tensor_embedding_rejected(self):
         for embedding in ("identity", None, embed_tensor):
             with pytest.raises(ValueError, match="tensor"):
                 cj_estimate(embedding)
-
-    def test_grid_points_precondition(self):
-        with pytest.raises(ValueError):
-            cj_estimate("tensor", grid_points=10)
 
 
 class TestC1d:

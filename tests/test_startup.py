@@ -37,6 +37,16 @@ def test_import_loads_no_scipy():
     assert out == "[]\n"
 
 
+def test_repr_fields_load_no_scipy():
+    # the repr suite's analytic values need K_2 = 2/pi only
+    out = fresh_python(
+        "import sys\n"
+        "from bvlift.verify import _repr_fields\n"
+        "_repr_fields()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out == "[]\n"
+
+
 def test_deferred_imports_give_the_same_values(tmp_path):
     # a 12x12 disk with random boundary signs; float reprs and raw array
     # bytes compare bit for bit
