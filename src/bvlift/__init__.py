@@ -11,7 +11,7 @@ from .constants import (ConstantResult, avg_eucl_jump, avg_eucl_jump_closed,
                         c1d_const, ca_const, cj_estimate, k_const, m_const,
                         psi_closed, psi_estimate, sphere_area)
 from .fields import (EnergyReport, GridField, avg_directional_energy,
-                     directional_tv, embedded_tv, mollified_energy,
+                     embedded_tv, mollified_energy,
                      mollified_energy_extrapolated, read_field, write_field)
 from .geometry import (canonicalize, dist_proj, dist_sphere, embed_tensor,
                        eucl_jump_cost, haar_rotations, lift_sign,

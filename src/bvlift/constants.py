@@ -6,8 +6,8 @@ Carlo estimates of the averaged quantities always report the sample standard
 error, and acceptance thresholds elsewhere in the package are phrased in
 multiples of it.  Closed forms of the averaged quantities are provided next
 to the Monte Carlo estimators so the two routes can be compared
-independently.  scipy is imported on first use, by ``sphere_area`` and
-``ball_volume``, so that ``import bvlift`` needs only numpy.
+independently.  Gamma at integers and half-integers is a factorial form,
+so the module needs numpy only, and no function of it imports scipy.
 """
 
 import math
@@ -46,16 +46,29 @@ class ConstantResult:
     samples_or_nodes: int = 0
 
 
+def _gamma_half(m):
+    """Gamma(m/2) for an integer m >= 1 in exact form: (n - 1)! at m = 2n,
+    sqrt(pi) (2n)! / (4^n n!) at m = 2n + 1; inf past the float range."""
+    if m < 1 or m != int(m):
+        raise ValueError("sphere and ball dimensions are integers >= 0")
+    n, odd = divmod(int(m), 2)
+    try:
+        if odd:
+            return math.sqrt(math.pi) * (math.factorial(2 * n)
+                                         / (4 ** n * math.factorial(n)))
+        return float(math.factorial(n - 1))
+    except OverflowError:
+        return math.inf
+
+
 def sphere_area(k):
     """Surface measure H^k(S^k); the zero-sphere {+-1} has counting measure 2."""
-    from scipy.special import gamma
-    return 2.0 * np.pi ** ((k + 1) / 2.0) / gamma((k + 1) / 2.0)
+    return 2.0 * np.pi ** ((k + 1) / 2.0) / _gamma_half(k + 1)
 
 
 def ball_volume(k):
     """Lebesgue volume H^k(B^k) of the unit ball; a point for k = 0."""
-    from scipy.special import gamma
-    return np.pi ** (k / 2.0) / gamma(k / 2.0 + 1.0)
+    return np.pi ** (k / 2.0) / _gamma_half(k + 2)
 
 
 def k_const(N):

@@ -8,10 +8,11 @@ inside:
 * ``"unit"`` -- sphere-valued fields (liftings).
 
 Three estimators of the BV energy are provided.  The mollified double
-integral (:func:`mollified_energy`) and the direction-averaged seminorm
-built from one-dimensional restrictions (:func:`directional_tv`,
-:func:`avg_directional_energy`) estimate the same continuum quantity, both
-from the lattice-offset pair sums of one kernel (:func:`_lattice_sums`).
+integral (:func:`mollified_energy`) and the direction average of the total
+variation of one-dimensional restrictions (:func:`avg_directional_energy`,
+which takes given directions as ``omegas``) estimate the same continuum
+quantity, both from the lattice-offset pair sums of one kernel
+(:func:`_lattice_sums`).
 An anisotropy-corrected finite difference total variation
 (:func:`embedded_tv`) estimates the plain embedded seminorm, whose
 absolutely continuous part they share, and counts its jump faces, from the
@@ -38,7 +39,6 @@ __all__ = [
     "read_field",
     "mollified_energy",
     "mollified_energy_extrapolated",
-    "directional_tv",
     "avg_directional_energy",
     "embedded_tv",
     "default_jump_threshold",
@@ -486,16 +486,40 @@ def _extrapolated_energies(f, requests, multipliers=(8, 16, 32)):
 # ---------------------------------------------------------------------------
 # directional total variation
 
-def _line_bundle_tvs(f, omegas, metric):
-    """:func:`directional_tv` of each direction of ``omegas``.
+def avg_directional_energy(f, directions=64, seed=0, metric="geodesic",
+                           omegas=None):
+    """Average over directions omega of S^{N-1} of the total variation of
+    the one-dimensional restrictions along omega.
 
-    The line of intercept b visits the transverse cell b + rint(k s) in
-    layer k along the dominant axis a, s the slopes of omega over omega_a:
-    the lines are translates, so each cell of layer k starts one pair of
-    step k, at offset e_a + delta_k, delta_k = rint((k+1) s) - rint(k s).
-    All directions read their per-layer sums along their dominant axes
-    from one :func:`_lattice_sums` call over the step offsets they use.
+    The directions are ``omegas`` if given (each finite and nonzero, of
+    shape (N,); it is normalised), else ``directions`` equispaced angles
+    with one random offset for N = 2 (unbiased, low variance), uniform
+    points of S^{N-1} for N >= 3, and omega = 1 for N = 1, where both
+    elements of S^0 give the same restriction, so the value is exact.
+    Each direction is measured by a bundle of grid-sampled lines, one per
+    unit intercept b in the slab orthogonal to its dominant axis a, summed
+    with transverse weight |omega_a| h^{N-1}; pairs crossing the mask are
+    dropped.  Line b visits the transverse cell b + rint(k s) in layer k,
+    s the slopes of omega over omega_a: the lines are translates, so each
+    cell of layer k starts one pair of step k, at offset e_a + delta_k,
+    delta_k = rint((k+1) s) - rint(k s).  All directions read their
+    per-layer sums along their dominant axes from one :func:`_lattice_sums`
+    call over the step offsets they use.  The sample standard error is
+    reported in ``params`` (conservative for the stratified N = 2 sampling).
     """
+    if f.N > 1 and directions < 4:
+        raise ValueError("directions must be >= 4")
+    rng = np.random.default_rng(seed)
+    if omegas is None and f.N == 1:
+        omegas = [[1.0]]
+    elif omegas is None and f.N == 2:
+        phi = (np.arange(directions) + rng.random()) / directions * 2.0 * np.pi
+        omegas = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    elif omegas is None:
+        omegas = random_unit_vectors(f.N, directions, rng)
+    if len(omegas) == 0:
+        raise ValueError("omegas must hold at least one direction")
+
     bundles = []  # (a, |omega_a|, deltas, sorted distinct deltas)
     for omega in omegas:
         omega = np.asarray(omega, dtype=float)
@@ -515,49 +539,11 @@ def _line_bundle_tvs(f, omegas, metric):
                          [(*d[:a], 1, *d[a:]) for a, d in used],
                          axes=[a for a, _ in used])
     layers = {key: S for key, (S,) in zip(used, rows)}  # (a, delta) -> S
-    tvs = []
-    for a, weight, deltas, steps in bundles:
-        tv = 0.0
-        for delta in steps:
-            tv += float(layers[a, delta][(deltas == delta).all(axis=1)].sum())
-        tvs.append(float(weight * f.spacing ** (f.N - 1) * tv))
-    return tvs
-
-
-def directional_tv(f, omega, metric="geodesic"):
-    """Total variation of the one-dimensional restrictions along direction omega.
-
-    A bundle of grid-sampled lines parallel to omega (one per unit intercept
-    in the slab orthogonal to the dominant axis, nearest-cell traversal with
-    k s rounded once for all lines) is summed with transverse weight
-    |omega_a| h^{N-1}.  Pairs crossing the mask are dropped.
-    """
-    return _line_bundle_tvs(f, [omega], metric)[0]
-
-
-def avg_directional_energy(f, directions=64, seed=0, metric="geodesic",
-                           omegas=None):
-    """Average of :func:`directional_tv` over sampled directions of S^{N-1}.
-
-    For N = 1 both elements of S^0 give the same restriction, so the value is
-    exact.  The sample standard error is reported in ``params`` (conservative
-    for the stratified N = 2 sampling).  ``omegas`` replaces the sampled
-    directions, which share their per-layer pair sums.
-    """
-    if f.N == 1:
-        omegas = [[1.0]]
-    elif directions < 4:
-        raise ValueError("directions must be >= 4")
-    rng = np.random.default_rng(seed)
-    if omegas is None and f.N == 2:
-        # equispaced angles with one random offset: unbiased, low variance
-        phi = (np.arange(directions) + rng.random()) / directions * 2.0 * np.pi
-        omegas = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    elif omegas is None:
-        omegas = random_unit_vectors(f.N, directions, rng)
-    if len(omegas) == 0:
-        raise ValueError("omegas must hold at least one direction")
-    tvs = np.array(_line_bundle_tvs(f, omegas, metric))
+    h = f.spacing ** (f.N - 1)
+    tvs = np.array([
+        weight * h * sum(float(layers[a, delta][(deltas == delta).all(axis=1)]
+                               .sum()) for delta in steps)
+        for a, weight, deltas, steps in bundles])
     stderr = float(tvs.std(ddof=1) / np.sqrt(len(tvs))) if len(tvs) > 1 else 0.0
     return EnergyReport(float(tvs.mean()), metric, "directional_avg",
                         params={"directions": len(tvs), "stderr": stderr})
@@ -640,7 +626,7 @@ def embedded_tv(f, metric="geodesic", jump_threshold=None):
         near_jump[src] |= ja
         near_jump[dst] |= ja
 
-    frob = np.sqrt(sum(np.square(steps[..., a]) for a in range(f.N)))
+    frob = _norms(steps)
     ac = float((h ** (f.N - 1) * frob)[valid.any(axis=-1) & ~near_jump].sum())
     jump = float((dists[isjump]).sum() * h ** (f.N - 1))
     return EnergyReport(ac + jump, metric, "embedded_tv",

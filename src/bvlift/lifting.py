@@ -279,8 +279,7 @@ def lift_with_boundary(u, n0, trials=64, seed=0):
 
     interior = inside & ~bnd
     phi = solve_laplace(f, bnd, interior)
-    fbar = np.where(phi > 0.0, 1.0, -1.0)
-    fbar[bnd] = f[bnd]
+    fbar = np.where(phi > 0.0, 1.0, -1.0)  # f on the boundary, where phi = f
 
     n_vals = ntilde * fbar[..., None]
     n_vals[bnd] = trace

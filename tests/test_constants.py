@@ -30,11 +30,22 @@ class TestSurfaceMeasures:
         assert sphere_area(0) == 2.0
         assert sphere_area(1) == pytest.approx(2 * np.pi, abs=1e-12)
         assert sphere_area(2) == pytest.approx(4 * np.pi, abs=1e-12)
+        assert sphere_area(3) == pytest.approx(2 * np.pi ** 2, abs=1e-12)
 
     def test_ball_volumes(self):
         assert ball_volume(0) == 1.0
         assert ball_volume(1) == pytest.approx(2.0, abs=1e-12)
         assert ball_volume(2) == pytest.approx(np.pi, abs=1e-12)
+        assert ball_volume(3) == pytest.approx(4 * np.pi / 3, abs=1e-12)
+
+    def test_gamma_overflow_and_bad_dimensions(self):
+        # where Gamma overflows a float (from Gamma(172)) the measures read 0
+        assert sphere_area(342) > 0.0 and sphere_area(343) == 0.0
+        assert ball_volume(341) > 0.0 and ball_volume(342) == 0.0
+        assert m_const(400).value == 0.0
+        for k in (-1, 1.5):
+            with pytest.raises(ValueError, match="integers >= 0"):
+                sphere_area(k)
 
 
 class TestKConst:

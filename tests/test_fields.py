@@ -10,9 +10,9 @@ from bvlift.constants import k_const
 from bvlift.fields import (GridField, UnderResolvedError, _chord_rule,
                            _face_data, _pair_sums, _thread_count,
                            avg_directional_energy, default_jump_threshold,
-                           directional_tv, embedded_tv,
-                           mollified_energy, mollified_energy_extrapolated,
-                           read_field, write_field)
+                           embedded_tv, mollified_energy,
+                           mollified_energy_extrapolated, read_field,
+                           write_field)
 from bvlift.geometry import chord, chord_distance
 from bvlift.lifting import lift_greedy_1d, lift_rotation_search
 from bvlift.verify import (make_field, make_half_vortex,
@@ -307,21 +307,21 @@ class TestDirectional:
     def test_constant_zero(self):
         f = constant_field(32)
         for w in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8]):
-            assert directional_tv(f, np.array(w), "geodesic") == 0.0
+            assert avg_directional_energy(f, omegas=[w]).total == 0.0
 
     def test_axis_jump_exact(self):
         f = jump_field(128)
-        tv = directional_tv(f, np.array([1.0, 0.0]), "geodesic")
+        tv = avg_directional_energy(f, omegas=[[1.0, 0.0]]).total
         assert tv == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_transverse_direction_zero(self):
         f = jump_field(128)
-        assert directional_tv(f, np.array([0.0, 1.0]), "geodesic") == 0.0
+        assert avg_directional_energy(f, omegas=[[0.0, 1.0]]).total == 0.0
 
     def test_oblique_direction(self):
         f = jump_field(256)
         w = np.array([np.cos(0.5), np.sin(0.5)])
-        tv = directional_tv(f, w, "geodesic")
+        tv = avg_directional_energy(f, omegas=[w]).total
         assert tv == pytest.approx(np.cos(0.5) * np.pi / 2, rel=0.02)
 
     def test_average_jump_field(self):
@@ -346,6 +346,9 @@ class TestDirectional:
         f = GridField((m,), h, (0.0,), "proj", vals)
         rep = avg_directional_energy(f, metric="geodesic")
         assert rep.total == pytest.approx(np.pi / 3, abs=1e-12)  # K_1 = 1
+        # both elements of S^0, in any length, give the one restriction
+        for omega in ([1.0], [-1.0], [2.5]):
+            assert avg_directional_energy(f, omegas=[omega]).total == rep.total
 
     def test_metric_monotonicity_projective_below_sphere(self):
         # projection is 1-Lipschitz: proj TV <= sphere TV of any lifting
@@ -355,8 +358,8 @@ class TestDirectional:
         for _ in range(5):
             w = rng.standard_normal(2)
             w /= np.linalg.norm(w)
-            tv_u = directional_tv(u, w, "geodesic")
-            tv_n = directional_tv(n, w, "geodesic")
+            tv_u = avg_directional_energy(u, omegas=[w]).total
+            tv_n = avg_directional_energy(n, omegas=[w]).total
             assert tv_u <= tv_n + 1e-12
 
     def test_empty_mask_raises(self, tmp_path):
@@ -372,7 +375,16 @@ class TestDirectional:
         [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]])
     def test_zero_or_non_finite_omega_raises(self, omega):
         with pytest.raises(ValueError, match="finite and nonzero"):
-            directional_tv(jump_field(16), np.array(omega), "geodesic")
+            avg_directional_energy(jump_field(16), omegas=[omega])
+
+    @pytest.mark.parametrize("omega, match", [
+        ([0.0], "finite and nonzero"), ([np.nan], "finite and nonzero"),
+        ([1.0, 0.0], r"unit vector in R\^1"), (1.0, r"unit vector in R\^1")])
+    def test_one_dimensional_omega_is_checked(self, omega, match):
+        # a given direction is validated in every dimension
+        u = GridField((8,), 0.125, (0.0,), "proj", np.repeat(np.eye(2), 4, 0))
+        with pytest.raises(ValueError, match=match):
+            avg_directional_energy(u, omegas=[omega])
 
     def test_empty_omegas_raise(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -522,8 +534,10 @@ class TestScaling:
             e1 = embedded_tv(f1, metric).total
             e2 = embedded_tv(f2, metric).total
             assert e2 == pytest.approx(lam * e1, rel=1e-12)
-            t1 = directional_tv(f1, np.array([1.0, 0.0]), metric)
-            t2 = directional_tv(f2, np.array([1.0, 0.0]), metric)
+            t1 = avg_directional_energy(f1, metric=metric,
+                                        omegas=[[1.0, 0.0]]).total
+            t2 = avg_directional_energy(f2, metric=metric,
+                                        omegas=[[1.0, 0.0]]).total
             assert t2 == pytest.approx(lam * t1, rel=1e-12)
 
     def test_smooth_profile_scales_the_same_way(self):
@@ -555,7 +569,7 @@ class TestPairKernelThreads:
         monkeypatch.setenv("BVLIFT_THREADS", "1")
         monkeypatch.setattr(fields, "ThreadPoolExecutor", no_pool)
         f = jump_field(16)
-        assert directional_tv(f, np.array([0.6, 0.8])) > 0.0
+        assert avg_directional_energy(f, omegas=[[0.6, 0.8]]).total > 0.0
         assert avg_directional_energy(f, directions=8).total > 0.0
         assert mollified_energy(f, 4 * f.spacing).total > 0.0
 
@@ -575,8 +589,8 @@ class TestPairKernelThreads:
             rep = avg_directional_energy(u, omegas=omegas)
         assert kernel.call_count == 1
         assert sorted(set(kernel.call_args.kwargs["axes"])) == [0, 1, 2]
-        assert rep.total == pytest.approx(np.mean(
-            [directional_tv(u, w) for w in omegas]), rel=1e-15)
+        assert rep.total == np.mean(
+            [avg_directional_energy(u, omegas=[w]).total for w in omegas])
 
 
 class TestMetricDispatch:

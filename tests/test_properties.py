@@ -24,10 +24,9 @@ from bvlift import fields
 from bvlift.fields import (METRICS, GridField, _extrapolated_energies,
                            _face_data, _forward_faces, _half_offsets,
                            _lattice_ball, _lattice_sums, _pair_sums,
-                           avg_directional_energy, directional_tv,
-                           embedded_tv, mollified_energy,
-                           mollified_energy_extrapolated, read_field,
-                           write_field)
+                           avg_directional_energy, embedded_tv,
+                           mollified_energy, mollified_energy_extrapolated,
+                           read_field, write_field)
 from bvlift.geometry import (canonicalize, chord, chord_distance, dist_proj,
                              dist_sphere, eucl_jump_cost, lift_sign,
                              random_unit_vectors)
@@ -139,8 +138,10 @@ def test_lifting_distances_never_below_its_projection(data):
         # both fields sum the same pairs in the same order
         for omega in data.draw(st.lists(directions(n.N), min_size=1,
                                         max_size=3)):
-            assert (directional_tv(n, omega, metric)
-                    >= directional_tv(u, omega, metric)), (metric, omega)
+            tv_n, tv_u = (avg_directional_energy(g, metric=metric,
+                                                 omegas=[omega]).total
+                          for g in (n, u))
+            assert tv_n >= tv_u, (metric, omega)
 
 
 @SETTINGS
@@ -638,10 +639,11 @@ def directions(draw, N):
 
 
 def _reference_directional_tv(f, omega, metric):
-    """directional_tv line by line, and its number of pairs: the line of
-    intercept b visits the transverse cell b + rint(k s) in layer k along
-    the dominant axis a, s the slopes over omega_a, and the distances of
-    its in-mask pairs are summed by math.fsum."""
+    """The directional energy at the one direction omega, line by line, and
+    its number of pairs: the line of intercept b visits the transverse cell
+    b + rint(k s) in layer k along the dominant axis a, s the slopes over
+    omega_a, and the distances of its in-mask pairs are summed by
+    math.fsum."""
     omega = omega / np.linalg.norm(omega)
     inside = f.inside()
     a = int(np.argmax(np.abs(omega)))
@@ -680,7 +682,8 @@ def test_directional_tv_equals_the_reference_loop(data):
     for _ in range(3):
         omega = data.draw(directions(f.N))
         for metric in _metrics(kind):
-            got = directional_tv(f, omega, metric)
+            got = avg_directional_energy(f, metric=metric,
+                                         omegas=[omega]).total
             want, n = _reference_directional_tv(f, omega, metric)
             assert abs(got - want) <= (n + 2) * 2.0 ** -53 * want, (
                 omega, metric, got, want)

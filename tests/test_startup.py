@@ -47,6 +47,16 @@ def test_repr_fields_load_no_scipy():
     assert out == "[]\n"
 
 
+def test_constants_load_no_scipy():
+    # Gamma at integers and half-integers is a factorial form
+    out = fresh_python(
+        "import sys\n"
+        "from bvlift.constants import m_const, sphere_area\n"
+        "m_const(4), sphere_area(5)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out == "[]\n"
+
+
 def test_deferred_imports_give_the_same_values(tmp_path):
     # a 12x12 disk with random boundary signs; float reprs and raw array
     # bytes compare bit for bit

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bvlift.fields import directional_tv, embedded_tv
+from bvlift.fields import avg_directional_energy, embedded_tv
 from bvlift.geometry import dist_sphere
 from bvlift.verify import (DIMS_GRID, THETA_GRID, CheckReport, make_field,
                            make_half_vortex, make_half_vortex_lifting,
@@ -67,8 +67,8 @@ class TestMakeHalfVortex:
         e3 = embedded_tv(u3, "euclidean_tensor").total
         assert e3 == pytest.approx(e2 * 1.0, rel=1e-12)
         # no variation along the cylinder axis
-        assert directional_tv(u3, np.array([0.0, 0.0, 1.0]),
-                              "geodesic") == 0.0
+        assert avg_directional_energy(u3, omegas=[[0.0, 0.0, 1.0]]).total \
+            == 0.0
 
     def test_lifting_field_projects_to_field(self):
         u = make_half_vortex(64)
@@ -141,8 +141,8 @@ class TestDirectionalInvariance:
             for _ in range(4):
                 w = rng.standard_normal(2)
                 w /= np.linalg.norm(w)
-                tv_n = directional_tv(n, w, "geodesic")
-                tv_u = directional_tv(u, w, "geodesic")
+                tv_n = avg_directional_energy(n, omegas=[w]).total
+                tv_u = avg_directional_energy(u, omegas=[w]).total
                 assert tv_u == pytest.approx(tv_n, rel=1e-12)
 
 
