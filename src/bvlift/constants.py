@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import chord, random_unit_vectors
+from .geometry import chord
 
 __all__ = [
     "ConstantResult",
@@ -35,7 +35,7 @@ __all__ = [
     "c1d_const",
 ]
 
-_MC_CHUNK = 200_000  # sphere points held in memory at once
+_MC_CHUNK = 65_536  # Gaussian points held in memory at once
 
 
 @dataclass
@@ -61,14 +61,24 @@ def _gamma_half(m):
         return math.inf
 
 
+def _pi_power_over_gamma(x, m):
+    """pi^x / Gamma(m/2); where Gamma(m/2) overflows (m >= 344), the log
+    form exp(x log pi - lgamma(m/2)), which reads 0.0 where the quotient
+    underflows."""
+    g = _gamma_half(m)
+    if g < math.inf:
+        return np.pi ** x / g
+    return math.exp(x * math.log(math.pi) - math.lgamma(m / 2.0))
+
+
 def sphere_area(k):
     """Surface measure H^k(S^k); the zero-sphere {+-1} has counting measure 2."""
-    return 2.0 * np.pi ** ((k + 1) / 2.0) / _gamma_half(k + 1)
+    return 2.0 * _pi_power_over_gamma((k + 1) / 2.0, k + 1)
 
 
 def ball_volume(k):
     """Lebesgue volume H^k(B^k) of the unit ball; a point for k = 0."""
-    return np.pi ** (k / 2.0) / _gamma_half(k + 2)
+    return _pi_power_over_gamma(k / 2.0, k + 2)
 
 
 def k_const(N):
@@ -100,20 +110,27 @@ def _mc_over_sphere(n, ms, samples, seed):
     |n + m| as the signs agree or not, the split indicator 1 or 0 as
     r.n > 0 > r.m or not.  With p the share of samples on the pattern, the
     mean is x p + y (1 - p) and the standard error |x - y| sqrt(p (1 - p) /
-    samples), the sample variance written exactly.  Chunks of at most
+    samples), the sample variance written exactly.
+
+    The uniform point is r = g/|g| for a standard Gaussian g in R^d
+    (Muller 1959), and sgn(r.n) = sgn(g.n) since |g| > 0, so the signs are
+    counted on g itself and g is never normalized.  Chunks of at most
     ``_MC_CHUNK`` points draw in order from one generator seeded by
-    ``seed``, so each m gets the counts of a draw of its pair alone.
+    ``seed`` (the stream ``geometry.random_unit_vectors`` normalizes), so
+    each m gets the counts of a draw of its pair alone.  One product of a
+    chunk with n and the ms stacked gives the rows g.n, g.m_1, ...
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    n, *ms = np.array([n, *ms], dtype=float)
+    nms = np.array([n, *ms], dtype=float)
+    n, *ms = nms
     rng = np.random.default_rng(seed)
     same, split = np.zeros((2, len(ms)), dtype=np.int64)
     for start in range(0, samples, _MC_CHUNK):
-        r = random_unit_vectors(len(n), min(samples - start, _MC_CHUNK), rng)
-        up = r @ n > 0
-        for j, m in enumerate(ms):
-            b = r @ m
+        g = rng.standard_normal((min(samples - start, _MC_CHUNK), len(n)))
+        a, *bs = nms @ g.T
+        up = a > 0
+        for j, b in enumerate(bs):
             same[j] += np.count_nonzero((b > 0) == up)
             split[j] += np.count_nonzero((b < 0) & up)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,8 @@ from bvlift.constants import (avg_eucl_jump, avg_eucl_jump_closed,
                               ball_volume, c1d_const, ca_const, cj_estimate,
                               k_const, m_const, psi_closed, psi_estimate,
                               sphere_area)
-from bvlift.geometry import (dist_sphere, embed_tensor, haar_rotations,
-                             random_unit_vectors)
+from bvlift.geometry import (chord, dist_sphere, embed_tensor,
+                             haar_rotations, random_unit_vectors)
 
 SAMPLES = 200_000
 
@@ -39,13 +40,35 @@ class TestSurfaceMeasures:
         assert ball_volume(3) == pytest.approx(4 * np.pi / 3, abs=1e-12)
 
     def test_gamma_overflow_and_bad_dimensions(self):
-        # where Gamma overflows a float (from Gamma(172)) the measures read 0
-        assert sphere_area(342) > 0.0 and sphere_area(343) == 0.0
-        assert ball_volume(341) > 0.0 and ball_volume(342) == 0.0
-        assert m_const(400).value == 0.0
+        # where Gamma overflows a float (from Gamma(172)) the measures take
+        # a log form; they read 0 only where the measure itself underflows
+        assert sphere_area(343) > 0.0 and ball_volume(342) > 0.0
+        assert sphere_area(454) > 0.0 and sphere_area(455) == 0.0
+        assert ball_volume(452) > 0.0 and ball_volume(453) == 0.0
+        assert m_const(400).value > 0.0 and m_const(3000).value == 0.0
         for k in (-1, 1.5):
             with pytest.raises(ValueError, match="integers >= 0"):
                 sphere_area(k)
+
+    @staticmethod
+    def log_ball_volume(k):
+        """log H^k(B^k) from vol(B^k) = 2 pi / k vol(B^(k - 2)), vol(B^0) = 1
+        and vol(B^1) = 2, summed in log space."""
+        return sum(math.log(2 * math.pi / j) for j in range(k, 1, -2)) \
+            + (math.log(2.0) if k % 2 else 0.0)
+
+    def test_log_form_matches_the_ball_recurrence(self):
+        # M(400) = 2 vol(B^398) ~ 4.3e-274: Gamma(200) overflows, the
+        # measure does not
+        assert m_const(400).value == pytest.approx(
+            2 * math.exp(self.log_ball_volume(398)), rel=1e-11, abs=0)
+        for k in range(300, 440, 7):  # across the switch at k = 342
+            assert ball_volume(k) == pytest.approx(
+                math.exp(self.log_ball_volume(k)), rel=1e-11, abs=0)
+            # H^k(S^k) = 2 pi vol(B^(k - 1))
+            assert sphere_area(k) == pytest.approx(
+                2 * math.pi * math.exp(self.log_ball_volume(k - 1)),
+                rel=1e-11, abs=0)
 
 
 class TestKConst:
@@ -223,12 +246,59 @@ class TestAverages:
             assert estimate(0.7, 4, 10, 3) == self.ESTIMATORS[name]
 
 
+class GivenDraw(np.random.Generator):
+    """A generator whose standard normal draws are given points, in order.
+    The sampler counts signs of its draw, so any points with the signs of a
+    Gaussian draw stand for one; ``np.random.default_rng`` passes a
+    generator through as it is."""
+
+    def __init__(self, points):
+        super().__init__(np.random.PCG64(0))
+        self.points = points
+
+    def standard_normal(self, size):
+        k, d = size
+        assert d == self.points.shape[1] and k <= len(self.points)
+        head, self.points = self.points[:k], self.points[k:]
+        return head
+
+
+def unit_vector_formula(n, ms, samples, seed, chunk):
+    """The sampler written with unit vectors: each chunk normalized by
+    ``random_unit_vectors``, then one product ``r @ m`` per m."""
+    n, *ms = np.array([n, *ms], dtype=float)
+    rng = np.random.default_rng(seed)
+    same, split = np.zeros((2, len(ms)), dtype=np.int64)
+    for start in range(0, samples, chunk):
+        r = random_unit_vectors(len(n), min(samples - start, chunk), rng)
+        up = r @ n > 0
+        for j, m in enumerate(ms):
+            b = r @ m
+            same[j] += np.count_nonzero((b > 0) == up)
+            split[j] += np.count_nonzero((b < 0) & up)
+
+    def estimate(count, x, y):
+        p, q = count / samples, (samples - count) / samples
+        return constants.ConstantResult(
+            x * p + y * q, "monte_carlo",
+            abs(x - y) * np.sqrt(p * q / samples), samples)
+
+    out = []
+    for m, s, c in zip(ms, same, split):
+        theta = float(np.arccos(np.clip(n @ m, -1.0, 1.0)))
+        out.append({"avg_lifted_dist": estimate(s, theta, np.pi - theta),
+                    "psi": estimate(c, 1.0, 0.0),
+                    "avg_eucl_jump": estimate(s, float(chord(n, m)),
+                                              float(chord(n, -m)))})
+    return out
+
+
 class TestSphereSampler:
     """The estimators sample r = R^T e_d on the sphere, not rotations R, and
     count sign patterns of (r.n, r.m) in place of evaluating integrands."""
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_integrands_match_rotation_definitions(self, monkeypatch, d):
+    def test_integrands_match_rotation_definitions(self, d):
         theta = 1.1
         n, m = pair_at_angle(d, theta)
         R = haar_rotations(d, 20_000, np.random.default_rng(d))
@@ -252,9 +322,8 @@ class TestSphereSampler:
         for sa in (True, False):
             for sb in (True, False):
                 cls = off & ((a > 0) == sa) & ((b > 0) == sb)
-                monkeypatch.setattr(constants, "random_unit_vectors",
-                                    lambda d_, k, rng: r[cls])
-                (got,) = constants._mc_over_sphere(n, [m], int(cls.sum()), 0)
+                (got,) = constants._mc_over_sphere(n, [m], int(cls.sum()),
+                                                   GivenDraw(r[cls]))
                 for name, reference in definitions.items():
                     assert got[name].error_estimate == 0.0
                     assert np.max(np.abs(reference[cls] - got[name].value)) \
@@ -306,6 +375,42 @@ class TestSphereSampler:
                         <= 1e-15 * float(mean)
                     assert abs(got[name].error_estimate - stderr) \
                         <= 1e-15 * stderr
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_raw_draw_equals_unit_vector_formula(self, monkeypatch, d):
+        # signs of g.m and of (g/|g|).m agree, so every count, value and
+        # stderr is the unit-vector formula's, bit for bit
+        rng = np.random.default_rng(100 + d)
+        cases = []
+        for k in range(1, 5):  # dense random n with 1-4 ms
+            n, *ms = rng.standard_normal((1 + k, d))
+            cases.append((n / np.linalg.norm(n),
+                          [m / np.linalg.norm(m) for m in ms]))
+        n = pair_at_angle(d, 0.0)[0]
+        cases.append((n, [pair_at_angle(d, t)[1]
+                          for t in (0.0, np.pi / 2, np.pi)]))
+        for i, (n, ms) in enumerate(cases):
+            for samples in (1, 65_536, 150_001):
+                assert constants._mc_over_sphere(n, ms, samples, i) \
+                    == unit_vector_formula(n, ms, samples, i, 200_000)
+        monkeypatch.setattr(constants, "_MC_CHUNK", 1000)
+        for i, (n, ms) in enumerate(cases):
+            for samples in (999, 2500, 3001):
+                assert constants._mc_over_sphere(n, ms, samples, i) \
+                    == unit_vector_formula(n, ms, samples, i, 1000)
+
+    def test_draw_memory_is_bounded_by_the_chunk(self):
+        # one 1e6-sample d = 4 draw with four ms peaks near 7.5 MB; 200 000
+        # normalized points per chunk, with one product per m, take 22.7 MB
+        n = pair_at_angle(4, 0.0)[0]
+        ms = [pair_at_angle(4, t)[1] for t in (0.5, 1.0, 2.0, 3.0)]
+        tracemalloc.start()
+        try:
+            constants._mc_over_sphere(n, ms, 1_000_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_no_samples_rejected(self, samples):
