@@ -492,10 +492,11 @@ def avg_directional_energy(f, directions=64, seed=0, metric="geodesic",
     the one-dimensional restrictions along omega.
 
     The directions are ``omegas`` if given (each finite and nonzero, of
-    shape (N,); it is normalised), else ``directions`` equispaced angles
-    with one random offset for N = 2 (unbiased, low variance), uniform
-    points of S^{N-1} for N >= 3, and omega = 1 for N = 1, where both
-    elements of S^0 give the same restriction, so the value is exact.
+    shape (N,); it is normalised), else for N = 2 the D = ``directions``
+    distinct lines at angles (k + r) pi / D, one uniform offset r (unbiased,
+    low variance), uniform points of S^{N-1} for N >= 3, and omega = 1 for
+    N = 1.  omega and -omega give the same restriction, so the value is
+    exact for N = 1, and the half circle holds the lines for N = 2.
     Each direction is measured by a bundle of grid-sampled lines, one per
     unit intercept b in the slab orthogonal to its dominant axis a, summed
     with transverse weight |omega_a| h^{N-1}; pairs crossing the mask are
@@ -513,7 +514,7 @@ def avg_directional_energy(f, directions=64, seed=0, metric="geodesic",
     if omegas is None and f.N == 1:
         omegas = [[1.0]]
     elif omegas is None and f.N == 2:
-        phi = (np.arange(directions) + rng.random()) / directions * 2.0 * np.pi
+        phi = (np.arange(directions) + rng.random()) / directions * np.pi
         omegas = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     elif omegas is None:
         omegas = random_unit_vectors(f.N, directions, rng)

@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .constants import (AVERAGES, _mc_over_sphere, _pair_at_angle, k_const,
-                        psi_estimate)
+from .constants import AVERAGES, _mc_over_sphere, _pair_at_angle, k_const
 from .fields import (GridField, _extrapolated_energies, _face_data,
                      _thread_count, avg_directional_energy, embedded_tv)
 from .geometry import _norms, _upper
@@ -267,11 +266,11 @@ def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
     Each estimate must fall within 4 standard errors of its closed form on a
     theta grid and d in {2, 3, 4}; the averaged Euclidean jump must also stay
     below (1 + 2/pi) sin(theta).  One draw per d serves its 12 checks, which
-    are thus correlated and report its runtime; the right-angle quarter has
-    a draw of its own.
+    are thus correlated and report its runtime; the right-angle quarter,
+    psi(pi/2) = 1/4 to 0.002, reads the d = 3 draw's psi at pi/2.
     """
     threads = _check_settings(samples=samples, threads=threads)
-    seeds = np.random.SeedSequence(seed).spawn(len(DIMS_GRID) + 1)
+    seeds = np.random.SeedSequence(seed).spawn(len(DIMS_GRID))
 
     def draw(d, seed):  # the checks of one d, one list per average
         t0 = time.perf_counter()
@@ -295,23 +294,20 @@ def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
                         **info))
         return groups.values()
 
-    def right_angle_quarter(seed):
-        t0 = time.perf_counter()
-        res = psi_estimate(np.pi / 2, 3, samples, seed)
-        return _check("psi_right_angle_quarter", 0.25, res.value, 0.002,
-                      "abs", "hemisphere-split measure at pi/2 equals 1/4",
-                      t0, stderr=res.error_estimate)
-
     with ThreadPoolExecutor(max_workers=threads) as ex:
         by_d = ex.map(draw, DIMS_GRID, seeds)
-        quarter = ex.submit(right_angle_quarter, seeds[-1])
         checks = [c for groups in zip(*by_d) for g in groups for c in g]
 
     rows = [[c.name, c.extra["theta"], c.extra["d"], c.measured, c.claimed,
              c.extra["stderr"]] for c in checks]
     _write_csv(csv_dir, "identities.csv",
                ["check", "theta", "d", "measured", "claimed", "stderr"], rows)
-    return checks + [quarter.result()]
+    half = next(c for c in checks
+                if c.name == f"psi_theta={THETA_GRID[2]:.4f}_d=3")
+    return checks + [_check(
+        "psi_right_angle_quarter", 0.25, half.measured, 0.002, "abs",
+        "hemisphere-split measure at pi/2 equals 1/4",
+        stderr=half.extra["stderr"])]
 
 
 # ---------------------------------------------------------------------------

@@ -758,10 +758,9 @@ class TestVerifyCommand:
     def test_bad_thread_variable_exit_2(self, tmp_path, capfd, monkeypatch,
                                         value):
         # every suite that reads it checks it before its first computation:
-        # the identity suite draws through the first two, the half-vortex
+        # the identity suite draws through the first, the half-vortex
         # suite starts from its field, the repr suite from its fields
-        for name in ("_mc_over_sphere", "psi_estimate", "make_half_vortex",
-                     "_repr_fields"):
+        for name in ("_mc_over_sphere", "make_half_vortex", "_repr_fields"):
             monkeypatch.setattr(verify, name, must_not_run)
         monkeypatch.setenv("BVLIFT_THREADS", value)
         out = tmp_path / "r.json"

@@ -337,6 +337,17 @@ class TestDirectional:
                                      metric="geodesic")
         assert rep.total == pytest.approx(K2 * s, rel=0.03)
 
+    @pytest.mark.parametrize("directions, seed", [(4, 0), (64, 5), (96, 2)])
+    def test_planar_directions_are_distinct_lines(self, directions, seed):
+        # angles (k + r) pi / D: no direction is another one reversed
+        f = jump_field(64)
+        phi = ((np.arange(directions) + np.random.default_rng(seed).random())
+               / directions * np.pi)
+        omegas = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        rep = avg_directional_energy(f, directions=directions, seed=seed)
+        ref = avg_directional_energy(f, omegas=omegas)
+        assert (rep.total, rep.params) == (ref.total, ref.params)
+
     def test_one_dimensional_average(self):
         m = 128
         h = 1.0 / m

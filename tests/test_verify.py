@@ -188,6 +188,27 @@ class TestSuites:
                for part in ("", "_bound")]
             + ["psi_right_angle_quarter"])
 
+    def test_right_angle_quarter_reads_the_d3_draw(self, monkeypatch):
+        from bvlift import constants, verify
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sampler(*args, **kwargs)
+
+        sampler = constants._mc_over_sphere
+        monkeypatch.setattr(constants, "_mc_over_sphere", counted)
+        monkeypatch.setattr(verify, "_mc_over_sphere", counted)
+        checks = {c.name: c for c in run_identity_suite(samples=100_000,
+                                                        seed=4)}
+        assert len(calls) == len(DIMS_GRID)  # one draw per d, no other
+        quarter = checks["psi_right_angle_quarter"]
+        half = checks[f"psi_theta={np.pi / 2:.4f}_d=3"]
+        assert quarter.measured == half.measured
+        assert quarter.extra["stderr"] == half.extra["stderr"]
+        assert (quarter.claimed, quarter.tolerance, quarter.kind) == (
+            0.25, 0.002, "abs")
+
     def test_repr_suite_does_not_depend_on_the_thread_count(self,
                                                              monkeypatch):
         runs = []
