@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input (any
 ValueError or OSError, a missing or unwritable file and a command line the
-parser rejects included), 3 boundary data that is not a lifting of the
-field (BoundaryMismatchError), 4 under-resolved mollifier
-(UnderResolvedError).  Only :func:`main` turns an exception into an exit
-code, by its type, and prints one ``error:`` line.
+parser rejects included) or an input too large to hold (MemoryError), 3
+boundary data that is not a lifting of the field (BoundaryMismatchError), 4
+under-resolved mollifier (UnderResolvedError).  Only :func:`main` turns an
+exception into an exit code, by its type, and prints one ``error:`` line.
 Outputs are written atomically (temp file + rename), with the mode the
 umask gives a new file, and are byte identical for identical (command,
 seed).
@@ -92,7 +92,7 @@ def _atomic_write(path, write):
 
 
 def _json_dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cmd_make_field(args):
@@ -144,12 +144,12 @@ def cmd_lift(args):
     else:
         res = lift_with_boundary(u, read_field(args.boundary), **kw)
     r = res.direction
-    side = {"mode": args.mode, "energy": res.energy.to_dict(),
-            "direction": None if r is None else r.tolist(),
-            "projection_check": res.projection_check}
-
+    # a sidecar that is no JSON is rejected before either file is written
+    side = _json_dumps({"mode": args.mode, "energy": res.energy.to_dict(),
+                        "direction": None if r is None else r.tolist(),
+                        "projection_check": res.projection_check})
     _atomic_write(out, lambda tmp: write_field(res.field, tmp))
-    _atomic_write(sidecar, lambda tmp: Path(tmp).write_text(_json_dumps(side)))
+    _atomic_write(sidecar, lambda tmp: Path(tmp).write_text(side))
     print(f"wrote {out} and {sidecar}")
     return EXIT_OK
 
@@ -194,14 +194,9 @@ def cmd_constants(args):
 
 def cmd_verify(args):
     settings = dict(grid=args.grid, trials=args.trials, samples=args.samples,
-                    seed=args.seed, csv_dir=args.csv_dir)
+                    seed=args.seed)
     out = args.report
     _check_output(out)
-    if args.csv_dir is not None:
-        os.makedirs(args.csv_dir, exist_ok=True)
-        if not os.access(args.csv_dir, os.W_OK):
-            raise PermissionError(
-                f"CSV directory is not writable: {args.csv_dir}")
     if args.suite == "all":
         reports = verify.run_all_suites(**settings)
     else:
@@ -287,7 +282,6 @@ def build_parser():
     ve.add_argument("--samples", type=int, default=1_000_000)
     ve.add_argument("--seed", type=int, default=0)
     ve.add_argument("--report", default="./report.json", help="report path")
-    ve.add_argument("--csv-dir", dest="csv_dir", help="directory for CSV traces")
     ve.set_defaults(fn=cmd_verify)
     return p
 
@@ -299,8 +293,8 @@ def main(argv=None):
         if (getattr(args, "seed", None) or 0) < 0:  # numpy's names no flag
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         if isinstance(e, UnderResolvedError):
             return EXIT_UNDER_RESOLVED
         if isinstance(e, BoundaryMismatchError):

@@ -22,6 +22,7 @@ face data of one field (:func:`_face_data`).
 import json
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
@@ -75,6 +76,13 @@ class GridField:
                 and self.spacing > 0):
             raise ValueError("spacing must be finite and positive, and origin "
                              f"finite, got {self.spacing} and {self.origin}")
+        try:  # h^(2N) scales the mollified sums; math.pow raises, numpy warns
+            normal = math.pow(self.spacing, 2 * self.N) >= sys.float_info.min
+        except OverflowError:
+            normal = False
+        if not normal:
+            raise ValueError(f"spacing {self.spacing} out of range: spacing^"
+                             f"{2 * self.N} is not a normal float in {self.N}D")
         if self.kind not in ("proj", "unit"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.values.shape[:-1] != self.dims:
@@ -88,8 +96,9 @@ class GridField:
                 raise ValueError("mask shape must match dims")
         if not self.inside().any():  # also a grid without cells
             raise ValueError("empty mask: no cell inside the domain")
-        if np.max(np.abs(_norms(self.values) - 1.0)) > 1e-9:
-            raise ValueError("unit/proj values must have norm 1")
+        with np.errstate(over="ignore"):  # an overflow fails the check too
+            if np.max(np.abs(_norms(self.values) - 1.0)) > 1e-9:
+                raise ValueError("unit/proj values must have norm 1")
         if self.kind == "proj":
             self.values = canonicalize(self.values)
 
@@ -204,7 +213,10 @@ def read_field(path):
             raise ValueError(f"field header missing {key!r}")
     dims, d, origin = header["dims"], header["d"], header["origin"]
     N = len(dims) if type(dims) is list else 0  # dims is checked first
-    number = (int, float)  # matched by type(), which excludes bools
+
+    def number(x):  # by type(), which excludes bools; an int fits a float
+        return type(x) is float or (
+            type(x) is int and abs(x) <= sys.float_info.max)
     for key, ok, want in [
             ("version", type(header["version"]) is int
              and header["version"] == 2,
@@ -212,9 +224,9 @@ def read_field(path):
             ("dims", type(dims) is list and dims and all(
                 type(n) is int and n >= 1 for n in dims), "ints >= 1"),
             ("d", type(d) is int and d >= 1, "an int >= 1"),
-            ("spacing", type(header["spacing"]) in number, "a number"),
+            ("spacing", number(header["spacing"]), "a number"),
             ("origin", type(origin) is list and len(origin) == N
-             and all(type(x) in number for x in origin),
+             and all(map(number, origin)),
              f"a list of {N} numbers"),
             ("mask", header["mask"] in ("inline", "none"),
              '"inline" or "none"')]:
@@ -469,9 +481,9 @@ def _extrapolated_energies(f, requests, multipliers=(8, 16, 32)):
     if len(set(multipliers)) < 2:
         raise ValueError("extrapolation needs two distinct mollifier "
                          f"multipliers, got {multipliers}")
-    h = f.spacing
-    eps = np.array([m * h for m in multipliers])
-    A = np.vstack([np.ones_like(eps), eps]).T
+    eps = [m * f.spacing for m in multipliers]
+    # the fit is in m = eps / h, where no grid scale makes lstsq drop a column
+    A = np.vstack([np.ones(len(multipliers)), multipliers]).T
     reports = []
     for (metric, _), es in zip(requests, _mollified_energies(f, requests, eps)):
         coef, *_ = np.linalg.lstsq(A, es, rcond=None)

@@ -3,14 +3,12 @@
 Each suite returns a list of :class:`CheckReport` records; a check passes iff
 its measured value meets the stated comparison against the claimed value at
 the stated tolerance.  Suites are deterministic given their seeds.  Reports
-serialize to JSON (wall-clock timings are kept out of the serialized payload
-so repeated runs are byte identical) and optionally emit plot-ready CSV
-traces.
+serialize to one JSON record that carries every measured number, the eps
+curves of the extrapolated energies included (wall-clock timings are kept
+out of it, so repeated runs are byte identical).
 """
 
-import csv
 import json
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
@@ -85,16 +83,6 @@ def write_report(reports, path):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_csv(csv_dir, name, header, rows):
-    if csv_dir is None:
-        return
-    os.makedirs(csv_dir, exist_ok=True)
-    with open(os.path.join(csv_dir, name), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +178,7 @@ def make_field(kind, grid, d=2, N=2, slope=1.2):
 # ---------------------------------------------------------------------------
 # half-vortex optimality suite
 
-def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
+def run_half_vortex_suite(grid=256, trials=64, seed=0):
     """Optimality ratios of the half-vortex: geodesic factor 2, Euclidean 1 + 2/pi.
 
     The energy of the line field and of the best rotation lifting are
@@ -203,7 +191,6 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
     """
     _check_settings(grid=grid, trials=trials)
     reports = []
-    rows = []
     u = make_half_vortex(grid)
 
     # the two searches come first: their signs let one pair pass give all
@@ -221,6 +208,7 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
     reports.append(_check(
         "halfvortex_geodesic_energy", 2.0, e_u_geo.total, 0.05, "rel",
         "intrinsic energy of the half vortex = K_2 pi = 2", t0,
+        eps_over_h=e_u_geo.params["eps_over_h"],
         eps_energies=e_u_geo.params["energies"]))
 
     t0 = time.perf_counter()
@@ -229,6 +217,7 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
         0.05, "rel",
         "best lifting energy / line-field energy = 2 (optimal)", t0,
         lifted_energy=e_n_geo.total,
+        lifted_eps_energies=e_n_geo.params["energies"],
         projection_check=lift_geo.projection_check))
 
     t0 = time.perf_counter()
@@ -244,22 +233,16 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0, csv_dir=None):
         e_n_euc.total / e_u_tens_m.total, 0.03, "rel",
         "Euclidean lifting energy / tensor energy = 1 + 2/pi (optimal)", t0,
         lifted_energy=e_n_euc.total, tensor_energy=e_u_tens_m.total,
+        lifted_eps_energies=e_n_euc.params["energies"],
+        tensor_eps_energies=e_u_tens_m.params["energies"],
         projection_check=lift_euc.projection_check))
-
-    for name, rep in (("u_geodesic", e_u_geo), ("n_geodesic", e_n_geo),
-                      ("n_euclidean", e_n_euc), ("u_tensor", e_u_tens_m)):
-        for m, e in zip(rep.params["eps_over_h"], rep.params["energies"]):
-            rows.append([name, m, e])
-        rows.append([name, 0, rep.total])
-    _write_csv(csv_dir, "halfvortex_eps.csv",
-               ["field", "eps_over_h", "energy"], rows)
     return reports
 
 
 # ---------------------------------------------------------------------------
 # averaging identities suite
 
-def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
+def run_identity_suite(samples=1_000_000, seed=0, threads=None):
     """Monte Carlo vs closed forms for the rotation averages of
     :data:`bvlift.constants.AVERAGES`.
 
@@ -298,10 +281,6 @@ def run_identity_suite(samples=1_000_000, seed=0, csv_dir=None, threads=None):
         by_d = ex.map(draw, DIMS_GRID, seeds)
         checks = [c for groups in zip(*by_d) for g in groups for c in g]
 
-    rows = [[c.name, c.extra["theta"], c.extra["d"], c.measured, c.claimed,
-             c.extra["stderr"]] for c in checks]
-    _write_csv(csv_dir, "identities.csv",
-               ["check", "theta", "d", "measured", "claimed", "stderr"], rows)
     half = next(c for c in checks
                 if c.name == f"psi_theta={THETA_GRID[2]:.4f}_d=3")
     return checks + [_check(
@@ -336,19 +315,17 @@ def _repr_fields():
             ("one_dimensional", one_d, 0.9 + np.pi / 2)]  # K_1 = 1
 
 
-def run_repr_formula_suite(seed=0, csv_dir=None):
+def run_repr_formula_suite(seed=0):
     """Mollified, direction-averaged and analytic energies agree within 5%;
     both run on the pair kernel, whose ``BVLIFT_THREADS`` (see
     :func:`bvlift.fields._thread_count`) is checked before they do."""
     _check_settings()
     reports = []
-    rows = []
     for name, f, analytic in _repr_fields():
         t0 = time.perf_counter()
         (moll,) = _extrapolated_energies(f, [("geodesic", None)])
         direc = avg_directional_energy(f, directions=96, seed=seed,
                                        metric="geodesic")
-        rows.append([name, analytic, moll.total, direc.total])
         if analytic == 0.0:
             for est, rep in (("mollified", moll), ("directional", direc)):
                 reports.append(_check(
@@ -367,8 +344,6 @@ def run_repr_formula_suite(seed=0, csv_dir=None):
             f"repr_{name}_cross", moll.total, direc.total,
             0.05 * abs(analytic), "abs",
             "the two estimators agree with each other", t0))
-    _write_csv(csv_dir, "repr_fields.csv",
-               ["field", "analytic", "mollified", "directional"], rows)
     return reports
 
 
@@ -401,8 +376,7 @@ def _smooth_unit_field(grid, seed, d):
     return GridField((grid, grid), h, (0.0, 0.0), "unit", v)
 
 
-def run_diffuse_invariance_suite(seed=0, csv_dir=None, grids=(128, 256),
-                                 n_fields=10):
+def run_diffuse_invariance_suite(seed=0, grids=(128, 256), n_fields=10):
     """Smooth energies of a lifting and of its projection converge together.
 
     For random smooth sphere fields n, the ac parts of the sphere TV of n and
@@ -413,7 +387,6 @@ def run_diffuse_invariance_suite(seed=0, csv_dir=None, grids=(128, 256),
     0.6 and reported alongside the observed second-order value ~0.25.
     """
     reports = []
-    rows = []
     for i in range(n_fields):
         d = 2 if i < (n_fields + 1) // 2 else 3
         t0 = time.perf_counter()
@@ -427,7 +400,6 @@ def run_diffuse_invariance_suite(seed=0, csv_dir=None, grids=(128, 256),
                 raise AssertionError("smooth test field produced jump faces")
             discs.append(abs(e_n.ac_part - e_u.ac_part))
         ratio = discs[1] / discs[0]
-        rows.append([i, d, discs[0], discs[1], ratio])
         reports.append(_check(
             f"diffuse_invariance_field_{i}_d={d}", 0.25, ratio, 0.35, "le",
             "smooth energies of n and [n] converge together under h-halving "
@@ -453,8 +425,6 @@ def run_diffuse_invariance_suite(seed=0, csv_dir=None, grids=(128, 256),
         "halfvortex_pointwise_gradient", 0.0, float(rel.max()), h, "abs",
         "off the seam |grad n| = |grad [n]| pointwise up to O(h)", t0,
         median_rel=float(np.median(rel)), h=h))
-    _write_csv(csv_dir, "diffuse.csv",
-               ["field", "d", "disc_coarse", "disc_fine", "ratio"], rows)
     return reports
 
 
@@ -463,14 +433,11 @@ def run_diffuse_invariance_suite(seed=0, csv_dir=None, grids=(128, 256),
 # name -> runner; each runner takes the keyword arguments of run_all_suites
 # and uses its own
 SUITES = {
-    "halfvortex": lambda grid, trials, seed, csv_dir, **_:
-        run_half_vortex_suite(grid, trials, seed, csv_dir),
-    "identities": lambda samples, seed, csv_dir, **_:
-        run_identity_suite(samples, seed, csv_dir),
-    "repr": lambda seed, csv_dir, **_:
-        run_repr_formula_suite(seed, csv_dir),
-    "diffuse": lambda seed, csv_dir, **_:
-        run_diffuse_invariance_suite(seed, csv_dir),
+    "halfvortex": lambda grid, trials, seed, **_:
+        run_half_vortex_suite(grid, trials, seed),
+    "identities": lambda samples, seed, **_: run_identity_suite(samples, seed),
+    "repr": lambda seed, **_: run_repr_formula_suite(seed),
+    "diffuse": lambda seed, **_: run_diffuse_invariance_suite(seed),
 }
 
 
@@ -488,10 +455,8 @@ def _check_settings(grid=256, trials=64, samples=1_000_000, threads=None):
     return _thread_count(threads)
 
 
-def run_all_suites(grid=256, trials=64, samples=1_000_000, seed=0,
-                   csv_dir=None):
+def run_all_suites(grid=256, trials=64, samples=1_000_000, seed=0):
     """All suites of :data:`SUITES` in declaration order."""
     _check_settings(grid=grid, trials=trials, samples=samples)
-    settings = dict(grid=grid, trials=trials, samples=samples, seed=seed,
-                    csv_dir=csv_dir)
+    settings = dict(grid=grid, trials=trials, samples=samples, seed=seed)
     return [r for run in SUITES.values() for r in run(**settings)]

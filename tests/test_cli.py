@@ -1,19 +1,25 @@
 import ast
+import functools
+import io
 import json
 import os
 import stat
+import struct
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvlift import cli, constants, lifting, verify
 from bvlift.cli import main
 from bvlift.constants import avg_eucl_jump_closed, avg_lifted_dist_closed
-from bvlift.fields import (GridField, _face_data, avg_directional_energy,
-                           embedded_tv, mollified_energy,
-                           mollified_energy_extrapolated, read_field,
-                           write_field)
+from bvlift.fields import (EnergyReport, GridField, _face_data,
+                           avg_directional_energy, embedded_tv,
+                           mollified_energy, mollified_energy_extrapolated,
+                           read_field, write_field)
 from bvlift.geometry import lift_sign, random_unit_vectors
 from bvlift.verify import make_half_vortex
 from test_fields import write_raw_field
@@ -122,6 +128,31 @@ def test_argparse_rejection_is_one_error_line(tmp_path, capfd, monkeypatch,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 64.0 TiB for an array"), MemoryError()],
+    ids=["numpy", "bare"])
+def test_memory_error_exit_2(tmp_path, capfd, monkeypatch, error):
+    # exit 1 means a failed verify check: an input too large is exit 2
+    def too_large(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(verify, "make_field", too_large)
+    out = tmp_path / "f.fld"
+    assert run("make-field", "--kind", "halfvortex", "--grid", "32",
+               "--N", "10", "-o", out) == 2
+    assert_one_error_line(capfd, str(error) or "MemoryError")
+    assert not out.exists()
+
+
+def test_non_finite_output_exit_2(hv_path, capfd, monkeypatch):
+    # no Infinity or NaN reaches stdout, which must stay JSON
+    monkeypatch.setattr(cli, "embedded_tv", lambda f, **kw: EnergyReport(
+        float("inf"), "geodesic", "embedded_tv"))
+    assert run("energy", hv_path) == 2
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["energy", "-h"]])
@@ -333,6 +364,28 @@ class TestEnergy:
         assert run("energy", p, "--estimator", estimator) == 2
         assert_one_error_line(capfd, "spacing must be finite and positive, "
                               "and origin finite")
+
+    @pytest.mark.parametrize("estimator", ["directional", "embedded",
+                                           "mollified"])
+    @pytest.mark.parametrize("spacing", ["1e308", "1e200", "1e100", "1e-100",
+                                         "1e-200", "1e-300"])
+    def test_spacing_out_of_range_exit_2(self, tmp_path, capfd, estimator,
+                                         spacing):
+        # spacing^4 overflows or is no normal float: no estimator may read it
+        p = tmp_path / "far.fld"
+        write_raw_field(p, '{"d":2,"dims":[4,4],"kind":"proj","mask":"none",'
+                        f'"origin":[0,0],"spacing":{spacing},"version":2}}',
+                        [1.0, 0.0] * 16)
+        assert run("energy", p, "--estimator", estimator) == 2
+        assert_one_error_line(capfd, "is not a normal float in 2D")
+
+    def test_overflowing_body_value_exit_2(self, tmp_path, capfd):
+        p = tmp_path / "big.fld"
+        write_raw_field(p, '{"d":2,"dims":[4,4],"kind":"proj","mask":"none",'
+                        '"origin":[0,0],"spacing":0.25,"version":2}',
+                        [1e200, 0.0] + [1.0, 0.0] * 15)
+        assert run("energy", p) == 2
+        assert_one_error_line(capfd, "norm 1")
 
     @pytest.mark.parametrize("estimator, kernels", [
         ("mollified", [mollified_energy_extrapolated,
@@ -705,13 +758,6 @@ class TestVerifyCommand:
         data = json.loads(r1.read_text())
         assert all(d["passed"] for d in data)
 
-    def test_csv_traces_written(self, tmp_path):
-        out = tmp_path / "r.json"
-        csvdir = tmp_path / "traces"
-        assert run("verify", "--suite", "repr", "--seed", "0",
-                   "--report", out, "--csv-dir", csvdir) == 0
-        assert (csvdir / "repr_fields.csv").exists()
-
     @pytest.mark.parametrize("flags", [
         ["--grid", "160", "--samples", "10"], ["--trials", "0"],
         ["--grid", "64"]])
@@ -744,15 +790,15 @@ class TestVerifyCommand:
         assert run("verify", "--suite", "diffuse", "--report", out) == 2
         assert_one_error_line(capfd, out)
 
-    def test_csv_dir_under_a_file_exit_2(self, tmp_path, capfd, monkeypatch):
+    def test_csv_dir_is_rejected(self, tmp_path, capfd, monkeypatch):
+        # report.json carries every number; there are no CSV traces
         monkeypatch.setattr(verify, "run_diffuse_invariance_suite",
                             must_not_run)
-        afile = tmp_path / "afile"
-        afile.write_text("")
-        csvdir = afile / "traces"
-        assert run("verify", "--suite", "diffuse", "--report",
-                   tmp_path / "r.json", "--csv-dir", csvdir) == 2
-        assert_one_error_line(capfd, csvdir)
+        csvdir, out = tmp_path / "traces", tmp_path / "r.json"
+        assert run("verify", "--suite", "diffuse", "--report", out,
+                   "--csv-dir", csvdir) == 2
+        assert_one_error_line(capfd, "--csv-dir")
+        assert not csvdir.exists() and not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "abc"])
     def test_bad_thread_variable_exit_2(self, tmp_path, capfd, monkeypatch,
@@ -773,3 +819,103 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_2(self, tmp_path):
         assert run("verify", "--suite", "bogus",
                    "--report", tmp_path / "r.json") == 2
+
+
+# ---------------------------------------------------------------------------
+# mutated field files: every command that reads one exits 0 with JSON or 2
+# with one error line
+
+def _file_bytes(f):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.fld"
+        write_field(f, path)
+        return path.read_bytes()
+
+
+_PLANE = verify.make_field("smooth", 6)
+_ANGLES = np.deg2rad([0, 60, 120, 95, 10, 170, 181])
+_LINE = GridField((7,), 1 / 7, (0.0,), "proj",
+                  np.stack([np.cos(_ANGLES), np.sin(_ANGLES)], axis=-1),
+                  [1, 1, 0, 1, 1, 1, 0])
+
+
+@functools.cache
+def _readers():
+    """(argv after the input, the field file the mutations start from);
+    boundary mode reads the mutated file as the boundary data of _PLANE."""
+    plane, line = _file_bytes(_PLANE), _file_bytes(_LINE)
+    rotation = ["lift", "--mode", "rotation", "--trials", "4"]
+    return [(["energy", "--estimator", est], blob)
+            for est in cli.READS["energy"] for blob in (plane, line)] + [
+        (rotation, plane), (rotation, line),
+        (["lift", "--mode", "greedy1d"], line),
+        (["lift", "--mode", "boundary"],
+         _file_bytes(_PLANE.with_values(_PLANE.values, kind="unit")))]
+
+
+# spacings past the range of a 2D field, and an int past every float
+_EXTREMES = [1e308, 1e200, 1e100, 1e-100, 1e-200, 1e-300, 10 ** 400]
+_NUMBERS = st.sampled_from(_EXTREMES) | st.floats() | st.integers()
+
+
+@st.composite
+def _mutated(draw, blob):
+    header, _, body = blob.partition(b"\n")
+    how = draw(st.sampled_from(["spacing", "header", "byte", "truncate",
+                                "value"]))
+    if how in ("spacing", "header"):
+        fields = json.loads(header)
+        key = "spacing" if how == "spacing" else draw(
+            st.sampled_from(sorted(fields)))
+        fields[key] = draw(_NUMBERS | st.none() | st.booleans()
+                           | st.text(max_size=3)
+                           | st.lists(st.integers(-1, 8) | _NUMBERS,
+                                      max_size=3))
+        return json.dumps(fields, sort_keys=True,
+                          separators=(",", ":")).encode() + b"\n" + body
+    if how == "byte":
+        i = draw(st.integers(0, len(blob) - 1))
+        return blob[:i] + bytes([draw(st.integers(0, 255))]) + blob[i + 1:]
+    if how == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    cells = json.loads(header)
+    i = 8 * draw(st.integers(0, np.prod(cells["dims"]) * cells["d"] - 1))
+    x = draw(st.sampled_from([1e200, -1e200]) | st.floats())
+    return header + b"\n" + body[:i] + struct.pack("<d", x) + body[i + 8:]
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_field_files_exit_0_with_json_or_2_with_one_line(data):
+    # a RuntimeWarning is an error under Tier-1 and fails the run too
+    argv, blob = data.draw(st.sampled_from(_readers()))
+    blob = data.draw(_mutated(blob))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in.fld").write_bytes(blob)
+        if "boundary" in argv:
+            write_field(_PLANE, tmp / "plane.fld")
+            argv = ["lift", tmp / "plane.fld", *argv[1:],
+                    "--boundary", tmp / "in.fld"]
+        else:
+            argv = [argv[0], tmp / "in.fld", *argv[1:]]
+        if argv[0] == "lift":
+            argv += ["-o", tmp / "out.fld"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(*argv)
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == ""
+            text = (out if argv[0] == "energy"
+                    else (tmp / "out.json").read_text())
+            json.loads(text, parse_constant=_no_constant)
+        else:
+            # 3: boundary data that a changed low byte keeps a unit field
+            # but no longer a lifting of the field
+            assert code == 2 or (code == 3 and "--boundary" in argv), code
+            assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,4 +1,5 @@
 import filecmp
+import re
 import tracemalloc
 from unittest import mock
 
@@ -80,6 +81,34 @@ class TestGridField:
             GridField((4, 4), bad, (0, 0), "proj", vals)
         with pytest.raises(ValueError, match="finite"):
             GridField((4, 4), 0.1, (0, bad), "proj", vals)
+
+    @pytest.mark.parametrize("N, spacing", [
+        (2, 1e308), (2, 1e200), (2, 1e100), (2, 1e78), (2, 1e-77),
+        (2, 1e-100), (2, 1e-200), (2, 1e-300), (3, 1e60), (1, 1e155)])
+    def test_spacing_whose_2n_th_power_is_no_normal_float(self, N, spacing):
+        # the mollified energy scales its sums by h^(2N); the check runs in
+        # Python floats, so no numpy overflow warning (an error here) comes
+        vals = np.zeros((2,) * N + (2,))
+        vals[..., 0] = 1.0
+        with pytest.raises(ValueError, match=re.escape(
+                f"spacing {spacing} out of range: spacing^{2 * N} is not a "
+                f"normal float in {N}D")):
+            GridField((2,) * N, spacing, (0,) * N, "proj", vals)
+
+    @pytest.mark.parametrize("N, spacing", [
+        (2, 1e77), (2, 1.3e-77), (3, 1e51), (3, 1e-51), (1, 1e154)])
+    def test_spacing_inside_the_range_is_a_field(self, N, spacing):
+        vals = np.zeros((2,) * N + (2,))
+        vals[..., 0] = 1.0
+        assert GridField((2,) * N, spacing, (0,) * N, "proj",
+                         vals).spacing == spacing
+
+    def test_overflowing_norm_is_rejected_without_a_warning(self):
+        vals = np.zeros((4, 4, 2))
+        vals[..., 0] = 1.0
+        vals[1, 2, 1] = 1e200
+        with pytest.raises(ValueError, match="norm 1"):
+            GridField((4, 4), 0.25, (0, 0), "proj", vals)
 
     def test_proj_values_are_canonicalized(self):
         vals = np.zeros((2, 2, 2))
@@ -570,6 +599,15 @@ class TestScaling:
         e1 = mollified_energy(f1, 8 * f1.spacing, "geodesic").total
         e2 = mollified_energy(f2, 8 * f2.spacing, "geodesic").total
         assert e2 == pytest.approx(lam * e1, rel=1e-12)
+
+    @pytest.mark.parametrize("h", [1e-20, 1e15])
+    def test_extrapolated_energy_scales_with_the_spacing(self, h):
+        # a fit in eps, not m = eps / h, would let lstsq's singular-value
+        # cutoff drop a column when h is far from 1
+        f = make_field("smooth", 8)
+        e1, eh = (mollified_energy_extrapolated(GridField(
+            f.dims, s, f.origin, f.kind, f.values)).total for s in (1.0, h))
+        assert eh / h == pytest.approx(e1, rel=1e-12)
 
 
 class TestPairKernelThreads:

@@ -175,6 +175,29 @@ class TestSuites:
                 grid=160, trials=4)])
         assert runs[0] == runs[1]
 
+    def test_half_vortex_extras_are_the_eps_curves(self, monkeypatch):
+        # report.json carries the eps curves of all four extrapolations
+        from bvlift import verify
+        fits = []
+
+        def recorded(*args, **kwargs):
+            fits.append(extrapolated(*args, **kwargs))
+            return fits[-1]
+
+        extrapolated = verify._extrapolated_energies
+        monkeypatch.setattr(verify, "_extrapolated_energies", recorded)
+        checks = {c.name: c.extra for c in verify.run_half_vortex_suite(
+            grid=160, trials=4)}
+        (u_geo, u_tensor, n_geo, n_euc), = fits
+        energy = checks["halfvortex_geodesic_energy"]
+        assert energy["eps_over_h"] == u_geo.params["eps_over_h"]
+        assert energy["eps_energies"] == u_geo.params["energies"]
+        geo, euc = (checks["halfvortex_geodesic_ratio"],
+                    checks["halfvortex_euclidean_ratio"])
+        assert geo["lifted_eps_energies"] == n_geo.params["energies"]
+        assert euc["lifted_eps_energies"] == n_euc.params["energies"]
+        assert euc["tensor_eps_energies"] == u_tensor.params["energies"]
+
     def test_identity_suite_does_not_depend_on_the_thread_count(self):
         one, two = ([r.to_dict() for r in run_identity_suite(
             samples=100_000, seed=3, threads=t)] for t in (1, 2))
@@ -224,11 +247,10 @@ class TestSuites:
         assert [(r.name, r.measured) for r in a] == \
                [(r.name, r.measured) for r in b]
 
-    def test_diffuse_suite_passes(self, tmp_path):
-        reps = run_diffuse_invariance_suite(seed=1, csv_dir=tmp_path,
-                                            grids=(64, 128), n_fields=4)
+    def test_diffuse_suite_passes(self):
+        reps = run_diffuse_invariance_suite(seed=1, grids=(64, 128),
+                                            n_fields=4)
         assert all(r.passed for r in reps)
-        assert (tmp_path / "diffuse.csv").exists()
         ratios = [r.measured for r in reps
                   if r.name.startswith("diffuse_invariance")]
         # observed contraction is second order, well below the 0.6 bound
