@@ -12,6 +12,7 @@ seed).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -286,10 +287,15 @@ def build_parser():
     return p
 
 
+# one parser per process, built on the first main call, not at import;
+# each parse_args call fills a new namespace from the flags it is given
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
     """Run one command; the type of a rejected input picks the exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if (getattr(args, "seed", None) or 0) < 0:  # numpy's names no flag
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)

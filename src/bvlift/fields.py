@@ -311,9 +311,15 @@ def _lattice_sums(f, requests, offsets, axes=None):
     :func:`_chord_rule`; s_i = s_j marks the same pairs whether s holds
     +-1 floats or booleans): the ``(offsets, requests)`` array of sums, or
     with ``axes`` (one layer axis per offset) rows of the new arrays of
-    sums S[k] by the layer k along the axis of the lower cell.  Offsets
-    past the grid get their rows of zeros before the thread split.
-    Per offset the squared chords |a - b|^2 and |a + b|^2 are computed
+    sums S[k] by the layer k along that axis of the pair's lower cell.
+    Offsets past the grid get their rows of zeros before the thread split.
+    Each pair set is evaluated once: offsets k and -k, and repeats, are
+    one job, keyed by the one whose first nonzero component is positive,
+    whose distance arrays feed every row (and layer axis) of the set.  The
+    pair at index i of the overlap is {x, x + k} for k and for -k, and
+    (a - b)^2 = (b - a)^2, a + b = b + a exactly, so their arrays are
+    equal element by element.
+    Per pair set the squared chords |a - b|^2 and |a + b|^2 are computed
     once, on contiguous component planes, then the projective chord (the
     smaller; |a - b| if every request reads that), set to 0 on the pairs
     leaving the mask (chord 0 is at distance exactly 0 in every metric),
@@ -325,11 +331,12 @@ def _lattice_sums(f, requests, offsets, axes=None):
     saved distances back.  No request copies the distances, and each sums
     the array a copy would hold, so every sum is the same bit for bit.
 
-    Thread i of t = min(:func:`_thread_count`, offsets with pairs) threads
-    sums their i-th, (i + t)-th, ... into buffers it allocates once; for
-    t <= 1 the calling thread does, and no pool starts.  Each offset's
-    sums are computed by one thread alone, over a C-contiguous array of the
-    overlap's shape, so they are the same bit for bit whatever the count.
+    Thread i of t = min(:func:`_thread_count`, pair sets with pairs)
+    threads sums their i-th, (i + t)-th, ... into buffers it allocates
+    once; for t <= 1 the calling thread does, and no pool starts.  Each
+    pair set's sums are computed by one thread alone, over a C-contiguous
+    array of the overlap's shape, so they are the same bit for bit whatever
+    the count.
     """
     # per request: None if it reads the projective chord, else where it
     # reads |a - b|: everywhere (True) or where s_i = s_j (the signs s)
@@ -344,7 +351,7 @@ def _lattice_sums(f, requests, offsets, axes=None):
     inside = f.inside()
     planes = [np.ascontiguousarray(f.values[..., k]) for k in range(f.d)]
 
-    def offset_sums(off, axis, buf):
+    def pair_set_sums(off, rows, buf):
         shape = tuple(n - abs(o) for o, n in zip(off, f.dims))
         src, dst = _offset_slices(off, f.dims)
         m2, p2, q, dist, ok, pref, flip = (
@@ -358,8 +365,9 @@ def _lattice_sums(f, requests, offsets, axes=None):
             np.multiply(q, ok, out=q)
         if patched:
             np.less_equal(m2, p2, out=pref)
-        across = tuple(c for c in range(f.N) if c != axis)  # a layer's axes
-        vals = [None] * len(requests)
+        # per row, the axes a layer spans (None: the whole overlap)
+        sums = [(out[row], None if axes is None else tuple(
+            c for c in range(f.N) if c != axes[row])) for row in rows]
         for metric, reqs in by_metric.items():
             dists = chord_distance(q, metric, out=dist)
             for i, rule in reqs:
@@ -375,26 +383,35 @@ def _lattice_sums(f, requests, offsets, axes=None):
                     flat = dists.reshape(-1)  # a view: dists is contiguous
                     saved = flat[idx]
                     flat[idx] = chord_distance(larger, metric)
-                vals[i] = (float(dists.sum()) if axis is None
-                           else dists.sum(axis=across))
+                for row, across in sums:
+                    row[i] = (float(dists.sum()) if across is None
+                              else dists.sum(axis=across))
                 if rule is not None:
                     flat[idx] = saved  # the next request reads dists
-        return vals
 
     def part_sums(part):
         n = math.prod(f.dims)
         buf = [np.empty(n) if need else None for need in (
             True, plus, True, True)] + [
                 np.empty(n, bool) for _ in range(3)]  # ok, pref, flip
-        for i, off in part:
-            out[i] = offset_sums(off, None if axes is None else axes[i], buf)
+        for off, rows in part:
+            pair_set_sums(off, rows, buf)
 
     offsets = np.reshape(offsets, (-1, f.N))
     shapes = np.maximum(np.subtract(f.dims, np.abs(offsets)), 0)  # overlaps
     fits = np.flatnonzero(shapes.all(axis=1))
     out = (np.zeros((len(offsets), len(requests))) if axes is None else [
         [np.zeros(s[a])] * len(requests) for s, a in zip(shapes, axes)])
-    jobs = list(zip(fits.tolist(), offsets[fits].tolist()))
+    # one job per pair set: its key, the sign of k whose first nonzero
+    # component is positive, and the rows it fills
+    lead = np.take_along_axis(offsets, (offsets != 0).argmax(axis=1)[:, None],
+                              axis=1)
+    keys, which = np.unique(np.where(lead < 0, -offsets, offsets)[fits],
+                            axis=0, return_inverse=True)
+    rows = [[] for _ in keys]
+    for row, j in zip(fits.tolist(), which.reshape(-1).tolist()):
+        rows[j].append(row)
+    jobs = list(zip(keys.tolist(), rows))
     t = min(_thread_count(), len(jobs))
     if t <= 1:
         part_sums(jobs)

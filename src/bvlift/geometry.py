@@ -14,6 +14,8 @@ All functions are pure and vectorized over leading axes.
 
 import numpy as np
 
+_SIGN_BLOCK = 8192  # cells per block of a stack of signs (see _upper)
+
 __all__ = [
     "canonicalize",
     "chord",
@@ -171,20 +173,35 @@ def _upper(r, u):
     and on the equator u.r == 0 where u is its canonical representative.
 
     ``u`` is a sequence of the d component planes of the vectors (arrays
-    of any strides and one shape) and ``r`` of d floats.  u.r adds its
-    terms in index order, 0, 1, ..., d - 1, in place.  Returns a boolean
-    array of the planes' shape.  The one sign rule of :func:`lift_sign`
-    and the rotation search.
+    of any strides and one shape), and ``r`` a direction of d floats or a
+    stack of them, of shape ``(..., d)``.  Per element u.r adds its terms
+    in index order, 0, 1, ..., d - 1; the directions of a stack are filled
+    together, ``_SIGN_BLOCK`` cells at a time, so each block of the planes
+    is read once for all of them.  Returns a boolean array of shape
+    ``r.shape[:-1]`` plus the planes' shape.  The one sign rule of
+    :func:`lift_sign` and the rotation search.
     """
-    w = np.multiply(u[0], r[0], out=np.empty(np.shape(u[0])))
-    tmp = np.empty_like(w)
-    for k in range(1, len(r)):
-        w += np.multiply(u[k], r[k], out=tmp)
-    up = np.greater(w, 0.0, out=np.empty(w.shape, bool))
-    eq = w == 0
-    if eq.any():  # the canonical tie-break, on the tied cells only
-        up[eq] = _lead_sign(np.stack([p[eq] for p in u], axis=-1)) > 0
-    return up
+    r = np.asarray(r, dtype=float)
+    rows = r.reshape(-1, r.shape[-1]).tolist()
+    flat = [np.ravel(p) for p in u]
+    n = flat[0].size
+    up = np.empty((len(rows), n), bool)
+    w = np.empty(min(n, _SIGN_BLOCK))
+    tmp, eq = np.empty_like(w), np.empty(w.shape, bool)
+    for s in range(0, n, _SIGN_BLOCK):
+        cells = slice(s, min(s + _SIGN_BLOCK, n))
+        block = [p[cells] for p in flat]
+        b = cells.stop - s
+        wb, tb, eb = w[:b], tmp[:b], eq[:b]
+        for row, ub in zip(rows, up[:, cells]):
+            np.multiply(block[0], row[0], out=wb)
+            for k in range(1, len(block)):
+                wb += np.multiply(block[k], row[k], out=tb)
+            np.greater(wb, 0.0, out=ub)
+            if np.equal(wb, 0.0, out=eb).any():  # the canonical tie-break,
+                ub[eb] = _lead_sign(  # on the tied cells only
+                    np.stack([p[eb] for p in block], axis=-1)) > 0
+    return up.reshape(r.shape[:-1] + np.shape(u[0]))
 
 
 def lift_sign(r, u):

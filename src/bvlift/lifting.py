@@ -68,12 +68,13 @@ def _best_direction(u, trials, seed, rank):
     # at most one group of signs, and no planes of ours in the last kernel
     # call (it makes its own), are held at a time
     for i in range(0, trials, _RANK_GROUP):
-        group = [(rank, _upper(r, planes)) for r in dirs[i:i + _RANK_GROUP]]
+        signs = _upper(dirs[i:i + _RANK_GROUP], planes)
         if i + _RANK_GROUP >= trials:
             del planes
         # per face offset a row of one sum per candidate
-        totals.append(_lattice_sums(u, group, faces).sum(axis=0))
-        del group
+        totals.append(_lattice_sums(u, [(rank, s) for s in signs],
+                                    faces).sum(axis=0))
+        del signs
     return dirs[np.argmin(np.concatenate(totals))]
 
 
@@ -84,11 +85,12 @@ def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
     induces the cellwise lifting s u = R^{-1} F(R u) with s = sgn(u.r).
     Candidates are ranked by their face sums, the pair distances of s u
     over the forward faces (the unit offsets) in the requested metric,
-    which the averaging bound controls.  A candidate's signs are the
-    boolean :func:`_upper` of r on contiguous component planes of u, made
-    once per search and released before the last kernel call.  The pair
-    kernel (:func:`_lattice_sums`) takes ``_RANK_GROUP`` candidates per
-    call, so memory does not grow with ``trials``.  The first minimizer is
+    which the averaging bound controls.  The pair kernel
+    (:func:`_lattice_sums`) takes ``_RANK_GROUP`` candidates per call, so
+    memory does not grow with ``trials``, and their signs are one boolean
+    :func:`_upper` of the group's stacked directions, on contiguous
+    component planes of u made once per search and released before the
+    last kernel call.  The first minimizer is
     built as a field by :func:`lift_sign` and reported by
     :func:`embedded_tv`.  The expected face sum of a random candidate
     already satisfies the bound, so the sample minimum does with margin.

@@ -161,6 +161,31 @@ def test_help_exit_0(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: bvlift")
 
 
+def test_one_parser_per_process_and_no_flag_leaks(hv_path, capsys,
+                                                  monkeypatch):
+    # main builds its parser on the first call and keeps it; each call
+    # reads only the flags it is given: a --seed, --metric or
+    # --directions left over would make embedded exit 2, or move the
+    # default directional energy
+    built = []
+
+    def build():
+        built.append(1)
+        return cli.build_parser()
+
+    monkeypatch.setattr(cli, "_parser", functools.cache(build))
+    assert run("energy", hv_path, "--estimator", "directional", "--seed", "3",
+               "--directions", "8", "--metric", "euclidean_tensor") == 0
+    capsys.readouterr()
+    assert run("energy", hv_path, "--estimator", "embedded") == 0
+    assert json.loads(capsys.readouterr().out) == embedded_tv(
+        read_field(hv_path)).to_dict()
+    assert run("energy", hv_path, "--estimator", "directional") == 0
+    assert json.loads(capsys.readouterr().out) == avg_directional_energy(
+        read_field(hv_path)).to_dict()
+    assert built == [1]
+
+
 @pytest.mark.parametrize("argv", [
     ["lift", "hv.fld", "--seed", "-4"],
     ["energy", "hv.fld", "--estimator", "directional", "--seed", "-1"],

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from bvlift import geometry
 from bvlift.geometry import (_lead_sign, _norms, _squared_chords, _upper,
                              canonicalize, dist_proj, dist_sphere,
                              embed_tensor, eucl_jump_cost, haar_rotations,
@@ -346,6 +347,39 @@ class TestIndexOrderSums:
                     assert got.dtype == bool and np.array_equal(got, want)
                 assert r is not turn or (w == 0).sum() >= 2 * d - 2
                 assert _upper(r, list(v[-1])) == want[-1]
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_stacked_upper_equals_one_row_upper(self, d):
+        # a stack of directions is filled block by block of cells; each of
+        # its rows is the one-row rule, on exact equator ties (u.r == 0)
+        # in the first and the ragged last block
+        rng = np.random.default_rng(70 + d)
+        turn = np.zeros(d)
+        turn[[0, -1]] = 0.6, 0.8
+        tie = np.zeros(d)
+        tie[[0, -1]] = 0.8, -0.6
+        ties = np.concatenate([[tie, -tie], np.eye(d)[1:]])  # u.e_0 == 0 too
+        u = random_unit_vectors(d, 2 * geometry._SIGN_BLOCK + 36, rng)
+        u[:len(ties)] = ties
+        u[-len(ties):] = ties
+        dirs = np.concatenate([random_unit_vectors(d, 4, rng),
+                               [turn, np.eye(d)[0], -turn]])
+        for v in (u, canonicalize(u)):
+            strided = [v[:, k] for k in range(d)]
+            for planes in (strided, [np.ascontiguousarray(p)
+                                     for p in strided]):
+                stack = _upper(dirs, planes)
+                assert stack.shape == (len(dirs), len(v))
+                for r, got in zip(dirs, stack):
+                    w = index_order(v * r)
+                    want = np.where(w == 0, _lead_sign(v) > 0, w > 0)
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(_upper(r, planes), got)
+                grid = [p.reshape(-1, 4) for p in planes]
+                assert np.array_equal(_upper(dirs.reshape(7, 1, d), grid),
+                                      stack.reshape(7, 1, -1, 4))
+            w = index_order(v[-len(ties):] * turn)
+            assert (w == 0).sum() >= 2  # ties in the last block
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_norms_are_in_index_order(self, d):

@@ -237,22 +237,26 @@ def test_lattice_ball_equals_an_enumeration():
                 (N, m)
 
 
+def _reference_offset_sums(f, metric, off, axis=None):
+    """The sum of the in-mask pair distances of f at the lattice offset
+    ``off``, from its own slices (its sign as given): a float, or with
+    ``axis`` the sums by the layer of the pair's lower cell along it."""
+    inside = f.inside()
+    src = tuple(slice(max(0, -o), max(0, n - o)) for o, n in zip(off, f.dims))
+    dst = tuple(slice(max(0, o), max(0, n + o)) for o, n in zip(off, f.dims))
+    dists = (_distance(metric, f.kind)(f.values[src], f.values[dst])
+             * (inside[src] & inside[dst]))
+    if axis is None:
+        return float(dists.sum())
+    return dists.sum(axis=tuple(c for c in range(f.N) if c != axis))
+
+
 def _reference_pair_sums(f, metric, rmax):
     """Per-offset sums of the pair distances, one offset slice at a time,
     over the half-ball offsets with a pair on f's grid, in their order."""
-    dist = _distance(metric, f.kind)
-    inside = f.inside()
-    sums = []
-    for off in _loop_half_offsets(f.N, rmax):
-        if not _on_grid(off, f.dims):
-            continue
-        src = tuple(slice(max(0, -o), max(0, n - o))
-                    for o, n in zip(off, f.dims))
-        dst = tuple(slice(max(0, o), max(0, n + o))
-                    for o, n in zip(off, f.dims))
-        ok = inside[src] & inside[dst]
-        sums.append(float((dist(f.values[src], f.values[dst]) * ok).sum()))
-    return np.array(sums)
+    return np.array([_reference_offset_sums(f, metric, off)
+                     for off in _loop_half_offsets(f.N, rmax)
+                     if _on_grid(off, f.dims)])
 
 
 @functools.cache
@@ -514,6 +518,59 @@ def test_offsets_past_the_grid_are_not_evaluated():
     rows = _lattice_sums(u, [("geodesic", None)], [(0, 3), (5, 0)],
                          axes=[0, 0])
     assert [row[0].tolist() for row in rows] == [[0.0] * 5, []]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_one_pair_set_fills_every_row_and_layer_axis(data):
+    # offsets k and -k, and repeats, are one pair set evaluated once; each
+    # row, whole or by layers along any axis, is the sum from its own
+    # offset's slices, and equals a call with that offset alone
+    kind = data.draw(st.sampled_from(("proj", "unit")))
+    u = data.draw(grid_fields(kind, N_choices=(1, 2, 3), dims_max=4))
+    requests = _requests(data, u)
+    picks = data.draw(st.lists(st.sampled_from(_half_offsets(u.N, 2).tolist()),
+                               min_size=1, max_size=5))  # past the grid too
+    offsets = data.draw(st.permutations(
+        picks + [[-o for o in k] for k in picks] + picks[:2]))
+    axes = [data.draw(st.integers(0, u.N - 1)) for _ in offsets]
+    for threads in ("1", "3"):
+        with mock.patch.dict(os.environ, {"BVLIFT_THREADS": threads}):
+            whole = _lattice_sums(u, requests, offsets)
+            layers = _lattice_sums(u, requests, offsets, axes=axes)
+            alone = [_lattice_sums(u, requests, [off])[0] for off in offsets]
+        for off, axis, row, by_layer, one in zip(offsets, axes, whole, layers,
+                                                 alone):
+            assert np.array_equal(row, one), (threads, off)
+            for (metric, signs), got, got_layers in zip(requests, row,
+                                                        by_layer):
+                f = u if signs is None else _lifting(u, signs)
+                assert got == _reference_offset_sums(f, metric, off)
+                assert np.array_equal(got_layers, _reference_offset_sums(
+                    f, metric, off, axis)), (threads, off, axis)
+
+
+@pytest.mark.parametrize("dims, pair_sets", [((5, 4), 4), ((5, 4, 3), 13)])
+def test_line_steps_are_evaluated_once_per_pair_set(dims, pair_sets):
+    # the step offsets e_a + delta, delta in {-1, 0, 1}^(N-1), of every
+    # dominant axis a: 6 in 2D and 27 in 3D, but only 4 and 13 pair sets
+    rng = np.random.default_rng(24)
+    N = len(dims)
+    u = GridField(dims, 0.5, (0.0,) * N, "proj",
+                  _normalize(rng.standard_normal(dims + (3,))),
+                  rng.random(dims) < 0.8)
+    steps = [[*d[:a], 1, *d[a:]] for a in range(N)
+             for d in itertools.product((-1, 0, 1), repeat=N - 1)]
+    axes = [a for a in range(N) for _ in range(3 ** (N - 1))]
+    for threads in ("1", "3"):
+        with mock.patch.dict(os.environ, {"BVLIFT_THREADS": threads}), \
+                mock.patch.object(fields, "_offset_slices",
+                                  wraps=fields._offset_slices) as slices:
+            rows = _lattice_sums(u, [("geodesic", None)], steps, axes=axes)
+        assert slices.call_count == pair_sets, threads
+        for off, axis, (got,) in zip(steps, axes, rows):
+            assert np.array_equal(got, _reference_offset_sums(
+                u, "geodesic", off, axis)), (threads, off)
 
 
 def _reference_bytes(f):

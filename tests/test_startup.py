@@ -37,6 +37,16 @@ def test_import_loads_no_scipy():
     assert out == "[]\n"
 
 
+def test_cli_parser_is_built_by_main_not_at_import():
+    out = fresh_python(
+        "import bvlift.cli as cli\n"
+        "print(cli._parser.cache_info().currsize)\n"
+        "cli.main(['constants', '--k', '2'])\n"
+        "cli.main(['constants', '--k', '3'])\n"
+        "print(cli._parser.cache_info().currsize)")
+    assert out.splitlines()[0] == "0" and out.splitlines()[-1] == "1"
+
+
 def test_repr_fields_load_no_scipy():
     # the repr suite's analytic values need K_2 = 2/pi only
     out = fresh_python(
