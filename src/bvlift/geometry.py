@@ -14,7 +14,7 @@ All functions are pure and vectorized over leading axes.
 
 import numpy as np
 
-_SIGN_BLOCK = 8192  # cells per block of a stack of signs (see _upper)
+_SIGN_BLOCK = 32768  # cells per block of a stack of signs (see _upper)
 
 __all__ = [
     "canonicalize",
@@ -175,9 +175,9 @@ def _upper(r, u):
     ``u`` is a sequence of the d component planes of the vectors (arrays
     of any strides and one shape), and ``r`` a direction of d floats or a
     stack of them, of shape ``(..., d)``.  Per element u.r adds its terms
-    in index order, 0, 1, ..., d - 1; the directions of a stack are filled
-    together, ``_SIGN_BLOCK`` cells at a time, so each block of the planes
-    is read once for all of them.  Returns a boolean array of shape
+    in index order, 0, 1, ..., d - 1.  A stack is filled one block of
+    ``_SIGN_BLOCK`` cells at a time, so the block stays in cache while
+    every direction reads it.  Returns a boolean array of shape
     ``r.shape[:-1]`` plus the planes' shape.  The one sign rule of
     :func:`lift_sign` and the rotation search.
     """
