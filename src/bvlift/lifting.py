@@ -90,10 +90,10 @@ def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
     memory does not grow with ``trials``, and their signs are one boolean
     :func:`_upper` of the group's stacked directions, on contiguous
     component planes of u made once per search and released before the
-    last kernel call.  The first minimizer is
-    built as a field by :func:`lift_sign` and reported by
-    :func:`embedded_tv`.  The expected face sum of a random candidate
-    already satisfies the bound, so the sample minimum does with margin.
+    last kernel call.  The first minimizer is built as a field by
+    :func:`lift_sign` and reported by :func:`embedded_tv`.  The expected
+    face sum of a random candidate already satisfies the bound, so the
+    sample minimum does with margin.
     """
     if u.kind != "proj":
         raise ValueError("rotation search expects a proj field")
