@@ -76,7 +76,7 @@ class GridField:
                 and self.spacing > 0):
             raise ValueError("spacing must be finite and positive, and origin "
                              f"finite, got {self.spacing} and {self.origin}")
-        try:  # h^(2N) scales the mollified sums; math.pow raises, numpy warns
+        try:  # math.pow raises where numpy would warn
             normal = math.pow(self.spacing, 2 * self.N) >= sys.float_info.min
         except OverflowError:
             normal = False
@@ -460,10 +460,9 @@ def _mollified_energies(f, requests, eps):
         m = min(rmax * rmax, int((e / h) ** 2) + 2)  # r <= e is monotone
         while math.sqrt(m) * h > e:  # in |k|^2, and m = 1 passes
             m -= 1
-        rho = 1.0 / ((_lattice_ball(N, m) - 1) * h ** N)
         # the last running sum; a grid of one cell has no offset
         total = np.cumsum(terms[r <= e], 0)[-1:].sum(0)
-        energies.append(total * rho * h ** (2 * N))
+        energies.append(total * (h ** N / (_lattice_ball(N, m) - 1)))
     return np.array(energies).T
 
 

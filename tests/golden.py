@@ -2,9 +2,12 @@
 run in process in a temporary directory, and per command its exit code and
 the sha256 of its stdout and of each file it writes.
 
-``tests/golden.json`` holds them with the numpy version that produced them,
-and ``tests/test_golden.py`` recomputes them.  A change that moves outputs
-on purpose rewrites the file and lists the keys it prints:
+``tests/golden.json`` holds them with the numpy version that produced them.
+``tests/test_golden.py`` recomputes every command at ``BVLIFT_THREADS`` 1
+and 3, and checks that the two runs agree, that their exit codes are the
+recorded ones and, on the recorded numpy, that every digest is.  A change
+that moves outputs on purpose rewrites the file and lists the keys it
+prints:
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -41,8 +44,7 @@ COMMANDS = (
         "2", "-o", "halfvortex-e.fld"],
        ["lift", "halfvortex.fld", "--mode", "boundary", "--boundary",
         "halfvortex-lift.fld", "-o", "bnd.fld"],
-       # the 32 x 32 x 16, d = 3 half vortex that CI compares across
-       # thread counts
+       # a 32 x 32 x 16, d = 3 half vortex
        ["energy", "hv3.fld", "--estimator", "mollified",
         "--eps-over-h", "2,4"],
        ["energy", "hv3.fld", "--estimator", "directional", "--seed", "1"],
@@ -55,7 +57,22 @@ COMMANDS = (
        ["constants", "--k", "3", "--m", "4", "--ca", "2", "5", "--psi", "1.0",
         "--samples", "100000"],
        ["verify", "--suite", "identities", "--samples", "100000", "--seed",
-        "3", "--report", "identities.json"]])
+        "3", "--report", "identities.json"],
+       # mollifier balls mostly past the grid, up to 4000 cells
+       ["energy", "smooth.fld", "--estimator", "mollified",
+        "--eps-over-h", "2,40"],
+       ["energy", "smooth.fld", "--estimator", "mollified",
+        "--eps-over-h", "2,4000"],
+       ["make-field", "--kind", "halfvortex", "--grid", "64",
+        "-o", "hv64.fld"],
+       ["make-field", "--kind", "halfvortex-lift", "--grid", "64",
+        "-o", "hv64-lift.fld"],
+       ["energy", "hv64.fld", "--estimator", "directional", "--seed", "1"],
+       ["lift", "hv64.fld", "--mode", "boundary", "--boundary",
+        "hv64-lift.fld", "-o", "hv64-bnd.fld"],
+       ["verify", "--suite", "halfvortex", "--grid", "160", "--trials", "4",
+        "--seed", "3", "--report", "halfvortex.json"],
+       ["verify", "--suite", "repr", "--seed", "3", "--report", "repr.json"]])
 
 
 def digests():

@@ -86,8 +86,8 @@ class TestGridField:
         (2, 1e308), (2, 1e200), (2, 1e100), (2, 1e78), (2, 1e-77),
         (2, 1e-100), (2, 1e-200), (2, 1e-300), (3, 1e60), (1, 1e155)])
     def test_spacing_whose_2n_th_power_is_no_normal_float(self, N, spacing):
-        # the mollified energy scales its sums by h^(2N); the check runs in
-        # Python floats, so no numpy overflow warning (an error here) comes
+        # the check runs in Python floats, so no numpy overflow warning (an
+        # error here) comes
         vals = np.zeros((2,) * N + (2,))
         vals[..., 0] = 1.0
         with pytest.raises(ValueError, match=re.escape(
@@ -608,6 +608,16 @@ class TestScaling:
         e1, eh = (mollified_energy_extrapolated(GridField(
             f.dims, s, f.origin, f.kind, f.values)).total for s in (1.0, h))
         assert eh / h == pytest.approx(e1, rel=1e-12)
+
+    def test_1d_extrapolated_energy_keeps_its_value_at_small_spacings(self):
+        # 1D energies do not scale with h, down to the smallest spacings
+        # GridField accepts (h^2 a normal float)
+        vals = np.zeros((2000, 2))
+        vals[0::2, 0] = vals[1::2, 1] = 1.0  # angles 0 and pi/2 alternate
+        e1, *small = (mollified_energy_extrapolated(GridField(
+            (2000,), h, (0.0,), "proj", vals)).total
+            for h in (1.0, 2e-154, 1.5e-154))
+        assert small == pytest.approx([e1, e1], rel=1e-12)
 
 
 class TestPairKernelThreads:

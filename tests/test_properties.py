@@ -278,8 +278,7 @@ def _loop_mollified_energy(offsets, sums, eps, h, N):
         r = math.hypot(*off) * h
         if r <= eps:
             tot += 2.0 * s / r
-    rho = 1.0 / (_loop_ball_count(eps, h, N) * h ** N)
-    return tot * rho * h ** (2 * N)
+    return tot * (h ** N / _loop_ball_count(eps, h, N))
 
 
 @SETTINGS

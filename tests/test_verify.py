@@ -8,7 +8,7 @@ from bvlift.geometry import dist_sphere
 from bvlift.verify import (DIMS_GRID, THETA_GRID, CheckReport, make_field,
                            make_half_vortex, make_half_vortex_lifting,
                            run_diffuse_invariance_suite, run_identity_suite,
-                           run_repr_formula_suite, write_report)
+                           write_report)
 
 
 class TestMakeHalfVortex:
@@ -165,16 +165,6 @@ class TestGridRefinement:
 
 
 class TestSuites:
-    def test_half_vortex_suite_does_not_depend_on_the_thread_count(
-            self, monkeypatch):
-        from bvlift.verify import run_half_vortex_suite
-        runs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("BVLIFT_THREADS", threads)
-            runs.append([r.to_dict() for r in run_half_vortex_suite(
-                grid=160, trials=4)])
-        assert runs[0] == runs[1]
-
     def test_half_vortex_extras_are_the_eps_curves(self, monkeypatch):
         # report.json carries the eps curves of all four extrapolations
         from bvlift import verify
@@ -231,21 +221,6 @@ class TestSuites:
         assert quarter.extra["stderr"] == half.extra["stderr"]
         assert (quarter.claimed, quarter.tolerance, quarter.kind) == (
             0.25, 0.002, "abs")
-
-    def test_repr_suite_does_not_depend_on_the_thread_count(self,
-                                                             monkeypatch):
-        runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("BVLIFT_THREADS", threads)
-            runs.append([r.to_dict() for r in run_repr_formula_suite(seed=5)])
-        assert runs[0] == runs[1]
-
-    def test_repr_suite_passes_and_is_deterministic(self):
-        a = run_repr_formula_suite(seed=3)
-        b = run_repr_formula_suite(seed=3)
-        assert all(r.passed for r in a)
-        assert [(r.name, r.measured) for r in a] == \
-               [(r.name, r.measured) for r in b]
 
     def test_diffuse_suite_passes(self):
         reps = run_diffuse_invariance_suite(seed=1, grids=(64, 128),
