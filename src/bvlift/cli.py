@@ -12,6 +12,7 @@ seed).
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -165,31 +166,26 @@ def cmd_constants(args):
             f"constants reads {', '.join('--' + key for key in given)} only "
             "with --psi, --avg-dist or --avg-jump")
     mc = {**_AVERAGE_FLAGS, **given}
-    table = {}
-
-    def put(name, res):
-        table[name] = {"value": res.value, "method": res.method,
-                       "error_estimate": res.error_estimate,
-                       "samples_or_nodes": res.samples_or_nodes}
-
+    table = {}  # name -> ConstantResult
     if args.k is not None:
-        put(f"K_{args.k}", consts.k_const(args.k))
+        table[f"K_{args.k}"] = consts.k_const(args.k)
     if args.m is not None:
-        put(f"M_{args.m}", consts.m_const(args.m))
+        table[f"M_{args.m}"] = consts.m_const(args.m)
     if args.ca is not None:
         Nv, dv = args.ca
-        put(f"C_a_{Nv}_{dv}", consts.ca_const(Nv, dv))
+        table[f"C_a_{Nv}_{dv}"] = consts.ca_const(Nv, dv)
     if args.cj is not None:
-        put(f"C_j_{args.cj}", consts.cj_estimate(args.cj))
+        table[f"C_j_{args.cj}"] = consts.cj_estimate(args.cj)
     if args.c1d:
-        put("C_1d_tensor", consts.c1d_const())
+        table["C_1d_tensor"] = consts.c1d_const()
     for name, (estimate, _, _) in consts.AVERAGES.items():
         if thetas[name] is not None:
-            put(f"{name}_{thetas[name]:.6f}",
-                estimate(thetas[name], mc["d"], mc["samples"], mc["seed"]))
+            table[f"{name}_{thetas[name]:.6f}"] = estimate(
+                thetas[name], mc["d"], mc["samples"], mc["seed"])
     if not table:
         raise ValueError("no constants requested")
-    sys.stdout.write(_json_dumps(table))
+    sys.stdout.write(_json_dumps({name: dataclasses.asdict(res)
+                                  for name, res in table.items()}))
     return EXIT_OK
 
 
@@ -254,7 +250,9 @@ def build_parser():
                     choices=["rotation", "greedy1d", "boundary"])
     lf.add_argument("--trials", type=int)
     lf.add_argument("--seed", type=int)
-    lf.add_argument("--metric", choices=METRICS)
+    lf.add_argument("--metric", choices=METRICS,
+                    help="rotation ranking metric; euclidean_tensor ranks "
+                    "and reports as euclidean_sphere")
     lf.add_argument("--boundary", help="unit field file with boundary data")
     lf.add_argument("-o", "--output")
     lf.set_defaults(fn=cmd_lift)

@@ -172,25 +172,24 @@ def _upper(r, u):
     """Where the rotated lifting along the direction r keeps u: u.r > 0,
     and on the equator u.r == 0 where u is its canonical representative.
 
-    ``u`` is a sequence of the d component planes of the vectors (arrays
-    of any strides and one shape), and ``r`` a direction of d floats or a
-    stack of them, of shape ``(..., d)``.  Per element u.r adds its terms
-    in index order, 0, 1, ..., d - 1.  A stack is filled one block of
-    ``_SIGN_BLOCK`` cells at a time, so the block stays in cache while
-    every direction reads it.  Returns a boolean array of shape
-    ``r.shape[:-1]`` plus the planes' shape.  The one sign rule of
-    :func:`lift_sign` and the rotation search.
+    ``u`` is a float array of vectors, shape ``(..., d)``, and ``r`` is a
+    direction of d floats or a stack of them, of shape ``(..., d)``.  Per
+    element u.r adds its terms in index order, 0, 1, ..., d - 1.  The
+    cells are taken one block of ``_SIGN_BLOCK`` at a time, as contiguous
+    component planes that stay in cache while every direction reads them.
+    Returns a boolean array of shape ``r.shape[:-1] + u.shape[:-1]``.  The
+    one sign rule of :func:`lift_sign` and the rotation search.
     """
     r = np.asarray(r, dtype=float)
     rows = r.reshape(-1, r.shape[-1]).tolist()
-    flat = [np.ravel(p) for p in u]
-    n = flat[0].size
+    flat = u.reshape(-1, u.shape[-1])
+    n = len(flat)
     up = np.empty((len(rows), n), bool)
     w = np.empty(min(n, _SIGN_BLOCK))
     tmp, eq = np.empty_like(w), np.empty(w.shape, bool)
     for s in range(0, n, _SIGN_BLOCK):
         cells = slice(s, min(s + _SIGN_BLOCK, n))
-        block = [p[cells] for p in flat]
+        block = np.ascontiguousarray(flat[cells].T)
         b = cells.stop - s
         wb, tb, eb = w[:b], tmp[:b], eq[:b]
         for row, ub in zip(rows, up[:, cells]):
@@ -199,9 +198,8 @@ def _upper(r, u):
                 wb += np.multiply(block[k], row[k], out=tb)
             np.greater(wb, 0.0, out=ub)
             if np.equal(wb, 0.0, out=eb).any():  # the canonical tie-break,
-                ub[eb] = _lead_sign(  # on the tied cells only
-                    np.stack([p[eb] for p in block], axis=-1)) > 0
-    return up.reshape(r.shape[:-1] + np.shape(u[0]))
+                ub[eb] = _lead_sign(flat[cells][eb]) > 0  # on the tied cells
+    return up.reshape(r.shape[:-1] + u.shape[:-1])
 
 
 def lift_sign(r, u):
@@ -218,7 +216,7 @@ def lift_sign(r, u):
     u = np.asarray(u, dtype=float)
     if r.shape != u.shape[-1:]:
         raise ValueError(f"direction shape {r.shape}, vectors {u.shape}")
-    return np.where(_upper(r, [u[..., k] for k in range(r.size)]), 1.0, -1.0)
+    return np.where(_upper(r, u), 1.0, -1.0)
 
 
 def haar_rotations(d, size, rng):

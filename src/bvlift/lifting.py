@@ -58,23 +58,20 @@ def _projection_check(n_field, u_field):
 
 def _best_direction(u, trials, seed, rank):
     """The first of ``trials`` random directions (``random_unit_vectors(u.d,
-    trials, seed)``) whose lifting has the least face sum in ``rank``."""
+    trials, seed)``) whose lifting has the least face sum in ``rank``.
+
+    The candidates go ``_RANK_GROUP`` at a time: the signs of a group, one
+    :func:`_upper` of its directions on ``u.values``, live only through
+    its pair-kernel call, so memory does not grow with ``trials``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dirs = random_unit_vectors(u.d, trials, seed)
     faces = _half_offsets(u.N, 1)
-    planes = [np.ascontiguousarray(u.values[..., k]) for k in range(u.d)]
-    totals = []
-    # at most one group of signs, and no planes of ours in the last kernel
-    # call (it makes its own), are held at a time
-    for i in range(0, trials, _RANK_GROUP):
-        signs = _upper(dirs[i:i + _RANK_GROUP], planes)
-        if i + _RANK_GROUP >= trials:
-            del planes
-        # per face offset a row of one sum per candidate
-        totals.append(_lattice_sums(u, [(rank, s) for s in signs],
-                                    faces).sum(axis=0))
-        del signs
+    # per group of candidates, per face offset a row of one sum per candidate
+    totals = [_lattice_sums(u, [(rank, s) for s in
+                                _upper(dirs[i:i + _RANK_GROUP], u.values)],
+                            faces).sum(axis=0)
+              for i in range(0, trials, _RANK_GROUP)]
     return dirs[np.argmin(np.concatenate(totals))]
 
 
@@ -85,12 +82,9 @@ def lift_rotation_search(u, trials=64, seed=0, metric="geodesic"):
     induces the cellwise lifting s u = R^{-1} F(R u) with s = sgn(u.r).
     Candidates are ranked by their face sums, the pair distances of s u
     over the forward faces (the unit offsets) in the requested metric,
-    which the averaging bound controls.  The pair kernel
-    (:func:`_lattice_sums`) takes ``_RANK_GROUP`` candidates per call, so
-    memory does not grow with ``trials``, and their signs are one boolean
-    :func:`_upper` of the group's stacked directions, on contiguous
-    component planes of u made once per search and released before the
-    last kernel call.  The first minimizer is built as a field by
+    which the averaging bound controls, ``_RANK_GROUP`` candidates per
+    pair-kernel call, so memory does not grow with ``trials`` (see
+    :func:`_best_direction`).  The first minimizer is built as a field by
     :func:`lift_sign` and reported by :func:`embedded_tv`.  The expected
     face sum of a random candidate already satisfies the bound, so the
     sample minimum does with margin.

@@ -200,11 +200,10 @@ def run_half_vortex_suite(grid=256, trials=64, seed=0):
                                     metric="geodesic")
     lift_euc = lift_rotation_search(u, trials=trials, seed=seed + 1,
                                     metric="euclidean_sphere")
-    planes = [u.values[..., k] for k in range(u.d)]
     e_u_geo, e_u_tens_m, e_n_geo, e_n_euc = _extrapolated_energies(u, [
         ("geodesic", None), ("euclidean_tensor", None),
-        ("geodesic", _upper(lift_geo.direction, planes)),
-        ("euclidean_sphere", _upper(lift_euc.direction, planes))])
+        ("geodesic", _upper(lift_geo.direction, u.values)),
+        ("euclidean_sphere", _upper(lift_euc.direction, u.values))])
     reports.append(_check(
         "halfvortex_geodesic_energy", 2.0, e_u_geo.total, 0.05, "rel",
         "intrinsic energy of the half vortex = K_2 pi = 2", t0,

@@ -515,6 +515,21 @@ class TestLift:
         assert side["projection_check"] == 0.0
         assert len(side["direction"]) == 2 and "rotation" not in side
 
+    def test_tensor_metric_lifts_as_the_sphere_metric(self, hv_path,
+                                                       tmp_path, capsys):
+        # the tensor energy of a lifting is that of its projection, the
+        # same for every candidate: both Euclidean metrics rank and report
+        # by the sphere chord
+        written = []
+        for metric in ("euclidean_sphere", "euclidean_tensor"):
+            out = tmp_path / f"{metric}.fld"
+            assert run("lift", hv_path, "--trials", "8", "--seed", "2",
+                       "--metric", metric, "-o", out) == 0
+            written.append((out.read_bytes(),
+                            out.with_suffix(".json").read_bytes()))
+        assert written[0] == written[1]
+        assert b'"metric": "euclidean_sphere"' in written[1][1]
+
     @pytest.mark.parametrize("d, N, trials, seed", [(2, 2, 8, 3),
                                                    (3, 3, 5, 1)])
     def test_sidecar_direction_rebuilds_the_lifting(self, tmp_path, capsys,

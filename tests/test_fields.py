@@ -547,7 +547,7 @@ def test_ac_part_of_one_corner_cell_equals_its_index_order_norm():
         assert rep.ac_part == index_order_ac_part(f, "euclidean_sphere", 3.0)
 
 
-class TestDetectJumps:
+class TestJumpThreshold:
     """The jump threshold by which embedded_tv counts its jump faces."""
 
     def test_threshold_validation(self):

@@ -322,8 +322,8 @@ class TestIndexOrderSums:
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_upper_is_the_sign_rule_of_lift_sign(self, d):
-        # the boolean rule of the rotation search, on contiguous component
-        # planes and on strided views, is the index-order formula and
+        # the boolean rule of the rotation search, on contiguous values and
+        # on a strided view of them, is the index-order formula and
         # lift_sign(r, u) > 0 bit for bit: on unit vectors of either sign
         # and on their canonical representatives, with the exact equator
         # ties of the turn direction
@@ -340,13 +340,11 @@ class TestIndexOrderSums:
                 w = index_order(v * r)
                 want = np.where(w == 0, _lead_sign(v) > 0, w > 0)
                 assert np.array_equal(lift_sign(r, v) > 0, want)
-                strided = [v[:, k] for k in range(d)]
-                for planes in (strided, [np.ascontiguousarray(p)
-                                         for p in strided]):
-                    got = _upper(r, planes)
+                for values in (v, np.repeat(v, 2, axis=0)[::2]):
+                    got = _upper(r, values)
                     assert got.dtype == bool and np.array_equal(got, want)
                 assert r is not turn or (w == 0).sum() >= 2 * d - 2
-                assert _upper(r, list(v[-1])) == want[-1]
+                assert _upper(r, v[-1]) == want[-1]
 
     @pytest.mark.parametrize("d", range(2, 6))
     def test_stacked_upper_equals_one_row_upper(self, d):
@@ -365,17 +363,15 @@ class TestIndexOrderSums:
         dirs = np.concatenate([random_unit_vectors(d, 4, rng),
                                [turn, np.eye(d)[0], -turn]])
         for v in (u, canonicalize(u)):
-            strided = [v[:, k] for k in range(d)]
-            for planes in (strided, [np.ascontiguousarray(p)
-                                     for p in strided]):
-                stack = _upper(dirs, planes)
+            for values in (v, np.repeat(v, 2, axis=0)[::2]):
+                stack = _upper(dirs, values)
                 assert stack.shape == (len(dirs), len(v))
                 for r, got in zip(dirs, stack):
                     w = index_order(v * r)
                     want = np.where(w == 0, _lead_sign(v) > 0, w > 0)
                     assert np.array_equal(got, want)
-                    assert np.array_equal(_upper(r, planes), got)
-                grid = [p.reshape(-1, 4) for p in planes]
+                    assert np.array_equal(_upper(r, values), got)
+                grid = values.reshape(-1, 4, d)
                 assert np.array_equal(_upper(dirs.reshape(7, 1, d), grid),
                                       stack.reshape(7, 1, -1, 4))
             w = index_order(v[-len(ties):] * turn)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -255,6 +256,23 @@ class TestRotationSearch:
                 liftings[best], rank).to_dict()
             assert np.array_equal(flat.direction, dirs[0])
             assert flat.energy.total == 0.0
+
+    def test_ranking_memory_does_not_grow_with_trials(self, monkeypatch):
+        # a group's signs live only through its kernel call, and nothing
+        # else is held from group to group: 130 candidates (three groups)
+        # peak where 64 (one group) do
+        monkeypatch.setenv("BVLIFT_THREADS", "1")
+        u = make_half_vortex(32, d=3, N=3)
+        lifting._best_direction(u, 1, 0, "geodesic")  # its first-call imports
+        peaks = []
+        for trials in (64, 130):
+            tracemalloc.start()
+            try:
+                lifting._best_direction(u, trials, 0, "geodesic")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.05)
 
     def test_antipodal_traces_at_lifting_jumps(self):
         # where the projected field is smooth, a lifting jumps between
