@@ -358,8 +358,7 @@ def _lattice_sums(f, requests, offsets, axes=None):
             None if b is None else b[:math.prod(shape)].reshape(shape)
             for b in buf)
         _squared_chords([p[src] for p in planes], [p[dst] for p in planes],
-                        plus, out=(m2, p2, q))  # q is their scratch
-        np.sqrt(np.minimum(m2, p2, out=q) if plus else m2, out=q)
+                        plus, out=(m2, p2, q))
         if f.mask is not None:
             np.logical_and(inside[src], inside[dst], out=ok)
             np.multiply(q, ok, out=q)
@@ -605,9 +604,8 @@ def _face_data(f, metric):
     for a, src, dst in _forward_faces(f.dims):
         ok = inside[src] & inside[dst]
         valid[src + (a,)] = ok
-        m2, p2 = _squared_chords(
-            [c[src] for c in comps], [c[dst] for c in comps], proj)
-        chords[src + (a,)] = np.sqrt(np.minimum(m2, p2) if proj else m2) * ok
+        chords[src + (a,)] = ok * _squared_chords(
+            [c[src] for c in comps], [c[dst] for c in comps], proj)[2]
     return valid, chord_distance(chords, metric), chords, proj
 
 

@@ -65,37 +65,38 @@ def _squared_chords(a, b, plus=False, out=None):
     (arrays of any strides that broadcast together).  Each chord's squared
     components are added in index order, 0, 1, ..., d - 1, in place, into
     the arrays ``(minus, plus, scratch)`` of ``out`` if given (``plus`` may
-    be None without ``plus``).  Returns ``(minus, plus)``, with ``plus``
-    None unless requested.
+    be None without ``plus``).  Returns ``(minus, plus, chord)``, ``plus``
+    None unless requested, and the chord, the one place it is picked:
+    sqrt(min(minus, plus)) with ``plus``, else sqrt(minus), in scratch.
     """
     if out is None:
         shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
         out = (np.empty(shape), np.empty(shape) if plus else None,
                np.empty(shape))
-    minus, plus_out, tmp = out
+    minus, plus_out, q = out
     for op, c2 in [(np.subtract, minus), (np.add, plus_out)][:2 if plus else 1]:
         np.square(op(a[0], b[0], out=c2), out=c2)
         for k in range(1, len(a)):
-            c2 += np.square(op(a[k], b[k], out=tmp), out=tmp)
-    return minus, plus_out if plus else None
+            c2 += np.square(op(a[k], b[k], out=q), out=q)
+    np.sqrt(np.minimum(minus, plus_out, out=q) if plus else minus, out=q)
+    return minus, plus_out if plus else None, q
 
 
 def chord(a, b, proj=False):
     """Chord |a - b| of two unit vectors, or min(|a - b|, |a + b|) for lines.
 
     Every distance of the package is a closed form of this chord (see
-    :func:`chord_distance`), squared by :func:`_squared_chords`.
+    :func:`chord_distance`), squared and picked by :func:`_squared_chords`.
     Bit-identical representatives are at chord exactly 0, and with ``proj``
     a sign flip of either representative leaves the result bit for bit
-    unchanged.
+    unchanged.  Two vectors give a numpy float, not a 0-d array.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_same_dim(a, b)
     d = a.shape[-1]
-    minus, plus = _squared_chords([a[..., k] for k in range(d)],
-                                 [b[..., k] for k in range(d)], proj)
-    return np.sqrt(np.minimum(minus, plus) if proj else minus)
+    return _squared_chords([a[..., k] for k in range(d)],
+                           [b[..., k] for k in range(d)], proj)[2][()]
 
 
 def chord_distance(q, metric, out=None):

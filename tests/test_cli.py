@@ -6,6 +6,7 @@ import os
 import stat
 import struct
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -736,6 +737,23 @@ class TestConstants:
             "value": pytest.approx(1 + 1 / np.sqrt(2), abs=1e-15),
             "method": "closed_form", "error_estimate": 0.0,
             "samples_or_nodes": 0}}
+
+    @pytest.mark.filterwarnings("error")  # a warning would reach stderr
+    def test_sphere_measures_past_overflow_and_ca_2_5_in_time(self, capfd):
+        # M_400 takes the log form past gamma overflow; M_3000 underflows to
+        # 0.0 in one JSON document with no warning; C_a(2, 5) is a closed
+        # form, where the old multi-start ascent did not finish
+        assert run("constants", "--m", "400") == 0
+        out, err = capfd.readouterr()
+        assert json.loads(out)["M_400"]["value"] > 0 and err == ""
+        assert run("constants", "--m", "3000") == 0
+        out, err = capfd.readouterr()
+        assert json.loads(out)["M_3000"]["value"] == 0.0 and err == ""
+        t0 = time.perf_counter()
+        assert run("constants", "--ca", "2", "5") == 0
+        assert time.perf_counter() - t0 < 20
+        value = json.loads(capfd.readouterr().out)["C_a_2_5"]["value"]
+        assert abs(value - (1 + 1 / np.sqrt(2))) <= 1e-15
 
     @pytest.mark.parametrize("flags, message", [
         (["--ca", "2", "3", "--seed", "5"], "constants reads --seed only"),

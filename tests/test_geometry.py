@@ -5,7 +5,7 @@ from scipy import stats
 
 from bvlift import geometry
 from bvlift.geometry import (_lead_sign, _norms, _squared_chords, _upper,
-                             canonicalize, dist_proj, dist_sphere,
+                             canonicalize, chord, dist_proj, dist_sphere,
                              embed_tensor, eucl_jump_cost, haar_rotations,
                              lift_sign, random_unit_vectors, uniaxial_q)
 
@@ -19,6 +19,12 @@ def e(i, d):
 class TestDistances:
     def test_sphere_identity(self):
         assert dist_sphere(e(0, 3), e(0, 3)) == 0.0
+
+    @pytest.mark.parametrize("proj", [False, True])
+    def test_chord_of_two_vectors_is_a_float(self, proj):
+        # the chord is picked into a buffer; two vectors give no 0-d array
+        assert type(chord(e(0, 3), e(1, 3), proj)) is np.float64
+        assert chord(np.eye(3), np.eye(3)[::-1], proj).shape == (3,)
 
     def test_sphere_orthogonal(self):
         assert dist_sphere(e(0, 3), e(1, 3)) == pytest.approx(np.pi / 2, abs=1e-15)
@@ -292,13 +298,18 @@ class TestIndexOrderSums:
         planes = [[x[:, k] for k in range(d)] for x in (a, b)]
         minus, plus = index_order((a - b) ** 2), index_order((a + b) ** 2)
         bufs = [np.empty(len(a)) for _ in range(3)]
+        # the third value is the one chord pick, written into the scratch
         for got in (_squared_chords(*planes, True),
                     _squared_chords(*planes, True, out=bufs)):
             assert np.array_equal(got[0], minus)
             assert np.array_equal(got[1], plus)
+            assert np.array_equal(got[2], np.sqrt(np.minimum(minus, plus)))
+        assert got[2] is bufs[2]
         for got in (_squared_chords(*planes),
                     _squared_chords(*planes, out=(bufs[0], None, bufs[2]))):
             assert np.array_equal(got[0], minus) and got[1] is None
+            assert np.array_equal(got[2], np.sqrt(minus))
+        assert got[2] is bufs[2]
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_lift_sign_equals_the_index_order_formula(self, d):
