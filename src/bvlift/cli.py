@@ -34,8 +34,8 @@ EXIT_BAD_INPUT = 2
 EXIT_BAD_BOUNDARY = 3
 EXIT_UNDER_RESOLVED = 4
 
-# The flags each lift mode and energy estimator reads; a flag's default
-# dest is the keyword it passes on.  Its command's other flags exit 2.
+# The flags each mode of a command reads; a flag's default dest is the
+# library keyword it sets when given.  Its command's other flags exit 2.
 READS = {
     "lift": {"rotation": ["--trials", "--seed", "--metric"],
              "greedy1d": [],
@@ -43,12 +43,17 @@ READS = {
     "energy": {"mollified": ["--metric", "--eps-over-h", "--no-extrapolation"],
                "directional": ["--metric", "--directions", "--seed"],
                "embedded": ["--metric", "--jump-threshold"]},
+    "make-field": {**dict.fromkeys(verify.FIELD_KINDS, ["--d", "--N"]),
+                   "smooth": ["--d", "--N", "--slope"]},
+    "constants": {"with an average": ["--d", "--samples", "--seed"],
+                  "without an average": []},
+    "verify": {"halfvortex": ["--grid", "--trials", "--seed"],
+               "identities": ["--samples", "--seed"],
+               "repr": ["--seed"], "diffuse": ["--seed"],
+               "all": ["--grid", "--trials", "--samples", "--seed"]},
 }
 # --no-extrapolation measures at the first of the library's default radii
 _MULTIPLIERS = mollified_energy_extrapolated.__defaults__[-1]
-# The flags of constants that only its Monte Carlo averages read, with their
-# defaults; given without an average, they exit 2.
-_AVERAGE_FLAGS = {"d": 3, "samples": 1_000_000, "seed": 0}
 
 
 def _read_flags(args, mode):
@@ -98,9 +103,9 @@ def _json_dumps(obj):
 
 
 def cmd_make_field(args):
+    kw = _read_flags(args, args.kind)
     _check_output(args.output)
-    f = verify.make_field(args.kind, args.grid, d=args.d, N=args.N,
-                          slope=args.slope)
+    f = verify.make_field(args.kind, args.grid, **kw)
     _atomic_write(args.output, lambda tmp: write_field(f, tmp))
     print(f"wrote {args.output}: dims={f.dims} d={f.d} kind={f.kind}")
     return EXIT_OK
@@ -158,14 +163,10 @@ def cmd_lift(args):
 
 def cmd_constants(args):
     # each average's flag has its name as dest
-    thetas = {name: getattr(args, name) for name in consts.AVERAGES}
-    given = {key: getattr(args, key) for key in _AVERAGE_FLAGS
-             if getattr(args, key) is not None}
-    if given and all(theta is None for theta in thetas.values()):
-        raise ValueError(
-            f"constants reads {', '.join('--' + key for key in given)} only "
-            "with --psi, --avg-dist or --avg-jump")
-    mc = {**_AVERAGE_FLAGS, **given}
+    thetas = {name: getattr(args, name) for name in consts.AVERAGES
+              if getattr(args, name) is not None}
+    kw = _read_flags(args, "with an average" if thetas
+                     else "without an average")
     table = {}  # name -> ConstantResult
     if args.k is not None:
         table[f"K_{args.k}"] = consts.k_const(args.k)
@@ -178,10 +179,8 @@ def cmd_constants(args):
         table[f"C_j_{args.cj}"] = consts.cj_estimate(args.cj)
     if args.c1d:
         table["C_1d_tensor"] = consts.c1d_const()
-    for name, (estimate, _, _) in consts.AVERAGES.items():
-        if thetas[name] is not None:
-            table[f"{name}_{thetas[name]:.6f}"] = estimate(
-                thetas[name], mc["d"], mc["samples"], mc["seed"])
+    for name, theta in thetas.items():
+        table[f"{name}_{theta:.6f}"] = consts.AVERAGES[name][0](theta, **kw)
     if not table:
         raise ValueError("no constants requested")
     sys.stdout.write(_json_dumps({name: dataclasses.asdict(res)
@@ -190,14 +189,11 @@ def cmd_constants(args):
 
 
 def cmd_verify(args):
-    settings = dict(grid=args.grid, trials=args.trials, samples=args.samples,
-                    seed=args.seed)
+    kw = _read_flags(args, args.suite)
     out = args.report
     _check_output(out)
-    if args.suite == "all":
-        reports = verify.run_all_suites(**settings)
-    else:
-        reports = verify.SUITES[args.suite](**settings)
+    reports = (verify.run_all_suites if args.suite == "all"
+               else verify.SUITES[args.suite])(**kw)
     _atomic_write(out, lambda tmp: verify.write_report(reports, tmp))
     n_fail = sum(1 for r in reports if not r.passed)
     for r in reports:
@@ -225,9 +221,9 @@ def build_parser():
     mk = sub.add_parser("make-field", help="generate test fields")
     mk.add_argument("--kind", required=True, choices=verify.FIELD_KINDS)
     mk.add_argument("--grid", type=int, default=256)
-    mk.add_argument("--d", type=int, default=2)
-    mk.add_argument("--N", type=int, default=2)
-    mk.add_argument("--slope", type=float, default=1.2)
+    mk.add_argument("--d", type=int)
+    mk.add_argument("--N", type=int)
+    mk.add_argument("--slope", type=float, help="read by --kind smooth only")
     mk.add_argument("-o", "--output", required=True)
     mk.set_defaults(fn=cmd_make_field)
 
@@ -269,17 +265,17 @@ def build_parser():
                     metavar="THETA")
     co.add_argument("--avg-jump", dest="avg_eucl_jump", type=float,
                     metavar="THETA")
-    for key, default in _AVERAGE_FLAGS.items():
-        co.add_argument(f"--{key}", type=int,
-                        help=f"for the averages only (default {default})")
+    for flag in READS["constants"]["with an average"]:
+        co.add_argument(flag, type=int, help="read by --psi, --avg-dist and "
+                        "--avg-jump only")
     co.set_defaults(fn=cmd_constants)
 
     ve = sub.add_parser("verify", help="run the verification suites")
     ve.add_argument("--suite", default="all", choices=[*verify.SUITES, "all"])
-    ve.add_argument("--grid", type=int, default=256)
-    ve.add_argument("--trials", type=int, default=64)
-    ve.add_argument("--samples", type=int, default=1_000_000)
-    ve.add_argument("--seed", type=int, default=0)
+    for flag in READS["verify"]["all"]:
+        ve.add_argument(flag, type=int, help="read by the suites " + ", ".join(
+            suite for suite, flags in READS["verify"].items()
+            if flag in flags and suite != "all") + " and all")
     ve.add_argument("--report", default="./report.json", help="report path")
     ve.set_defaults(fn=cmd_verify)
     return p

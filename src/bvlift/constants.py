@@ -194,20 +194,22 @@ def avg_eucl_jump_closed(theta):
                           + (np.pi - theta) * np.sin(theta / 2.0))
 
 
-# name -> (estimate(theta, d, samples, seed), closed_form(theta), identity);
-# an estimate looks its estimator up by name when called, so a rebound one runs
+# name -> (estimate(theta, d=3, samples=1_000_000, seed=0), closed_form(theta),
+# identity); an estimate looks its estimator up when called: a rebound one runs
 AVERAGES = {
     "avg_lifted_dist": (
-        lambda theta, d, samples, seed:
+        lambda theta, d=3, samples=1_000_000, seed=0:
             avg_lifted_dist(*_pair_at_angle(d, theta), samples, seed),
         avg_lifted_dist_closed,
         "mean over rotations of dist(F(Rn), F(Rm)) = (2/pi) theta (pi - theta)"),
     "psi": (
-        lambda theta, d, samples, seed: psi_estimate(theta, d, samples, seed),
+        lambda theta, d=3, samples=1_000_000, seed=0:
+            psi_estimate(theta, d, samples, seed),
         psi_closed,
         "measure of opposite-hemisphere rotations = theta / (2 pi)"),
     "avg_eucl_jump": (
-        lambda theta, d, samples, seed: avg_eucl_jump(theta, samples, seed, d),
+        lambda theta, d=3, samples=1_000_000, seed=0:
+            avg_eucl_jump(theta, samples, seed, d),
         avg_eucl_jump_closed,
         "mean |F(Rn) - F(Rm)| = (2/pi)((pi-theta) sin(theta/2) "
         "+ theta cos(theta/2))"),

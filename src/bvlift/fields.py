@@ -535,11 +535,11 @@ def avg_directional_energy(f, directions=64, seed=0, metric="geodesic",
     call over the step offsets they use.  The sample standard error is
     reported in ``params`` (conservative for the stratified N = 2 sampling).
     """
-    if f.N > 1 and directions < 4:
-        raise ValueError("directions must be >= 4")
     rng = np.random.default_rng(seed)
     if omegas is None and f.N == 1:
         omegas = [[1.0]]
+    elif omegas is None and directions < 4:  # read only where sampled
+        raise ValueError("directions must be >= 4")
     elif omegas is None and f.N == 2:
         phi = (np.arange(directions) + rng.random()) / directions * np.pi
         omegas = np.stack([np.cos(phi), np.sin(phi)], axis=-1)

@@ -429,14 +429,12 @@ def run_diffuse_invariance_suite(seed=0, grids=(128, 256), n_fields=10):
 
 # ---------------------------------------------------------------------------
 
-# name -> runner; each runner takes the keyword arguments of run_all_suites
-# and uses its own
+# name -> suite; each takes only the settings it reads
 SUITES = {
-    "halfvortex": lambda grid, trials, seed, **_:
-        run_half_vortex_suite(grid, trials, seed),
-    "identities": lambda samples, seed, **_: run_identity_suite(samples, seed),
-    "repr": lambda seed, **_: run_repr_formula_suite(seed),
-    "diffuse": lambda seed, **_: run_diffuse_invariance_suite(seed),
+    "halfvortex": run_half_vortex_suite,
+    "identities": run_identity_suite,
+    "repr": run_repr_formula_suite,
+    "diffuse": run_diffuse_invariance_suite,
 }
 
 
@@ -455,7 +453,8 @@ def _check_settings(grid=256, trials=64, samples=1_000_000, threads=None):
 
 
 def run_all_suites(grid=256, trials=64, samples=1_000_000, seed=0):
-    """All suites of :data:`SUITES` in declaration order."""
+    """The suites of :data:`SUITES` in order, each with its own settings."""
     _check_settings(grid=grid, trials=trials, samples=samples)
-    settings = dict(grid=grid, trials=trials, samples=samples, seed=seed)
-    return [r for run in SUITES.values() for r in run(**settings)]
+    return [*SUITES["halfvortex"](grid, trials, seed),
+            *SUITES["identities"](samples, seed),
+            *SUITES["repr"](seed), *SUITES["diffuse"](seed)]

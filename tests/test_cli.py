@@ -8,6 +8,7 @@ import struct
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -92,8 +93,7 @@ def test_cli_imports_no_numpy_and_no_private_name():
 def test_outputs_take_the_mode_the_umask_gives(tmp_path, capsys, monkeypatch,
                                                umask):
     # outputs are renamed temp files: they get the mode of open(path, "w")
-    monkeypatch.setattr(verify, "run_diffuse_invariance_suite",
-                        lambda *args: [])
+    monkeypatch.setitem(verify.SUITES, "diffuse", lambda **kw: [])
     old = os.umask(umask)
     try:
         assert run("make-field", "--kind", "jump", "--grid", "16",
@@ -198,11 +198,51 @@ def test_negative_seed_exit_2_before_any_work(tmp_path, capfd, monkeypatch,
     # numpy's own message would name no flag
     monkeypatch.setattr(cli, "read_field", must_not_run)
     monkeypatch.setattr(constants, "ca_const", must_not_run)
-    monkeypatch.setattr(verify, "run_repr_formula_suite", must_not_run)
+    monkeypatch.setitem(verify.SUITES, "repr", must_not_run)
     monkeypatch.chdir(tmp_path)
     assert run(*argv) == 2
     assert_one_error_line(capfd, "--seed")
     assert list(tmp_path.iterdir()) == []
+
+
+# a value that each flag of cli.READS taking one accepts
+_FLAG_VALUES = {"--d": "3", "--N": "2", "--slope": "0.5",
+                "--metric": "geodesic", "--eps-over-h": "2,4",
+                "--directions": "8", "--seed": "9", "--jump-threshold": "0.5",
+                "--trials": "5", "--samples": "100000", "--grid": "256"}
+
+
+def _unread_flags():
+    """(command, mode, flag) for each flag in the rows of cli.READS of a
+    command that its mode does not read."""
+    return [(command, mode, flag) for command, modes in cli.READS.items()
+            for mode, reads in modes.items()
+            for flag in sorted({f for row in modes.values() for f in row}
+                               - set(reads))]
+
+
+@pytest.mark.parametrize("command, mode, flag", _unread_flags())
+def test_flag_its_mode_does_not_read_exit_2_before_any_work(
+        hv_path, tmp_path, capfd, monkeypatch, command, mode, flag):
+    # no field is made or read, no constant or suite runs, nothing written
+    monkeypatch.setattr(verify, "make_field", must_not_run)
+    monkeypatch.setattr(cli, "read_field", must_not_run)
+    monkeypatch.setattr(constants, "k_const", must_not_run)
+    monkeypatch.setattr(verify, "run_all_suites", must_not_run)
+    for suite in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, suite, must_not_run)
+    out = tmp_path / "out.fld"
+    argv = {
+        "make-field": ["--kind", mode, "-o", out],
+        "energy": [hv_path, "--estimator", mode],
+        "lift": [hv_path, "--mode", mode, "-o", out,
+                 *(["--boundary", hv_path] if mode == "boundary" else [])],
+        "constants": ["--k", "2"],  # the row without an average
+        "verify": ["--suite", mode, "--report", out]}[command]
+    value = [_FLAG_VALUES[flag]] if flag in _FLAG_VALUES else []
+    assert run(command, *argv, flag, *value) == 2
+    assert_one_error_line(capfd, f"{command} {mode} does not read {flag}")
+    assert list(tmp_path.iterdir()) == [hv_path]
 
 
 class TestMakeField:
@@ -756,11 +796,13 @@ class TestConstants:
         assert abs(value - (1 + 1 / np.sqrt(2))) <= 1e-15
 
     @pytest.mark.parametrize("flags, message", [
-        (["--ca", "2", "3", "--seed", "5"], "constants reads --seed only"),
-        (["--k", "3", "--samples", "100"], "constants reads --samples only"),
+        (["--ca", "2", "3", "--seed", "5"],
+         "constants without an average does not read --seed"),
+        (["--k", "3", "--samples", "100"],
+         "constants without an average does not read --samples"),
         (["--c1d", "--d", "4", "--seed", "0"],
-         "constants reads --d, --seed only"),
-        (["--seed", "5"], "constants reads --seed only"),
+         "constants without an average does not read --d, --seed"),
+        (["--seed", "5"], "constants without an average does not read --seed"),
         (["--ca", "2", "3", "--seed", "-1"], "--seed must be >= 0")])
     def test_average_flag_without_an_average_exit_2(self, capfd, monkeypatch,
                                                     flags, message):
@@ -768,6 +810,11 @@ class TestConstants:
             monkeypatch.setattr(constants, name, must_not_run)
         assert run("constants", *flags) == 2
         assert_one_error_line(capfd, message)
+
+    def test_defaults_are_the_library_ones(self, capsys):
+        assert run("constants", "--psi", "1.0") == 0
+        assert json.loads(capsys.readouterr().out) == {"psi_1.000000": asdict(
+            constants.psi_estimate(1.0, 3, 1_000_000, 0))}
 
     def test_monte_carlo_entries_carry_error(self, capsys):
         assert run("constants", "--psi", str(np.pi / 2), "--avg-dist", "1.0",
@@ -824,7 +871,8 @@ class TestVerifyCommand:
         def ran(*args, **kwargs):
             raise AssertionError("a suite ran before the settings were checked")
 
-        monkeypatch.setattr(verify, "run_half_vortex_suite", ran)
+        for suite in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, suite, ran)
         out = tmp_path / "r.json"
         assert run("verify", "--suite", "all", *flags, "--report", out) == 2
         assert_one_error_line(capfd)
@@ -842,16 +890,14 @@ class TestVerifyCommand:
 
     def test_report_in_missing_directory_exit_2(self, tmp_path, capfd,
                                                 monkeypatch):
-        monkeypatch.setattr(verify, "run_diffuse_invariance_suite",
-                            must_not_run)
+        monkeypatch.setitem(verify.SUITES, "diffuse", must_not_run)
         out = tmp_path / "nope" / "r.json"
         assert run("verify", "--suite", "diffuse", "--report", out) == 2
         assert_one_error_line(capfd, out)
 
     def test_csv_dir_is_rejected(self, tmp_path, capfd, monkeypatch):
         # report.json carries every number; there are no CSV traces
-        monkeypatch.setattr(verify, "run_diffuse_invariance_suite",
-                            must_not_run)
+        monkeypatch.setitem(verify.SUITES, "diffuse", must_not_run)
         csvdir, out = tmp_path / "traces", tmp_path / "r.json"
         assert run("verify", "--suite", "diffuse", "--report", out,
                    "--csv-dir", csvdir) == 2
@@ -868,11 +914,31 @@ class TestVerifyCommand:
             monkeypatch.setattr(verify, name, must_not_run)
         monkeypatch.setenv("BVLIFT_THREADS", value)
         out = tmp_path / "r.json"
-        for suite in ("identities", "halfvortex", "repr", "all"):
-            assert run("verify", "--suite", suite, "--samples", "100000",
+        for suite, flags in (("identities", ["--samples", "100000"]),
+                             ("halfvortex", []), ("repr", []),
+                             ("all", ["--samples", "100000"])):
+            assert run("verify", "--suite", suite, *flags,
                        "--report", out) == 2, suite
             assert_one_error_line(capfd, "BVLIFT_THREADS")
             assert not out.exists()
+
+    @pytest.mark.parametrize("suite", [*verify.SUITES, "all"])
+    def test_defaults_are_the_library_ones(self, tmp_path, capsys,
+                                           monkeypatch, suite):
+        # a setting left out is not passed on: the suite takes its default
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return []
+
+        if suite == "all":
+            monkeypatch.setattr(verify, "run_all_suites", record)
+        else:
+            monkeypatch.setitem(verify.SUITES, suite, record)
+        assert run("verify", "--suite", suite,
+                   "--report", tmp_path / "r.json") == 0
+        assert calls == [((), {})]
 
     def test_unknown_suite_exit_2(self, tmp_path):
         assert run("verify", "--suite", "bogus",

@@ -430,6 +430,14 @@ class TestDirectional:
         with pytest.raises(ValueError, match="at least one"):
             avg_directional_energy(jump_field(16), omegas=np.zeros((0, 2)))
 
+    def test_directions_is_checked_only_where_sampled(self):
+        # given omegas leave the direction count unread
+        f = jump_field(16)
+        assert avg_directional_energy(f, directions=2, omegas=[[1, 0]]) \
+            .to_dict() == avg_directional_energy(f, omegas=[[1, 0]]).to_dict()
+        with pytest.raises(ValueError, match="directions must be >= 4"):
+            avg_directional_energy(f, directions=2)
+
 
 class TestEmbedded:
     def test_constant_zero(self):

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +15,7 @@ from bvlift import lifting
 from bvlift import fields
 from bvlift.fields import (GridField, _face_data, _pair_sums,
                            avg_directional_energy, default_jump_threshold,
-                           embedded_tv)
+                           embedded_tv, write_field)
 from bvlift.geometry import (canonicalize, chord, chord_distance,
                              eucl_jump_cost, lift_sign, random_unit_vectors)
 from bvlift.lifting import (BoundaryMismatchError, boundary_cells, lift_1d,
@@ -528,6 +532,26 @@ class TestLiftWithBoundary:
         n0 = GridField(kind="unit", values=vals, **grid)
         with pytest.raises(ValueError, match=f"boundary data {key} "):
             lift_with_boundary(u, n0, trials=2, seed=0)
+
+    def test_output_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the sparse LU of the coarsest level calls BLAS; OpenBLAS reads its
+        # thread count when it loads, so each count gets a fresh interpreter
+        write_field(make_half_vortex(256), tmp_path / "hv.fld")
+        write_field(make_half_vortex_lifting(256), tmp_path / "hvn.fld")
+        src = str(Path(lifting.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "bvlift.cli", "lift", "hv.fld",
+                 "--mode", "boundary", "--boundary", "hvn.fld",
+                 "-o", f"bnd{threads}.fld"], cwd=tmp_path,
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        for ext in (".fld", ".json"):
+            assert (tmp_path / f"bnd1{ext}").read_bytes() == \
+                (tmp_path / f"bnd2{ext}").read_bytes(), ext
 
     def test_rejects_one_dimensional(self):
         vals = np.zeros((8, 2))
